@@ -65,6 +65,7 @@ from .reference import (
     shooting_oracle,
 )
 from .solver import (
+    CoefficientDecayReport,
     LaneEmdenProblem,
     SolverConfig,
     SpectralSolution,
@@ -73,6 +74,7 @@ from .solver import (
     newton_solve,
     pow_signed,
     pow_signed_deriv,
+    scan_L_reports,
 )
 
 __version__ = "0.1.0"
@@ -125,8 +127,7 @@ __all__ = [
     "pow_signed_deriv",
     "radau_nodes",
     "scale_operators",
+    "scan_L_reports",
     "shooting_oracle",
     "__version__",
 ]
-
-from .cli import CoefficientDecayReport  # noqa: E402  (cli imports the rest)

@@ -7,13 +7,15 @@ magnitudes in scientific notation with 3 digits.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 solver non-convergence,
 3 no zero found, 4 reproduce-tables deltas exceeded tolerance.
+
+The solves, zero searches and the L scan come from the library; this module
+only parses arguments, formats the results and writes them.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,19 +23,12 @@ import numpy as np
 
 from .errors import EmdenError, NoZeroFound, ParameterError
 from .laguerre import MAX_ARGUMENT
-from .operators import build_operators, eval_hat_interpolant
-from .reference import (
-    FirstZeroResult,
-    first_zero,
-    first_zero_of,
-    first_zero_reference,
-    horedt_reference,
-)
-from .solver import LaneEmdenProblem, SolverConfig, newton_solve
+from .operators import eval_hat_interpolant
+from .reference import first_zero, first_zero_reference, horedt_reference
+from .solver import LaneEmdenProblem, SolverConfig, newton_solve, scan_L_reports
 
 __all__ = [
     "RunConfig",
-    "CoefficientDecayReport",
     "run_solve",
     "run_first_zero",
     "run_scan_L",
@@ -72,18 +67,6 @@ class RunConfig:
     out: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class CoefficientDecayReport:
-    """One scan-L record: convergence flag and how small the trailing
-    coefficients got."""
-
-    L: float
-    converged: bool
-    recommended: bool
-    tail_magnitude: float
-    coeff_abs: tuple
-
-
 def _round6(v):
     return round(float(v), 6)
 
@@ -100,11 +83,11 @@ def _sig12(v):
     return float(f"{float(v):.12g}")
 
 
-def _solver_config(config: RunConfig, L=None) -> SolverConfig:
+def _solver_config(config: RunConfig) -> SolverConfig:
     return SolverConfig(
         n=config.n,
         alpha=config.alpha,
-        L=config.L if L is None else L,
+        L=config.L,
         newton_tol=config.tol,
         max_iter=config.max_iter,
     )
@@ -136,18 +119,14 @@ def _solution_doc(solution) -> dict:
     }
 
 
-def _tail_magnitude(b) -> float:
-    return float(np.max(np.abs(b[-3:])))
-
-
-def _default_eval_grid(solution, ops) -> np.ndarray:
+def _default_eval_grid(solution) -> np.ndarray:
     """Plot grid: up to 20% past the first zero, or [0, 10] when the profile
     never crosses, clamped to the evaluation envelope."""
-    envelope = MAX_ARGUMENT * ops.params.L
+    envelope = MAX_ARGUMENT * solution.config_echo.L
     hi = min(10.0, envelope)
     if solution.converged:
         try:
-            zero = first_zero(solution, ops)
+            zero = first_zero(solution, solution.operators)
             hi = min(1.2 * zero.x_star, envelope)
         except NoZeroFound:
             pass
@@ -157,15 +136,12 @@ def _default_eval_grid(solution, ops) -> np.ndarray:
 def run_solve(config: RunConfig):
     """Solve one problem and tabulate the profile. Returns (status, json_doc,
     csv_text)."""
-    problem = LaneEmdenProblem(config.m)
-    solver_config = _solver_config(config)
-    solution = newton_solve(problem, solver_config)
-    ops = build_operators(solver_config.basis_params())
+    solution = newton_solve(LaneEmdenProblem(config.m), _solver_config(config))
     if config.eval_points is not None:
         grid = np.asarray(config.eval_points, dtype=float)
     else:
-        grid = _default_eval_grid(solution, ops)
-    values = eval_hat_interpolant(ops, solution.b, grid)
+        grid = _default_eval_grid(solution)
+    values = eval_hat_interpolant(solution.operators, solution.b, grid)
     doc = {
         "config": _config_doc(config),
         "solution": _solution_doc(solution),
@@ -180,9 +156,7 @@ def run_solve(config: RunConfig):
 def run_first_zero(config: RunConfig):
     """Solve, then locate the interpolant's first zero. Returns (status,
     json_doc, csv_text)."""
-    problem = LaneEmdenProblem(config.m)
-    solver_config = _solver_config(config)
-    solution = newton_solve(problem, solver_config)
+    solution = newton_solve(LaneEmdenProblem(config.m), _solver_config(config))
     doc = {"config": _config_doc(config), "solution": _solution_doc(solution)}
     header = "m,n,L,x_star,reference,abs_delta"
     stem = f"{config.m:.6f},{config.n},{config.L:.6f}"
@@ -190,9 +164,8 @@ def run_first_zero(config: RunConfig):
         doc["first_zero"] = None
         doc["reason"] = "solver did not converge"
         return EXIT_NOT_CONVERGED, doc, f"{header}\n{stem},,,\n"
-    ops = build_operators(solver_config.basis_params())
     try:
-        result = first_zero(solution, ops)
+        result = first_zero(solution, solution.operators)
     except NoZeroFound as exc:
         doc["first_zero"] = None
         doc["reason"] = str(exc)
@@ -215,34 +188,6 @@ def run_first_zero(config: RunConfig):
     doc["first_zero"] = record
     csv_text = f"{header}\n{stem},{result.x_star:.8f},{ref_text},{delta_text}\n"
     return EXIT_OK, doc, csv_text
-
-
-def scan_L_reports(m, n, alpha, grid, tol=1e-12, max_iter=100):
-    """Solve once per map scale, in parallel; flag the converged scale with the
-    smallest trailing-coefficient magnitude as recommended."""
-    problem = LaneEmdenProblem(m)
-
-    def solve_one(L):
-        return newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=float(L),
-                                                  newton_tol=tol, max_iter=max_iter))
-
-    with ThreadPoolExecutor(max_workers=min(8, len(grid))) as pool:
-        solutions = list(pool.map(solve_one, grid))
-    tails = [_tail_magnitude(s.b) for s in solutions]
-    best = None
-    for i, s in enumerate(solutions):
-        if s.converged and (best is None or tails[i] < tails[best]):
-            best = i
-    reports = []
-    for i, (L, s) in enumerate(zip(grid, solutions)):
-        reports.append(CoefficientDecayReport(
-            L=float(L),
-            converged=bool(s.converged),
-            recommended=(i == best),
-            tail_magnitude=tails[i],
-            coeff_abs=tuple(float(a) for a in np.abs(s.b)),
-        ))
-    return reports
 
 
 def run_scan_L(config: RunConfig):
@@ -294,9 +239,8 @@ def _table_zero_row(m, tol=1e-12):
     solution = newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L, newton_tol=tol))
     if not solution.converged:
         return None
-    ops = build_operators(SolverConfig(n=n, L=L).basis_params())
     try:
-        result = first_zero(solution, ops)
+        result = first_zero(solution, solution.operators)
     except NoZeroFound:
         return None
     return n, L, result.x_star
@@ -305,17 +249,15 @@ def _table_zero_row(m, tol=1e-12):
 def run_reproduce_tables(config: RunConfig):
     """Recompute the embedded reference tables and report deltas. Returns
     (status, json_doc, csv_text)."""
-    profile_cfg = SolverConfig(n=7, L=1.0)
-    solution = newton_solve(LaneEmdenProblem(3.0), profile_cfg)
+    solution = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7, L=1.0))
     doc = {"config": {"command": "reproduce-tables"}}
     if not solution.converged:
         doc["profile_table"] = None
         doc["zero_table"] = None
         doc["all_within_tolerance"] = False
         return EXIT_NOT_CONVERGED, doc, "x,present,reference,abs_delta\n"
-    ops = build_operators(profile_cfg.basis_params())
     horedt = horedt_reference(3.0)
-    present = eval_hat_interpolant(ops, solution.b, horedt.xs)
+    present = eval_hat_interpolant(solution.operators, solution.b, horedt.xs)
     profile_rows = []
     for x, ref, val in zip(horedt.xs, horedt.ys, present):
         profile_rows.append({

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import ConvergenceWarning, NotFittedError, ParameterError
-from .operators import build_operators, eval_hat_interpolant
+from .operators import eval_hat_interpolant
 from .solver import LaneEmdenProblem, SolverConfig, newton_solve
 
 __all__ = ["LaneEmdenSolver"]
@@ -74,7 +74,7 @@ class LaneEmdenSolver:
             max_iter=self.max_iter,
         )
         solution = newton_solve(problem, config)
-        self.operators_ = build_operators(config.basis_params())
+        self.operators_ = solution.operators
         self.solution_ = solution
         self.coefficients_ = solution.b
         self.nodes_ = solution.mapped_nodes

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .laguerre import BasisParams, RadauNodeSet, eval_laguerre, radau_nodes
+from .laguerre import MAX_ARGUMENT, BasisParams, RadauNodeSet, eval_laguerre, radau_nodes
 from .validation import check_real
 
 __all__ = [
@@ -177,7 +177,8 @@ def eval_hat_interpolant(ops: DiffOperators, b, x):
 
     Accepts a scalar or an array of evaluation points; returns a matching
     scalar or array. Exactly reproduces b_j at the mapped nodes (the
-    removable-singularity branch) and b_0 = y(0) at the origin.
+    removable-singularity branch) and b_0 = y(0) at the origin. Any
+    x <= MAX_ARGUMENT*L evaluates, even where x/L rounds past MAX_ARGUMENT.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (ops.n + 1,):
@@ -189,8 +190,11 @@ def eval_hat_interpolant(ops: DiffOperators, b, x):
     pts = np.atleast_1d(arr)
     out = np.empty(pts.shape)
     eta = ops.nodes.eta
+    envelope = MAX_ARGUMENT * ops.params.L
     for k, xv in enumerate(pts):
         t = xv / ops.params.L
+        if xv <= envelope:
+            t = min(t, MAX_ARGUMENT)  # x/L can round past the edge by one ulp
         card = _hat_cardinals(ops.nodes, ops.params.alpha, t)
         if __debug__:
             gap = np.abs(t - eta)

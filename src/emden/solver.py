@@ -33,6 +33,8 @@ __all__ = [
     "assemble_residual",
     "assemble_jacobian",
     "newton_solve",
+    "CoefficientDecayReport",
+    "scan_L_reports",
 ]
 
 
@@ -142,6 +144,9 @@ class SpectralSolution:
     b[0] is exactly 1 whenever converged is True (the boundary row is clamped,
     not left to linear-algebra roundoff). residual_history records the
     accepted residual norms, including the initial one; it is non-increasing.
+    operators is the DiffOperators bundle the solve was assembled on; pass it
+    to eval_hat_interpolant or first_zero instead of building it again.
+    mapped_nodes is operators.mapped_nodes.
     """
 
     b: np.ndarray
@@ -149,12 +154,15 @@ class SpectralSolution:
     iterations: int
     converged: bool
     config_echo: SolverConfig
-    mapped_nodes: np.ndarray
+    operators: DiffOperators
     residual_history: tuple = ()
 
     def __post_init__(self):
         self.b.setflags(write=False)
-        self.mapped_nodes.setflags(write=False)
+
+    @property
+    def mapped_nodes(self) -> np.ndarray:
+        return self.operators.mapped_nodes
 
 
 def assemble_residual(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:
@@ -250,6 +258,44 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
         iterations=iterations,
         converged=bool(norm <= config.newton_tol),
         config_echo=config,
-        mapped_nodes=xm.copy(),
+        operators=ops,
         residual_history=tuple(history),
     )
+
+
+@dataclass(frozen=True)
+class CoefficientDecayReport:
+    """One scan-L record: convergence flag and how small the trailing
+    coefficients got."""
+
+    L: float
+    converged: bool
+    recommended: bool
+    tail_magnitude: float
+    coeff_abs: tuple
+
+
+def _tail_magnitude(b) -> float:
+    return float(np.max(np.abs(b[-3:])))
+
+
+def scan_L_reports(m, n, alpha, grid, tol=1e-12, max_iter=100):
+    """Solve once per map scale; flag the converged scale with the smallest
+    trailing-coefficient magnitude (the first one on ties) as recommended."""
+    problem = LaneEmdenProblem(m)
+    solutions = [newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=float(L),
+                                                    newton_tol=tol, max_iter=max_iter))
+                 for L in grid]
+    tails = [_tail_magnitude(s.b) for s in solutions]
+    converged = [i for i, s in enumerate(solutions) if s.converged]
+    best = min(converged, key=tails.__getitem__, default=None)
+    return [
+        CoefficientDecayReport(
+            L=float(L),
+            converged=bool(s.converged),
+            recommended=(i == best),
+            tail_magnitude=tails[i],
+            coeff_abs=tuple(float(a) for a in np.abs(s.b)),
+        )
+        for i, (L, s) in enumerate(zip(grid, solutions))
+    ]

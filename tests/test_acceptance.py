@@ -54,8 +54,7 @@ CONVERGED_SETUPS = {
 
 def spectral(m, n, L, **kw):
     sol = newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L, **kw))
-    ops = build_operators(BasisParams(n=n, L=L))
-    return sol, ops
+    return sol, sol.operators
 
 
 def scanned_zero_deltas(m, n, grid):

@@ -231,6 +231,12 @@ class TestExitCodes:
                      "--eval", "-1.0"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_scan_reaching_envelope_edge(self, capsys):
+        assert main(["first-zero", "--m", "5", "--n", "12", "--L", "0.052"]) == EXIT_NO_ZERO
+        capsys.readouterr()
+        assert main(["solve", "--m", "5", "--n", "12", "--L", "0.041"]) == EXIT_OK
+        capsys.readouterr()
+
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
@@ -298,6 +304,13 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["evaluations"] == [[0.0, 1.0]]
+
+    def test_library_import_leaves_cli_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, emden; print('emden.cli' in sys.modules)"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
 
     def test_subprocess_usage_error(self):
         proc = subprocess.run(

@@ -54,6 +54,7 @@ class TestFitPredict:
         assert est.nodes_.shape == (8,)
         assert est.residual_norm_ <= 1e-12
         assert est.n_iter_ >= 1
+        assert est.operators_ is est.solution_.operators
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from emden.errors import ParameterError
-from emden.laguerre import BasisParams, eval_mgl, radau_nodes
+from emden.errors import ParameterError, RangeError
+from emden.laguerre import MAX_ARGUMENT, BasisParams, eval_mgl, radau_nodes
 from emden.operators import (
     build_mgl_d1,
     build_mgl_d2,
@@ -235,3 +235,14 @@ class TestHatInterpolant:
             eval_hat_interpolant(ops, np.zeros(3), 1.0)  # wrong length
         with pytest.raises(ParameterError):
             eval_hat_interpolant(ops, np.zeros(5), -0.5)
+
+    @pytest.mark.parametrize("L", [0.041, 0.052])
+    def test_envelope_edge_evaluates(self, L):
+        # (200*L)/L rounds to 200.00000000000003 for these scales
+        edge = MAX_ARGUMENT * L
+        assert edge / L > MAX_ARGUMENT
+        b = np.linspace(1.0, -0.5, 8)
+        assert eval_hat_interpolant(ops_for(7, L=L), b, edge) == \
+            eval_hat_interpolant(ops_for(7), b, MAX_ARGUMENT)
+        with pytest.raises(RangeError):
+            eval_hat_interpolant(ops_for(7, L=L), b, np.nextafter(edge, np.inf))

@@ -191,6 +191,13 @@ class TestSpectralFirstZero:
         with pytest.raises(NoZeroFound):
             first_zero(sol, ops, x_max=50.0)
 
+    def test_scan_reaching_envelope_edge(self):
+        # the last scan point 200*L maps to t = 200.00000000000003 here
+        sol = newton_solve(LaneEmdenProblem(5.0), SolverConfig(n=12, L=0.052))
+        assert sol.converged
+        with pytest.raises(NoZeroFound):
+            first_zero(sol, sol.operators)
+
 
 class TestProfilesAndComparison:
     def test_closed_form_profile(self):

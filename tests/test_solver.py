@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from emden.solver import (
     newton_solve,
     pow_signed,
     pow_signed_deriv,
+    scan_L_reports,
 )
 
 # Regression anchors for the canonical m=3, n=7, L=1 solve, recorded from this
@@ -200,6 +203,7 @@ class TestNewtonSolve:
         sol = solve(3.0, 7, 1.0)
         assert sol.config_echo.n == 7
         assert sol.mapped_nodes.shape == (8,)
+        assert sol.mapped_nodes is sol.operators.mapped_nodes
         assert sol.b.shape == (8,)
         with pytest.raises(ValueError):
             sol.b[0] = 2.0
@@ -267,6 +271,35 @@ class TestNewtonSolve:
     def test_iteration_budget_respected(self):
         sol = solve(3.0, 7, 1.0, max_iter=3)
         assert sol.iterations <= 3
+
+    @pytest.mark.parametrize("m,n,alpha,L", [(3.0, 7, 1.0, 1.0), (2.5, 12, 0.5, 0.4)])
+    def test_operators_equal_a_fresh_build(self, m, n, alpha, L):
+        config = SolverConfig(n=n, alpha=alpha, L=L)
+        ops = newton_solve(LaneEmdenProblem(m), config).operators
+        fresh = build_operators(config.basis_params())
+        assert ops.params == fresh.params
+        for owner, other in ((ops, fresh), (ops.nodes, fresh.nodes)):
+            for f in dataclasses.fields(owner):
+                value = getattr(owner, f.name)
+                if isinstance(value, np.ndarray):
+                    np.testing.assert_array_equal(value, getattr(other, f.name))
+        assert ops.nodes.Ln_at_zero == fresh.nodes.Ln_at_zero
+
+
+class TestScanLReports:
+    def test_matches_a_loop_of_solves(self):
+        grid = np.linspace(0.5, 4.0, 8)
+        reports = scan_L_reports(2.0, 6, 1.0, grid, tol=1e-11, max_iter=50)
+        solutions = [solve(2.0, 6, float(L), newton_tol=1e-11, max_iter=50) for L in grid]
+        assert [r.L for r in reports] == [float(L) for L in grid]
+        assert [r.converged for r in reports] == [s.converged for s in solutions]
+        assert any(r.converged for r in reports) and not all(r.converged for r in reports)
+        tails = [float(np.max(np.abs(s.b[-3:]))) for s in solutions]
+        assert [r.tail_magnitude for r in reports] == tails
+        for r, s in zip(reports, solutions):
+            assert r.coeff_abs == tuple(float(a) for a in np.abs(s.b))
+        best = min((i for i, s in enumerate(solutions) if s.converged), key=tails.__getitem__)
+        assert [r.recommended for r in reports] == [i == best for i in range(len(grid))]
 
 
 class TestConfigValidation:
