@@ -1,9 +1,14 @@
 """Command line front end.
 
 Subcommands: solve, first-zero, scan-L, reproduce-tables. Output is JSON
-(default) or CSV, written to stdout or --out, formatted deterministically:
-profile values at 6 decimals, zero locations at 8, deltas and coefficient
-magnitudes in scientific notation with 3 digits.
+(default) or CSV, written to stdout or --out, formatted deterministically.
+
+Each runner builds its tabular payload once, as a _Table whose column spec
+is the one place output formats live: profile values at 6 decimals, zero
+locations at 8, deltas and coefficient magnitudes in scientific notation
+with 3 digits. Both outputs are rendered from that table: a CSV field is the
+cell in its column's format and the JSON value is that text read back, so
+the two formats agree by construction.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 solver non-convergence,
 3 no zero found, 4 reproduce-tables deltas exceeded tolerance.
@@ -43,11 +48,68 @@ EXIT_NOT_CONVERGED = 2
 EXIT_NO_ZERO = 3
 EXIT_MISMATCH = 4
 
-# Tolerances for the reproduce-tables gate and the fixed setups it runs.
+# Tolerances for the reproduce-tables gate and the fixed setups it runs. The
+# m=3 zero row reuses the profile solve (n=7, L=1); m=2 and m=4 (n=6) take the
+# scale their decay scan recommends.
 _TABLE_PROFILE_TOL = 1e-4
 _TABLE_ZERO_TOL = {2.0: 1e-3, 3.0: 1e-4, 4.0: 1e-3}
-_TABLE_ZERO_DEGREE = {2.0: 6, 3.0: 7, 4.0: 6}
+_TABLE_SCAN_DEGREE = 6
 _TABLE_SCAN_GRID = (0.5, 4.0, 15)
+
+_FIRST_ZERO_COLUMNS = (("m", ".6f"), ("n", "d"), ("L", ".6f"), ("x_star", ".8f"),
+                       ("reference", ".8f"), ("abs_delta", ".3e"))
+_PROFILE_COLUMNS = (("x", ".6f"), ("present", ".6f"), ("reference", ".6f"),
+                    ("abs_delta", ".3e"))
+_ZERO_TABLE_COLUMNS = (("m", "g"), ("n", "d"), ("L", ".6f"), ("present", ".8f"),
+                       ("reference", ".8f"), ("abs_delta", ".3e"))
+
+# CSV text of (False, True) in the two bool column formats
+_BOOL_TEXT = {"true/false": ("false", "true"), "0/1": ("0", "1")}
+
+
+def _text(value, fmt) -> str:
+    if value is None:
+        return ""
+    if fmt in _BOOL_TEXT:
+        return _BOOL_TEXT[fmt][bool(value)]
+    return format(value, fmt)
+
+
+def _value(value, fmt):
+    """JSON value of a cell: its CSV text read back (None stays None)."""
+    if value is None:
+        return None
+    text = _text(value, fmt)
+    if fmt in _BOOL_TEXT:
+        return text == _BOOL_TEXT[fmt][1]
+    return int(text) if fmt == "d" else float(text)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """Rows of cells under one column spec, the source of both outputs.
+
+    columns holds (name, format) pairs; a format is a format spec (".6f",
+    ".8f", ".3e", "d", "g") or a bool format ("true/false", "0/1"). A None
+    cell is an empty CSV field and a JSON null.
+    """
+
+    columns: tuple
+    rows: list
+
+    def json_rows(self) -> list:
+        return [[_value(v, fmt) for v, (_, fmt) in zip(row, self.columns)]
+                for row in self.rows]
+
+    def records(self) -> list:
+        names = [name for name, _ in self.columns]
+        return [dict(zip(names, row)) for row in self.json_rows()]
+
+    def csv(self) -> str:
+        lines = [",".join(name for name, _ in self.columns)]
+        lines += [",".join(_text(v, fmt) for v, (_, fmt) in zip(row, self.columns))
+                  for row in self.rows]
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -65,22 +127,6 @@ class RunConfig:
     L_grid: Optional[tuple] = None
     fmt: str = "json"
     out: Optional[str] = None
-
-
-def _round6(v):
-    return round(float(v), 6)
-
-
-def _round8(v):
-    return round(float(v), 8)
-
-
-def _sci3(v):
-    return float(f"{float(v):.3e}")
-
-
-def _sig12(v):
-    return float(f"{float(v):.12g}")
 
 
 def _solver_config(config: RunConfig) -> SolverConfig:
@@ -112,8 +158,8 @@ def _config_doc(config: RunConfig) -> dict:
 
 def _solution_doc(solution) -> dict:
     return {
-        "b": [_sig12(v) for v in solution.b],
-        "residual_norm": _sci3(solution.residual_norm),
+        "b": [_value(v, ".12g") for v in solution.b],
+        "residual_norm": _value(solution.residual_norm, ".3e"),
         "iterations": int(solution.iterations),
         "converged": bool(solution.converged),
     }
@@ -142,52 +188,44 @@ def run_solve(config: RunConfig):
     else:
         grid = _default_eval_grid(solution)
     values = eval_hat_interpolant(solution.operators, solution.b, grid)
+    table = _Table((("x", ".6f"), ("y", ".6f")), list(zip(grid, values)))
     doc = {
         "config": _config_doc(config),
         "solution": _solution_doc(solution),
-        "evaluations": [[_round6(x), _round6(y)] for x, y in zip(grid, values)],
+        "evaluations": table.json_rows(),
     }
-    lines = ["x,y"]
-    lines += [f"{x:.6f},{y:.6f}" for x, y in zip(grid, values)]
     status = EXIT_OK if solution.converged else EXIT_NOT_CONVERGED
-    return status, doc, "\n".join(lines) + "\n"
+    return status, doc, table.csv()
 
 
 def run_first_zero(config: RunConfig):
     """Solve, then locate the interpolant's first zero. Returns (status,
     json_doc, csv_text)."""
     solution = newton_solve(LaneEmdenProblem(config.m), _solver_config(config))
-    doc = {"config": _config_doc(config), "solution": _solution_doc(solution)}
-    header = "m,n,L,x_star,reference,abs_delta"
-    stem = f"{config.m:.6f},{config.n},{config.L:.6f}"
+    doc = {"config": _config_doc(config), "solution": _solution_doc(solution),
+           "first_zero": None}
+    stem = (config.m, solution.config_echo.n, config.L)
+    no_zero = _Table(_FIRST_ZERO_COLUMNS, [stem + (None, None, None)])
     if not solution.converged:
-        doc["first_zero"] = None
         doc["reason"] = "solver did not converge"
-        return EXIT_NOT_CONVERGED, doc, f"{header}\n{stem},,,\n"
+        return EXIT_NOT_CONVERGED, doc, no_zero.csv()
     try:
         result = first_zero(solution, solution.operators)
     except NoZeroFound as exc:
-        doc["first_zero"] = None
         doc["reason"] = str(exc)
-        return EXIT_NO_ZERO, doc, f"{header}\n{stem},,,\n"
-    record = {
-        "x_star": _round8(result.x_star),
-        "bracket": [_round8(result.bracket[0]), _round8(result.bracket[1])],
-        "refinement_iterations": int(result.refinement_iterations),
-    }
-    ref_text = delta_text = ""
+        return EXIT_NO_ZERO, doc, no_zero.csv()
     try:
         reference = first_zero_reference(config.m)
     except ParameterError:
         reference = None
-    if reference is not None:
-        record["reference"] = _round8(reference)
-        record["abs_delta"] = _sci3(abs(result.x_star - reference))
-        ref_text = f"{reference:.8f}"
-        delta_text = f"{abs(result.x_star - reference):.3e}"
+    delta = None if reference is None else abs(result.x_star - reference)
+    table = _Table(_FIRST_ZERO_COLUMNS, [stem + (result.x_star, reference, delta)])
+    cells = table.records()[0]
+    record = {k: cells[k] for k in ("x_star", "reference", "abs_delta") if cells[k] is not None}
+    record["bracket"] = [_value(x, ".8f") for x in result.bracket]
+    record["refinement_iterations"] = int(result.refinement_iterations)
     doc["first_zero"] = record
-    csv_text = f"{header}\n{stem},{result.x_star:.8f},{ref_text},{delta_text}\n"
-    return EXIT_OK, doc, csv_text
+    return EXIT_OK, doc, table.csv()
 
 
 def run_scan_L(config: RunConfig):
@@ -197,112 +235,67 @@ def run_scan_L(config: RunConfig):
     grid = np.linspace(lo, hi, count)
     reports = scan_L_reports(config.m, config.n, config.alpha, grid,
                              tol=config.tol, max_iter=config.max_iter)
-    recommended = next((r.L for r in reports if r.recommended), None)
-    doc = {
-        "config": _config_doc(config),
-        "records": [
-            {
-                "L": _round6(r.L),
-                "converged": r.converged,
-                "recommended": r.recommended,
-                "tail_magnitude": _sci3(r.tail_magnitude),
-                "coeff_abs": [_sci3(a) for a in r.coeff_abs],
-            }
-            for r in reports
-        ],
-        "recommended_L": None if recommended is None else _round6(recommended),
-    }
-    n_coeff = len(reports[0].coeff_abs)
-    header = "L,converged,recommended,tail_magnitude," + ",".join(
-        f"b_abs_{k}" for k in range(n_coeff))
-    lines = [header]
-    for r in reports:
-        lines.append(
-            f"{r.L:.6f},{str(r.converged).lower()},{int(r.recommended)},"
-            f"{r.tail_magnitude:.3e}," + ",".join(f"{a:.3e}" for a in r.coeff_abs))
+    coeff_names = [f"b_abs_{k}" for k in range(len(reports[0].coeff_abs))]
+    table = _Table(
+        (("L", ".6f"), ("converged", "true/false"), ("recommended", "0/1"),
+         ("tail_magnitude", ".3e")) + tuple((name, ".3e") for name in coeff_names),
+        [(r.L, r.converged, r.recommended, r.tail_magnitude) + r.coeff_abs for r in reports])
+    records = table.records()
+    for record in records:
+        record["coeff_abs"] = [record.pop(name) for name in coeff_names]
+    recommended = next((r["L"] for r in records if r["recommended"]), None)
+    doc = {"config": _config_doc(config), "records": records, "recommended_L": recommended}
     status = EXIT_OK if recommended is not None else EXIT_NOT_CONVERGED
-    return status, doc, "\n".join(lines) + "\n"
+    return status, doc, table.csv()
 
 
-def _table_zero_row(m, tol=1e-12):
-    """Computed first zero for one table row: fixed degree, map scale either
-    the published one (m=3) or picked by an internal decay scan."""
-    n = _TABLE_ZERO_DEGREE[m]
-    if m == 3.0:
-        L = 1.0
-    else:
-        lo, hi, count = _TABLE_SCAN_GRID
-        reports = scan_L_reports(m, n, 1.0, np.linspace(lo, hi, count), tol=tol)
-        L = next((r.L for r in reports if r.recommended), None)
-        if L is None:
-            return None
-    solution = newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L, newton_tol=tol))
-    if not solution.converged:
+def _scanned_solution(m, tol):
+    """The solve at the map scale the decay scan recommends, or None."""
+    lo, hi, count = _TABLE_SCAN_GRID
+    reports = scan_L_reports(m, _TABLE_SCAN_DEGREE, 1.0, np.linspace(lo, hi, count), tol=tol)
+    return next((r.solution for r in reports if r.recommended), None)
+
+
+def _table_zero_row(m, solution):
+    """Zero-table row for one converged solve, or None without a solve or a
+    zero."""
+    if solution is None:
         return None
     try:
-        result = first_zero(solution, solution.operators)
+        x_star = first_zero(solution, solution.operators).x_star
     except NoZeroFound:
         return None
-    return n, L, result.x_star
+    reference = first_zero_reference(m)
+    setup = solution.config_echo
+    return m, setup.n, setup.L, x_star, reference, abs(x_star - reference)
 
 
 def run_reproduce_tables(config: RunConfig):
     """Recompute the embedded reference tables and report deltas. Returns
     (status, json_doc, csv_text)."""
-    solution = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7, L=1.0))
+    solution = newton_solve(LaneEmdenProblem(3.0),
+                            SolverConfig(n=7, L=1.0, newton_tol=config.tol))
     doc = {"config": {"command": "reproduce-tables"}}
     if not solution.converged:
         doc["profile_table"] = None
         doc["zero_table"] = None
         doc["all_within_tolerance"] = False
-        return EXIT_NOT_CONVERGED, doc, "x,present,reference,abs_delta\n"
+        return EXIT_NOT_CONVERGED, doc, _Table(_PROFILE_COLUMNS, []).csv()
     horedt = horedt_reference(3.0)
     present = eval_hat_interpolant(solution.operators, solution.b, horedt.xs)
-    profile_rows = []
-    for x, ref, val in zip(horedt.xs, horedt.ys, present):
-        profile_rows.append({
-            "x": _round6(x),
-            "present": _round6(val),
-            "reference": _round6(ref),
-            "abs_delta": _sci3(abs(val - ref)),
-        })
-    within = all(abs(v - r) <= _TABLE_PROFILE_TOL for v, r in zip(present, horedt.ys))
+    profile = _Table(_PROFILE_COLUMNS, [(x, val, ref, abs(val - ref))
+                                        for x, ref, val in zip(horedt.xs, horedt.ys, present)])
+    rows = [_table_zero_row(m, solution if m == 3.0 else _scanned_solution(m, config.tol))
+            for m in (2.0, 3.0, 4.0)]
+    zeros = _Table(_ZERO_TABLE_COLUMNS, [row for row in rows if row is not None])
+    partial = None in rows
+    within = (all(abs(v - r) <= _TABLE_PROFILE_TOL for v, r in zip(present, horedt.ys))
+              and all(delta <= _TABLE_ZERO_TOL[m] for m, *_, delta in zeros.rows))
 
-    zero_rows = []
-    partial = False
-    for m in (2.0, 3.0, 4.0):
-        row = _table_zero_row(m, tol=config.tol)
-        if row is None:
-            partial = True
-            continue
-        n, L, x_star = row
-        reference = first_zero_reference(m)
-        delta = abs(x_star - reference)
-        zero_rows.append({
-            "m": float(m),
-            "n": int(n),
-            "L": _round6(L),
-            "present": _round8(x_star),
-            "reference": _round8(reference),
-            "abs_delta": _sci3(delta),
-        })
-        if delta > _TABLE_ZERO_TOL[m]:
-            within = False
-
-    doc["profile_table"] = {"m": 3.0, "n": 7, "L": 1.0, "rows": profile_rows}
-    doc["zero_table"] = {"rows": zero_rows}
+    doc["profile_table"] = {"m": 3.0, "n": 7, "L": 1.0, "rows": profile.records()}
+    doc["zero_table"] = {"rows": zeros.records()}
     doc["all_within_tolerance"] = bool(within and not partial)
-
-    lines = ["x,present,reference,abs_delta"]
-    for row in profile_rows:
-        lines.append(f"{row['x']:.6f},{row['present']:.6f},"
-                     f"{row['reference']:.6f},{row['abs_delta']:.3e}")
-    lines.append("")
-    lines.append("m,n,L,present,reference,abs_delta")
-    for row in zero_rows:
-        lines.append(f"{row['m']:g},{row['n']},{row['L']:.6f},"
-                     f"{row['present']:.8f},{row['reference']:.8f},{row['abs_delta']:.3e}")
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = profile.csv() + "\n" + zeros.csv()
     if partial:
         return EXIT_NOT_CONVERGED, doc, csv_text
     return (EXIT_OK if within else EXIT_MISMATCH), doc, csv_text

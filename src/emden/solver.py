@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
+from scipy.linalg.lapack import dgetrf
 
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
@@ -201,10 +202,11 @@ def assemble_jacobian(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.nd
 
 
 def _lu_solve_checked(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        lu, piv = lu_factor(jac)
-    except ValueError as exc:  # non-finite entries
-        raise NumericalError(f"Jacobian factorization failed: {exc}") from None
+    if not np.isfinite(jac).all():
+        raise NumericalError("Jacobian factorization failed: array must not contain infs or NaNs")
+    # LAPACK's getrf as scipy's lu_factor calls it, without lu_factor's
+    # LinAlgWarning on an exactly singular matrix: the pivot check raises then
+    lu, piv, _ = dgetrf(jac)
     pivots = np.abs(np.diag(lu))
     scale = pivots.max() if pivots.size else 0.0
     if not np.isfinite(scale) or scale == 0.0 or pivots.min() < 1e-14 * scale:
@@ -266,13 +268,14 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
 @dataclass(frozen=True)
 class CoefficientDecayReport:
     """One scan-L record: convergence flag and how small the trailing
-    coefficients got."""
+    coefficients got. solution is the solve the record was read from."""
 
     L: float
     converged: bool
     recommended: bool
     tail_magnitude: float
     coeff_abs: tuple
+    solution: SpectralSolution = field(repr=False, compare=False)
 
 
 def _tail_magnitude(b) -> float:
@@ -296,6 +299,7 @@ def scan_L_reports(m, n, alpha, grid, tol=1e-12, max_iter=100):
             recommended=(i == best),
             tail_magnitude=tails[i],
             coeff_abs=tuple(float(a) for a in np.abs(s.b)),
+            solution=s,
         )
         for i, (L, s) in enumerate(zip(grid, solutions))
     ]

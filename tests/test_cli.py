@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+import emden.cli
+import emden.solver
 from emden.cli import (
     EXIT_MISMATCH,
     EXIT_NO_ZERO,
@@ -17,6 +19,7 @@ from emden.cli import (
     run_scan_L,
     run_solve,
 )
+from emden.solver import newton_solve
 
 
 def run_json(capsys, argv):
@@ -208,6 +211,23 @@ class TestReproduceTablesCommand:
         assert [row["m"] for row in zero_rows] == [2.0, 3.0, 4.0]
         assert zero_rows[1]["present"] == pytest.approx(6.79648150, abs=1e-6)
         assert zero_rows[1]["reference"] == 6.89684862
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9])
+    def test_each_setup_solved_once_at_the_given_tol(self, tol, monkeypatch, capsys):
+        calls = []
+
+        def counted(problem, config):
+            calls.append((problem.m, config.n, config.L, config.newton_tol))
+            return newton_solve(problem, config)
+
+        monkeypatch.setattr(emden.cli, "newton_solve", counted)
+        monkeypatch.setattr(emden.solver, "newton_solve", counted)
+        assert main(["reproduce-tables", "--tol", repr(tol)]) in (EXIT_OK, EXIT_MISMATCH)
+        capsys.readouterr()
+        # the m=3 profile solve, then a 15-point scan each for m=2 and m=4
+        assert len(calls) == 31
+        assert len(set(calls)) == len(calls)
+        assert {call[3] for call in calls} == {tol}
 
 
 class TestExitCodes:

@@ -25,6 +25,10 @@ CASES = {
     "scan-L_m2_n6": ["scan-L", "--m", "2", "--n", "6", "--L-grid", "0.5:4.0:15"],
     "scan-L_m3.5_n16": ["scan-L", "--m", "3.5", "--n", "16", "--L-grid", "0.2:3:9"],
     "reproduce-tables": ["reproduce-tables"],
+    "solve_m2_n8_L2": ["solve", "--m", "2", "--n", "8", "--L", "2"],
+    "first-zero_m2_n8_L2": ["first-zero", "--m", "2", "--n", "8", "--L", "2"],
+    "first-zero_m2.5_n8_L0.5": ["first-zero", "--m", "2.5", "--n", "8", "--L", "0.5"],
+    "scan-L_m2_n8": ["scan-L", "--m", "2", "--n", "8", "--L-grid", "2.0:3.0:3"],
 }
 FORMATS = ("json", "csv")
 

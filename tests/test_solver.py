@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -265,8 +266,16 @@ class TestNewtonSolve:
         assert np.all(np.diff(hist) <= 0)
 
     def test_singular_system_raises(self):
-        with pytest.raises(NumericalError):
-            _lu_solve_checked(np.zeros((3, 3)), np.ones(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning ahead of the typed error fails
+            with pytest.raises(NumericalError):
+                _lu_solve_checked(np.zeros((3, 3)), np.ones(3))
+
+    def test_non_finite_system_raises(self):
+        jac = np.eye(3)
+        jac[2, 0] = np.nan
+        with pytest.raises(NumericalError, match="factorization failed"):
+            _lu_solve_checked(jac, np.ones(3))
 
     def test_iteration_budget_respected(self):
         sol = solve(3.0, 7, 1.0, max_iter=3)
