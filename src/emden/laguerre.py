@@ -154,8 +154,8 @@ def laguerre_zeros(n, alpha):
     off = np.sqrt(k[1:] * (k[1:] + alpha))
     z = eigh_tridiagonal(diag, off, eigvals_only=True) if n > 1 else diag.copy()
     for _ in range(_POLISH_MAX_ITER):
-        val = eval_laguerre(n, alpha, z)
-        der = eval_laguerre_deriv(n, alpha, z)
+        values = eval_laguerre_all(n, alpha, z)
+        val, der = values[-1], -np.sum(values[:-1], axis=0)  # as eval_laguerre_deriv
         target = POLISH_TOL * np.maximum(1.0, np.abs(z)) * np.abs(der)
         done = np.abs(val) <= target
         if np.all(done):

@@ -69,6 +69,8 @@ _METHOD_FIRST_ZERO = {2.0: (6, 4.352875), 3.0: (7, 6.896849), 4.0: (6, 14.971546
 
 _BISECT_INTERVAL = 1e-13
 _BISECT_MAX_ITER = 200
+# Points per call of a scanned function: bounds memory, keeps an early exit.
+_SCAN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -221,29 +223,29 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
 def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
     """First sign change of a callable on [0, x_max]: scan, then bisect.
 
-    The scan walks in scan_step increments; the first bracketing interval is
-    refined by bisection to width <= 1e-13, leaving the function value at the
-    root below 1e-12 for any slope of practical size.
+    The scan calls f with arrays of up to _SCAN_BLOCK points min(k*scan_step,
+    x_max), neighbouring blocks sharing an end point, and stops at the first
+    block with a sign change. Scalar bisection refines the first bracketing
+    interval to width <= 1e-13, leaving the function value at the root below
+    1e-12 for any slope of practical size.
     """
     scan_step = check_real("scan_step", scan_step, minimum=0.0, exclusive=True)
     x_max = check_real("x_max", x_max, minimum=0.0, exclusive=True)
-    prev_x = 0.0
-    prev_y = float(f(0.0))
-    bracket = None
     steps = int(np.ceil(x_max / scan_step))
-    for k in range(1, steps + 1):
-        xk = min(k * scan_step, x_max)
-        yk = float(f(xk))
-        if prev_y == 0.0:
-            return FirstZeroResult(x_star=prev_x, bracket=(prev_x, prev_x), refinement_iterations=0)
-        if np.sign(yk) != np.sign(prev_y):
-            bracket = (prev_x, xk)
+    for start in range(0, steps, _SCAN_BLOCK):
+        xs = np.minimum(np.arange(start, min(start + _SCAN_BLOCK, steps) + 1) * scan_step, x_max)
+        ys = np.asarray(f(xs), dtype=float)
+        if ys[0] == 0.0:  # only at x = 0: a later zero ends a block as a sign change
+            return FirstZeroResult(x_star=0.0, bracket=(0.0, 0.0), refinement_iterations=0)
+        flips = np.flatnonzero(np.sign(ys[1:]) != np.sign(ys[:-1]))
+        if flips.size:
+            k = int(flips[0])
             break
-        prev_x, prev_y = xk, yk
-    if bracket is None:
+    else:
         raise NoZeroFound(f"no sign change in [0, {x_max:g}] at scan step {scan_step:g}")
+    bracket = (float(xs[k]), float(xs[k + 1]))
     lo, hi = bracket
-    f_lo = prev_y
+    f_lo = float(ys[k])
     iterations = 0
     while hi - lo > _BISECT_INTERVAL and iterations < _BISECT_MAX_ITER:
         mid = 0.5 * (lo + hi)
@@ -276,7 +278,8 @@ def first_zero(solution: SpectralSolution, ops: DiffOperators,
 def compare_profiles(profile: ReferenceProfile, evaluator, xs=None) -> ErrorReport:
     """Absolute deviation of an evaluator from a reference profile on a grid.
 
-    xs defaults to the profile's own sample grid and must stay inside it.
+    xs defaults to the profile's own sample grid and must stay inside it. The
+    evaluator is called once, with the whole grid.
     """
     if xs is None:
         grid = profile.xs
@@ -285,7 +288,7 @@ def compare_profiles(profile: ReferenceProfile, evaluator, xs=None) -> ErrorRepo
         if grid.min() < profile.xs[0] - 1e-12 or grid.max() > profile.xs[-1] + 1e-12:
             raise ParameterError("comparison grid extends beyond the profile's range")
     ref_vals = np.asarray(profile.interpolant()(grid), dtype=float)
-    vals = np.array([float(evaluator(x)) for x in grid])
+    vals = np.asarray(evaluator(grid), dtype=float)
     errs = np.abs(vals - ref_vals)
     return ErrorReport(xs=np.array(grid), abs_errors=errs, max_abs=float(errs.max()))
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,11 +318,23 @@ class TestRunnersDirect:
         assert len(doc["records"]) == 2
 
 
+def child_env():
+    """Environment for a child interpreter that imports the emden under test.
+
+    pytest's own pythonpath setting reaches only this process, so the
+    directory holding the imported package goes first on PYTHONPATH.
+    """
+    env = dict(os.environ)
+    root = str(Path(emden.cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestModuleEntryPoint:
     def test_subprocess_end_to_end(self):
         proc = subprocess.run(
             [sys.executable, "-m", "emden", "solve", "--m", "3", "--n", "7", "--eval", "0"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["evaluations"] == [[0.0, 1.0]]
@@ -328,13 +342,13 @@ class TestModuleEntryPoint:
     def test_library_import_leaves_cli_unloaded(self):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, emden; print('emden.cli' in sys.modules)"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
     def test_subprocess_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "emden", "solve"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 1
         assert "error" in proc.stderr

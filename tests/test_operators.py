@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from emden.errors import ParameterError, RangeError
-from emden.laguerre import MAX_ARGUMENT, BasisParams, eval_mgl, radau_nodes
+from emden.laguerre import MAX_ARGUMENT, BasisParams, eval_laguerre, eval_mgl, radau_nodes
 from emden.operators import (
+    NEAR_NODE_TOL,
     build_mgl_d1,
     build_mgl_d2,
     build_operators,
@@ -146,7 +147,37 @@ class TestScaleOperators:
             ops.D1_scaled[0, 0] = 99.0
 
 
+def pointwise_interpolant(ops, b, x):
+    """Reference for eval_hat_interpolant: one cardinal vector per point, summed by a dot."""
+    eta, L = ops.nodes.eta, ops.params.L
+    t = min(x / L, MAX_ARGUMENT) if x <= MAX_ARGUMENT * L else x / L
+    w = np.exp((eta - t) / 2.0)
+    card = np.empty(len(eta))
+    card[0] = np.exp(-t / 2.0) * eval_laguerre(ops.n, ops.params.alpha, t) / ops.nodes.Ln_at_zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        card[1:] = (w[1:] * t * eval_laguerre(ops.n, ops.params.alpha, t)
+                    / (eta[1:] * ops.nodes.dLn_at_eta[1:] * (t - eta[1:])))
+    near = np.abs(t - eta) < NEAR_NODE_TOL * np.maximum(1.0, eta)
+    card[near] = w[near]
+    return card @ b
+
+
 class TestHatInterpolant:
+    def test_matches_pointwise_reference(self):
+        # the cardinal formulas are the reference's; only the order of the
+        # final sum differs, so values agree to a few ulps of sum |b_j|
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 31))
+            L = float(np.exp(rng.uniform(np.log(0.04), np.log(4.0))))
+            ops = ops_for(n, alpha=float(rng.uniform(-0.9, 3.0)), L=L)
+            b = rng.standard_normal(n + 1)
+            xs = np.concatenate([rng.uniform(0.0, MAX_ARGUMENT * L, 30), ops.mapped_nodes,
+                                 ops.mapped_nodes[1:] * (1.0 + 3e-9), [0.0, MAX_ARGUMENT * L]])
+            expected = np.array([pointwise_interpolant(ops, b, x) for x in xs])
+            np.testing.assert_array_less(
+                np.abs(eval_hat_interpolant(ops, b, xs) - expected), 1e-14 * np.sum(np.abs(b)))
+
     def test_cardinality_at_nodes(self):
         ops = ops_for(6)
         x = ops.mapped_nodes
@@ -220,14 +251,34 @@ class TestHatInterpolant:
             val = eval_hat_interpolant(ops, b, x0 + offset)
             assert val == pytest.approx(ref, abs=1e-3)
 
+    def test_near_node_follows_taylor_form(self):
+        # just outside the removable-singularity branch each cardinal must
+        # still follow its first-order Taylor form 1 + D1_mgl[j, j] (t - eta_j)
+        # on both sides of the node
+        rel = np.array([1.5e-9, 1e-8, 1e-7, 9e-7])
+        for n, L in [(6, 1.0), (12, 0.5), (30, 2.0)]:
+            ops = ops_for(n, L=L)
+            eta = ops.nodes.eta
+            for j in sorted({1, 2, n // 2, n}):
+                scale = max(1.0, eta[j])
+                x = L * (eta[j] + np.concatenate([rel, -rel]) * scale)
+                t = x / L
+                assert np.all(np.abs(t - eta[j]) >= NEAR_NODE_TOL * scale)
+                b = np.zeros(n + 1)
+                b[j] = 1.0
+                taylor = 1.0 + ops.D1_mgl[j, j] * (t - eta[j])
+                assert np.max(np.abs(eval_hat_interpolant(ops, b, x) - taylor)) <= 1e-5
+
     def test_array_and_scalar_forms_agree(self):
-        ops = ops_for(5)
         b = np.linspace(1.0, -0.5, 6)
-        xs = np.array([0.0, 0.9, 3.3])
-        vals = eval_hat_interpolant(ops, b, xs)
-        assert vals.shape == (3,)
-        for x, v in zip(xs, vals):
-            assert eval_hat_interpolant(ops, b, float(x)) == v
+        for L in [1.0, 0.052]:
+            ops = ops_for(5, L=L)
+            xs = np.concatenate([[0.0, 0.9 * L, 3.3 * L], ops.mapped_nodes, [MAX_ARGUMENT * L]])
+            vals = eval_hat_interpolant(ops, b, xs)
+            assert vals.shape == xs.shape
+            for x, v in zip(xs, vals):
+                assert eval_hat_interpolant(ops, b, float(x)) == v
+            assert eval_hat_interpolant(ops, b, np.array([])).shape == (0,)
 
     def test_rejects_bad_input(self):
         ops = ops_for(4)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from emden.errors import NoZeroFound, ParameterError
-from emden.laguerre import BasisParams
+from emden.laguerre import MAX_ARGUMENT, BasisParams
 from emden.operators import build_operators, eval_hat_interpolant
 from emden.reference import (
+    _SCAN_BLOCK,
+    FirstZeroResult,
     ReferenceProfile,
     closed_form,
     closed_form_profile,
@@ -127,6 +129,91 @@ class TestShootingOracle:
             shooting_oracle(3.0, 0.0)
         with pytest.raises(ParameterError):
             shooting_oracle(3.0, 2.0, tol=0.0)
+
+
+def scalar_scan_first_zero(f, scan_step=0.05, x_max=50.0):
+    """Reference for first_zero_of: the point-by-point scan it replaced."""
+    prev_x = 0.0
+    prev_y = float(f(0.0))
+    bracket = None
+    steps = int(np.ceil(x_max / scan_step))
+    for k in range(1, steps + 1):
+        xk = min(k * scan_step, x_max)
+        yk = float(f(xk))
+        if prev_y == 0.0:
+            return FirstZeroResult(x_star=prev_x, bracket=(prev_x, prev_x), refinement_iterations=0)
+        if np.sign(yk) != np.sign(prev_y):
+            bracket = (prev_x, xk)
+            break
+        prev_x, prev_y = xk, yk
+    if bracket is None:
+        raise NoZeroFound(f"no sign change in [0, {x_max:g}] at scan step {scan_step:g}")
+    lo, hi = bracket
+    f_lo = prev_y
+    iterations = 0
+    while hi - lo > 1e-13 and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        f_mid = float(f(mid))
+        iterations += 1
+        if f_mid == 0.0:
+            lo = hi = mid
+            break
+        if np.sign(f_mid) == np.sign(f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return FirstZeroResult(x_star=0.5 * (lo + hi), bracket=bracket, refinement_iterations=iterations)
+
+
+class TestScanMatchesScalarReference:
+    """first_zero_of scans in blocks; every result must equal the scalar scan's."""
+
+    @pytest.mark.parametrize("f, kwargs", [
+        pytest.param(lambda x: x, {}, id="zero-at-origin"),
+        pytest.param(lambda x: 2.5 - x, {"scan_step": 0.125}, id="zero-on-scan-point"),
+        pytest.param(lambda x: closed_form(0, x), {"scan_step": 0.001}, id="past-first-block"),
+        pytest.param(lambda x: closed_form(1, x), {"scan_step": 0.003}, id="fifth-block"),
+        pytest.param(lambda x: 3.005 - x, {"x_max": 3.01}, id="change-at-x-max"),
+        pytest.param(lambda x: 3.01 - x, {"x_max": 3.01}, id="zero-at-x-max"),
+    ])
+    def test_analytic(self, f, kwargs):
+        assert first_zero_of(f, **kwargs) == scalar_scan_first_zero(f, **kwargs)
+
+    @pytest.mark.parametrize("offset", [-0.0625, 0.0, 0.0625])
+    def test_sign_change_at_block_boundary(self, offset):
+        # the point shared by the first two scan blocks, and the intervals
+        # on either side of it
+        root = _SCAN_BLOCK * 0.125 + offset
+        f = lambda x: root - x
+        assert first_zero_of(f, scan_step=0.125) == scalar_scan_first_zero(f, scan_step=0.125)
+
+    @pytest.mark.parametrize("scan_step", [0.05, 0.003])
+    def test_no_zero_raises_in_both(self, scan_step):
+        f = lambda x: closed_form(5, x)
+        with pytest.raises(NoZeroFound):
+            scalar_scan_first_zero(f, scan_step=scan_step)
+        with pytest.raises(NoZeroFound):
+            first_zero_of(f, scan_step=scan_step)
+
+    @pytest.mark.parametrize("m, n, L", [
+        (3.0, 7, 1.0), (4.0, 9, 1.7), (5.0, 12, 0.9), (2.0, 8, 2.0), (2.5, 8, 0.5),
+        (5.0, 12, 0.052),
+    ])
+    def test_spectral_interpolant(self, m, n, L):
+        # the golden first-zero setups and the envelope edge, scanned as
+        # first_zero scans them (converged or not)
+        sol = newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L))
+        f = lambda x: eval_hat_interpolant(sol.operators, sol.b, x)
+        x_max = min(50.0, MAX_ARGUMENT * L)
+        try:
+            expected = scalar_scan_first_zero(f, x_max=x_max)
+        except NoZeroFound:
+            with pytest.raises(NoZeroFound):
+                first_zero_of(f, x_max=x_max)
+        else:
+            assert first_zero_of(f, x_max=x_max) == expected
+            if sol.converged:
+                assert first_zero(sol, sol.operators) == expected
 
 
 class TestFirstZeroOf:
