@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 from .errors import NoZeroFound, NumericalError, ParameterError
 from .laguerre import MAX_ARGUMENT
 from .operators import DiffOperators, eval_hat_interpolant
-from .solver import SpectralSolution, pow_signed
+from .solver import SpectralSolution, pow_signed_scalar
 from .validation import as_float_grid, check_real
 
 __all__ = [
@@ -71,6 +71,8 @@ _BISECT_INTERVAL = 1e-13
 _BISECT_MAX_ITER = 200
 # Points per call of a scanned function: bounds memory, keeps an early exit.
 _SCAN_BLOCK = 256
+# Bisection levels per call of f, 2**_BISECT_LEVELS - 1 midpoints; 6 and 7 timed best.
+_BISECT_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -163,12 +165,23 @@ def closed_form_profile(m, xs) -> ReferenceProfile:
     return ReferenceProfile(m=float(m), xs=xs, ys=closed_form(m, xs), source="closed-form")
 
 
-def _rk4_step(f, x, y, h):
-    k1 = f(x, y)
-    k2 = f(x + h / 2.0, y + h / 2.0 * k1)
-    k3 = f(x + h / 2.0, y + h / 2.0 * k2)
-    k4 = f(x + h, y + h * k3)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(g, x, y, yp, h):
+    """One classical RK4 step of y' = yp, yp' = -2 yp/x - g(y) on two floats."""
+    half = h / 2.0
+    k1y, k1p = yp, -2.0 * yp / x - g(y)
+    a, b = y + half * k1y, yp + half * k1p
+    k2y, k2p = b, -2.0 * b / (x + half) - g(a)
+    a, b = y + half * k2y, yp + half * k2p
+    k3y, k3p = b, -2.0 * b / (x + half) - g(a)
+    a, b = y + h * k3y, yp + h * k3p
+    k4y, k4p = b, -2.0 * b / (x + h) - g(a)
+    return (y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+            yp + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+
+
+def _max_nan(a, b):
+    """max of two floats that is NaN when either is, as np.max is."""
+    return a if a >= b or a != a else b
 
 
 def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> ReferenceProfile:
@@ -182,6 +195,11 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
     combination. Integration stops at x_end or just past the first crossing
     into y <= 0, whichever comes first.
 
+    The state y, y' is two Python floats and y^m is pow_signed_scalar(m), so
+    every sample is bit for bit what the same steps on numpy 2-vectors with
+    pow_signed give. The step error is the larger of the two components' and
+    NaN when either is NaN, so a NaN stage rejects the step.
+
     h_max caps the step size (useful when dense output is wanted for
     interpolation). Raises NumericalError if the step underflows.
     """
@@ -189,28 +207,27 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
     h_series = check_real("h_series", h_series, minimum=0.0, exclusive=True)
     x_end = check_real("x_end", x_end, minimum=h_series, exclusive=True)
     tol = check_real("tol", tol, minimum=0.0, exclusive=True)
-
-    def f(x, y):
-        return np.array([y[1], -2.0 * y[1] / x - pow_signed(y[0], m)])
+    g = pow_signed_scalar(m)
 
     x = h_series
-    y = np.array([1.0 - x**2 / 6.0 + m * x**4 / 120.0, -x / 3.0 + m * x**3 / 30.0])
-    pts = [(0.0, 1.0, 0.0), (x, y[0], y[1])]
+    y, yp = 1.0 - x**2 / 6.0 + m * x**4 / 120.0, -x / 3.0 + m * x**3 / 30.0
+    pts = [(0.0, 1.0, 0.0), (x, y, yp)]
     h = h_series
     while x < x_end:
         h = min(h, x_end - x)
         if h_max is not None:
             h = min(h, h_max)
-        full = _rk4_step(f, x, y, h)
-        half = _rk4_step(f, x, y, h / 2.0)
-        double = _rk4_step(f, x + h / 2.0, half, h / 2.0)
-        err = float(np.max(np.abs(double - full))) / 15.0
-        scale = max(1.0, float(np.max(np.abs(y))))
+        full_y, full_p = _rk4_step(g, x, y, yp, h)
+        half_y, half_p = _rk4_step(g, x, y, yp, h / 2.0)
+        double_y, double_p = _rk4_step(g, x + h / 2.0, half_y, half_p, h / 2.0)
+        err = _max_nan(abs(double_y - full_y), abs(double_p - full_p)) / 15.0
+        scale = max(1.0, _max_nan(abs(y), abs(yp)))
         if err <= tol * scale:
             x += h
-            y = double + (double - full) / 15.0
-            pts.append((x, y[0], y[1]))
-            if y[0] <= 0.0:
+            y = double_y + (double_y - full_y) / 15.0
+            yp = double_p + (double_p - full_p) / 15.0
+            pts.append((x, y, yp))
+            if y <= 0.0:
                 break
         if h < 1e-12:
             raise NumericalError(f"step underflow at x={x:.6g} (m={m})")
@@ -220,14 +237,42 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
     return ReferenceProfile(m=m, xs=xs, ys=ys, source="shooting", yps=yps)
 
 
+def _bisection_midpoints(lo, hi, levels):
+    """Midpoints of up to `levels` bisection levels of [lo, hi], in heap order.
+
+    Node i bisects the interval of its parent: its left child 2i+1 the lower
+    half, its right child 2i+2 the upper half, each midpoint 0.5*(lo + hi) of
+    its own interval. A level is built only while some node of it could still
+    be bisected: wider than the bisection width, with a midpoint strictly
+    between its ends.
+    """
+    ends, mids = [lo, hi], []  # the ascending interval ends of the current level
+    for _ in range(levels):
+        level = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+        if not any(b - a > _BISECT_INTERVAL and a < mid < b
+                   for a, mid, b in zip(ends, level, ends[1:])):
+            break
+        mids += level
+        ends = sorted(ends + level)  # each midpoint lies between its ends
+    return mids
+
+
 def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
     """First sign change of a callable on [0, x_max]: scan, then bisect.
 
-    The scan calls f with arrays of up to _SCAN_BLOCK points min(k*scan_step,
-    x_max), neighbouring blocks sharing an end point, and stops at the first
-    block with a sign change. Scalar bisection refines the first bracketing
-    interval to width <= 1e-13, leaving the function value at the root below
-    1e-12 for any slope of practical size.
+    f is always called with a 1-d array. The scan calls it with blocks of up
+    to _SCAN_BLOCK points min(k*scan_step, x_max), neighbouring blocks sharing
+    an end point, and stops at the first block with a sign change. Bisection
+    then refines the first bracketing interval to width <= 1e-13, leaving the
+    function value at the root below 1e-12 for any slope of practical size.
+    It evaluates _BISECT_LEVELS levels per call (the midpoints of every
+    interval the next levels could visit) and walks them one level at a time
+    with the sign test against the lower end, stopping at an exact zero, at
+    width 1e-13, after 200 steps, or when the midpoint equals an end. That
+    last stop happens only at x >= 512, where neighbouring doubles lie more
+    than 1e-13 apart: the bracket ends as two neighbouring doubles with
+    x_star their rounded midpoint, as it did before, but the steps up to the
+    cap of 200 that could not move it are no longer taken or counted.
     """
     scan_step = check_real("scan_step", scan_step, minimum=0.0, exclusive=True)
     x_max = check_real("x_max", x_max, minimum=0.0, exclusive=True)
@@ -245,19 +290,27 @@ def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
         raise NoZeroFound(f"no sign change in [0, {x_max:g}] at scan step {scan_step:g}")
     bracket = (float(xs[k]), float(xs[k + 1]))
     lo, hi = bracket
-    f_lo = float(ys[k])
+    sign_lo = np.sign(ys[k])  # lo only moves to midpoints of this sign
     iterations = 0
+    node, mids = 0, []
     while hi - lo > _BISECT_INTERVAL and iterations < _BISECT_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        f_mid = float(f(mid))
+        if node >= len(mids):
+            mids = _bisection_midpoints(lo, hi, min(_BISECT_LEVELS, _BISECT_MAX_ITER - iterations))
+            if not mids:  # no midpoint strictly inside [lo, hi]
+                break
+            signs = np.sign(np.asarray(f(np.array(mids)), dtype=float))
+            node = 0
+        mid = mids[node]
+        if mid == lo or mid == hi:
+            break
         iterations += 1
-        if f_mid == 0.0:
+        if signs[node] == 0.0:
             lo = hi = mid
             break
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
+        if signs[node] == sign_lo:
+            lo, node = mid, 2 * node + 2
         else:
-            hi = mid
+            hi, node = mid, 2 * node + 1
     return FirstZeroResult(x_star=0.5 * (lo + hi), bracket=bracket, refinement_iterations=iterations)
 
 

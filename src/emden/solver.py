@@ -54,6 +54,23 @@ def pow_signed(y, m):
     return float(out) if out.ndim == 0 else out
 
 
+def pow_signed_scalar(m):
+    """pow_signed for one index m as a function of one float, bit for bit.
+
+    m is validated here once, not on every call. Integer m keeps numpy's
+    integer power, whose last bits differ from libm pow; non-integer m takes
+    sign(y)*|y|**m on Python floats, with the sign as np.sign gives it (0 at
+    -0.0, so the result is +0.0 there as well). Where |y|**m would overflow,
+    Python raises OverflowError and numpy returns inf; states of the
+    shooting oracle, its one caller, stay many orders of magnitude below that.
+    """
+    m = check_real("m", m, minimum=0.0)
+    if m == int(m):
+        k = int(m)
+        return lambda y: float(np.asarray(y, dtype=float) ** k)
+    return lambda y: ((y > 0.0) - (y < 0.0)) * abs(y) ** m
+
+
 def pow_signed_deriv(y, m):
     """Derivative factor of pow_signed with the leading m kept out.
 

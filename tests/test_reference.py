@@ -1,12 +1,16 @@
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from emden.errors import NoZeroFound, ParameterError
+from emden import reference
+from emden.errors import NoZeroFound, NumericalError, ParameterError
 from emden.laguerre import MAX_ARGUMENT, BasisParams
 from emden.operators import build_operators, eval_hat_interpolant
 from emden.reference import (
+    _BISECT_LEVELS,
     _SCAN_BLOCK,
     FirstZeroResult,
     ReferenceProfile,
@@ -21,7 +25,8 @@ from emden.reference import (
     method_reference_profile,
     shooting_oracle,
 )
-from emden.solver import LaneEmdenProblem, SolverConfig, newton_solve
+from emden.solver import LaneEmdenProblem, SolverConfig, newton_solve, pow_signed, pow_signed_scalar
+from emden.validation import check_real
 
 
 class TestClosedForm:
@@ -131,8 +136,130 @@ class TestShootingOracle:
             shooting_oracle(3.0, 2.0, tol=0.0)
 
 
-def scalar_scan_first_zero(f, scan_step=0.05, x_max=50.0):
-    """Reference for first_zero_of: the point-by-point scan it replaced."""
+def vector_rk4_step(f, x, y, h):
+    k1 = f(x, y)
+    k2 = f(x + h / 2.0, y + h / 2.0 * k1)
+    k3 = f(x + h / 2.0, y + h / 2.0 * k2)
+    k4 = f(x + h, y + h * k3)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def vector_shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> ReferenceProfile:
+    """Reference for shooting_oracle: the same integrator on numpy 2-vectors
+    with pow_signed in every stage, the form it had before its state became
+    two floats."""
+    m = check_real("m", m, minimum=0.0)
+    h_series = check_real("h_series", h_series, minimum=0.0, exclusive=True)
+    x_end = check_real("x_end", x_end, minimum=h_series, exclusive=True)
+    tol = check_real("tol", tol, minimum=0.0, exclusive=True)
+
+    def f(x, y):
+        return np.array([y[1], -2.0 * y[1] / x - pow_signed(y[0], m)])
+
+    x = h_series
+    y = np.array([1.0 - x**2 / 6.0 + m * x**4 / 120.0, -x / 3.0 + m * x**3 / 30.0])
+    pts = [(0.0, 1.0, 0.0), (x, y[0], y[1])]
+    h = h_series
+    while x < x_end:
+        h = min(h, x_end - x)
+        if h_max is not None:
+            h = min(h, h_max)
+        full = vector_rk4_step(f, x, y, h)
+        half = vector_rk4_step(f, x, y, h / 2.0)
+        double = vector_rk4_step(f, x + h / 2.0, half, h / 2.0)
+        err = float(np.max(np.abs(double - full))) / 15.0
+        scale = max(1.0, float(np.max(np.abs(y))))
+        if err <= tol * scale:
+            x += h
+            y = double + (double - full) / 15.0
+            pts.append((x, y[0], y[1]))
+            if y[0] <= 0.0:
+                break
+        if h < 1e-12:
+            raise NumericalError(f"step underflow at x={x:.6g} (m={m})")
+        factor = (tol * scale / err) ** 0.2 if err > 0.0 else 2.0
+        h *= min(2.0, max(0.1, 0.9 * factor))
+    xs, ys, yps = (np.array(column) for column in zip(*pts))
+    return ReferenceProfile(m=m, xs=xs, ys=ys, source="shooting", yps=yps)
+
+
+def assert_same_profile(got, expected):
+    for name in ("xs", "ys", "yps"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+
+# (m, x_end, tol, h_max): every integer m, non-integer m on both sides of the
+# integers, ends before and past the first zero (m >= 5 has none)
+SHOOTING_SAMPLE = [
+    (0.0, 2.0, 1e-10, None), (0.0, 3.0, 1e-10, 0.05),
+    (1.0, 3.0, 1e-10, 0.05), (1.0, 4.0, 1e-12, None),
+    (2.0, 4.0, 1e-10, None), (2.0, 5.0, 1e-12, 0.1),
+    (3.0, 6.0, 1e-10, 0.05), (3.0, 8.0, 1e-9, None),
+    (4.0, 10.0, 1e-9, None), (4.0, 16.0, 1e-10, 0.25),
+    (5.0, 10.0, 1e-10, None), (5.0, 20.0, 1e-12, 0.5),
+    (0.25, 4.0, 1e-10, None), (0.5, 2.0, 1e-11, 0.05),
+    (1.5, 5.0, 1e-10, None), (2.5, 4.0, 1e-10, 0.1),
+    (2.5, 7.0, 1e-11, None), (3.25, 9.0, 1e-10, None),
+    (4.1201, 12.0, 1e-8, 0.5), (4.75, 40.0, 1e-10, None),
+    (5.5, 15.0, 1e-10, None),
+]
+
+
+class TestShootingMatchesVectorReference:
+    @pytest.mark.parametrize("m, x_end, tol, h_max", SHOOTING_SAMPLE)
+    def test_bitwise_equal(self, m, x_end, tol, h_max):
+        assert_same_profile(shooting_oracle(m, x_end, tol=tol, h_max=h_max),
+                            vector_shooting_oracle(m, x_end, tol=tol, h_max=h_max))
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.5, 1.5, 2.75, 4.1201, 7.3])
+    def test_scalar_power_pinned_to_pow_signed(self, m):
+        power = pow_signed_scalar(m)
+        ys = [-2.5, -1.0, -0.3, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 0.3, 1.0, 2.5]
+        ys += [float(y) for y in np.random.default_rng(0).uniform(-2.0, 2.0, 200)]
+        for y in ys:
+            got, expected = power(y), pow_signed(y, m)
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", expected), y
+
+    @pytest.mark.parametrize("m", [0.0, 2.5, 3.0])
+    @pytest.mark.parametrize("tol", [1e-300, 1e-20])
+    def test_step_underflow_unchanged(self, m, tol):
+        with pytest.raises(NumericalError) as expected:
+            vector_shooting_oracle(m, 2.0, tol=tol)
+        with pytest.raises(NumericalError) as got:
+            shooting_oracle(m, 2.0, tol=tol)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("call", [4, 16, 100])
+    @pytest.mark.parametrize("m", [3.0, 2.5])
+    def test_nan_stage_rejects_the_step(self, monkeypatch, m, call):
+        # The power returns NaN at one call, the k4 stage of a full step when
+        # call is a multiple of 4: that step's y is finite and its y' NaN, so
+        # np.max makes the error NaN and the step is rejected. A max that
+        # dropped the NaN would accept the step, and the NaN state would then
+        # reject every later one; the call guard ends such a run.
+        def nan_at(power):
+            count = itertools.count(1)
+
+            def injected(*args):
+                k = next(count)
+                if k > 100_000:
+                    raise RuntimeError("runaway integration")
+                return math.nan if k == call else power(*args)
+            return injected
+
+        monkeypatch.setitem(globals(), "pow_signed", nan_at(pow_signed))
+        expected = vector_shooting_oracle(m, 1.0)
+        monkeypatch.setattr(reference, "pow_signed_scalar", lambda m: nan_at(pow_signed_scalar(m)))
+        assert_same_profile(shooting_oracle(m, 1.0), expected)
+        assert np.all(np.isfinite(expected.ys)) and np.all(np.isfinite(expected.yps))
+
+
+def scalar_scan_first_zero(f, scan_step=0.05, x_max=50.0, stop_at_adjacent_doubles=True):
+    """Reference for first_zero_of: a point-by-point scan and a bisection with
+    one scalar call of f per step. stop_at_adjacent_doubles=False is the
+    earlier rule, which kept bisecting a bracket of two neighbouring doubles
+    (x >= 512, where they lie more than 1e-13 apart) up to the step cap."""
     prev_x = 0.0
     prev_y = float(f(0.0))
     bracket = None
@@ -153,6 +280,8 @@ def scalar_scan_first_zero(f, scan_step=0.05, x_max=50.0):
     iterations = 0
     while hi - lo > 1e-13 and iterations < 200:
         mid = 0.5 * (lo + hi)
+        if stop_at_adjacent_doubles and (mid == lo or mid == hi):
+            break
         f_mid = float(f(mid))
         iterations += 1
         if f_mid == 0.0:
@@ -165,8 +294,27 @@ def scalar_scan_first_zero(f, scan_step=0.05, x_max=50.0):
     return FirstZeroResult(x_star=0.5 * (lo + hi), bracket=bracket, refinement_iterations=iterations)
 
 
+def array_only(f, calls):
+    """f behind a guard that rejects any but 1-d input, recording each call's size."""
+    def guarded(x):
+        if np.ndim(x) != 1:
+            raise TypeError(f"f called with {np.ndim(x)}-d input")
+        calls.append(np.size(x))
+        return f(x)
+    return guarded
+
+
+def dyadic_root(j, depth):
+    """Linear function whose root is the midpoint that bisection step `depth`
+    meets in the bracket (2.375, 2.5) of a 0.125 scan, j indexing the
+    midpoints of that level; every such point is an exact double."""
+    root = 2.375 + 0.125 * (2 * j + 1) / 2**depth
+    return (lambda x: root - x), root
+
+
 class TestScanMatchesScalarReference:
-    """first_zero_of scans in blocks; every result must equal the scalar scan's."""
+    """first_zero_of scans in blocks and bisects _BISECT_LEVELS levels per
+    call; every result must equal the scalar scan's."""
 
     @pytest.mark.parametrize("f, kwargs", [
         pytest.param(lambda x: x, {}, id="zero-at-origin"),
@@ -177,7 +325,7 @@ class TestScanMatchesScalarReference:
         pytest.param(lambda x: 3.01 - x, {"x_max": 3.01}, id="zero-at-x-max"),
     ])
     def test_analytic(self, f, kwargs):
-        assert first_zero_of(f, **kwargs) == scalar_scan_first_zero(f, **kwargs)
+        assert first_zero_of(array_only(f, []), **kwargs) == scalar_scan_first_zero(f, **kwargs)
 
     @pytest.mark.parametrize("offset", [-0.0625, 0.0, 0.0625])
     def test_sign_change_at_block_boundary(self, offset):
@@ -205,15 +353,58 @@ class TestScanMatchesScalarReference:
         sol = newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L))
         f = lambda x: eval_hat_interpolant(sol.operators, sol.b, x)
         x_max = min(50.0, MAX_ARGUMENT * L)
+        calls = []
         try:
             expected = scalar_scan_first_zero(f, x_max=x_max)
         except NoZeroFound:
             with pytest.raises(NoZeroFound):
-                first_zero_of(f, x_max=x_max)
+                first_zero_of(array_only(f, calls), x_max=x_max)
         else:
-            assert first_zero_of(f, x_max=x_max) == expected
+            assert first_zero_of(array_only(f, calls), x_max=x_max) == expected
+            assert len(calls) < expected.refinement_iterations
             if sol.converged:
                 assert first_zero(sol, sol.operators) == expected
+
+    @pytest.mark.parametrize("depth", [
+        pytest.param(_BISECT_LEVELS - 1, id="deep-node"),
+        pytest.param(_BISECT_LEVELS, id="last-level-of-first-call"),
+        pytest.param(_BISECT_LEVELS + 1, id="first-node-of-second-call"),
+        pytest.param(2 * _BISECT_LEVELS + 1, id="first-node-of-third-call"),
+    ])
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_exact_zero_at_tree_node(self, depth, j):
+        f, root = dyadic_root(j, depth)
+        calls = []
+        result = first_zero_of(array_only(f, calls), scan_step=0.125)
+        assert result == scalar_scan_first_zero(f, scan_step=0.125)
+        assert result.x_star == root and result.refinement_iterations == depth
+        # one scan call, then one call per started block of levels
+        assert len(calls) == 1 + math.ceil(depth / _BISECT_LEVELS)
+
+    def test_width_reached_mid_call(self):
+        # 0.05 halves to <= 1e-13 in 39 steps, not a multiple of the levels
+        # per call; the last call holds only the levels the walk can reach
+        f = lambda x: closed_form(0, x)
+        calls = []
+        result = first_zero_of(array_only(f, calls))
+        assert result == scalar_scan_first_zero(f)
+        assert result.refinement_iterations % _BISECT_LEVELS != 0
+        assert calls[-1] == 2 ** (result.refinement_iterations % _BISECT_LEVELS) - 1
+
+    @pytest.mark.parametrize("scan_step", [0.05, 0.125])
+    def test_stops_at_adjacent_doubles_past_512(self, scan_step):
+        # The root lies strictly between two neighbouring doubles, 1.14e-13
+        # apart at 600.3, so the bracket never narrows to 1e-13. At step 0.125
+        # every bracket of a level spans a power-of-two count of doubles, so
+        # the whole level below the last one left has no midpoint.
+        f = lambda x: (x - 600.3) - 2.8e-14
+        result = first_zero_of(array_only(f, []), scan_step, x_max=700.0)
+        assert result == scalar_scan_first_zero(f, scan_step, x_max=700.0)
+        earlier = scalar_scan_first_zero(f, scan_step, x_max=700.0, stop_at_adjacent_doubles=False)
+        assert (result.x_star, result.bracket) == (earlier.x_star, earlier.bracket)
+        assert earlier.refinement_iterations == 200
+        assert result.refinement_iterations < 45
+        assert result.x_star in (600.3, np.nextafter(600.3, 700.0))
 
 
 class TestFirstZeroOf:
