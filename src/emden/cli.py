@@ -19,6 +19,7 @@ only parses arguments, formats the results and writes them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -415,10 +416,16 @@ def _write(text, out):
             handle.write(text)
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> _Parser:
+    """The parser main uses, built on first use and kept for the process: a
+    build costs far more than a parse, and parsing leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     config = _config_from_args(args)

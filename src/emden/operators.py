@@ -13,10 +13,14 @@ Scaling by the map parameter L gives D1_scaled = D1_mgl/L, D2_scaled =
 D2_mgl/L**2 acting on values at the mapped nodes L*eta.
 
 All entries come from closed forms; nothing here differentiates numerically.
-The interpolant is evaluated through one (points x nodes) cardinal matrix.
+The node set and the four unscaled matrices depend only on (n, alpha) and are
+built once per pair; build_operators applies the scale L to that shared
+build. The interpolant is evaluated through one (points x nodes) cardinal
+matrix.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +43,21 @@ __all__ = [
 # Relative half-width of the removable-singularity branch around each node.
 NEAR_NODE_TOL = 1e-9
 
+# Unscaled builds kept; the least recently used one goes first. The CLI
+# solves at alpha = 1 with n from 6 to 24, at most 19 keys, so they all stay.
+# A caller that draws a continuous alpha never hits the cache; the bound keeps
+# what it fills to 32 entries of at most 31 KB each (n = 30), under 1 MB.
+_UNSCALED_CACHE_SIZE = 32
+
 
 @dataclass(frozen=True)
 class DiffOperators:
-    """Operator bundle for one discretization; immutable, safe to share."""
+    """Operator bundle for one discretization; immutable, safe to share.
+
+    Bundles with the same (n, alpha) share one node set and the same
+    read-only D1_poly, D2_poly, D1_mgl and D2_mgl arrays; only mapped_nodes,
+    D1_scaled and D2_scaled belong to the bundle's L.
+    """
 
     params: BasisParams
     nodes: RadauNodeSet
@@ -134,13 +149,27 @@ def scale_operators(d1_mgl, d2_mgl, nodes: RadauNodeSet, L):
     return d1_mgl / L, d2_mgl / (L * L), L * nodes.eta
 
 
-def build_operators(params: BasisParams) -> DiffOperators:
-    """Assemble the full operator bundle for one discretization."""
-    nodes = radau_nodes(params)
-    d1p = build_poly_d1(nodes, params.alpha)
-    d2p = build_poly_d2(nodes, params.alpha)
+@functools.lru_cache(maxsize=_UNSCALED_CACHE_SIZE)
+def _unscaled_operators(n: int, alpha: float):
+    """(nodes, D1_poly, D2_poly, D1_mgl, D2_mgl) for one (n, alpha), read-only."""
+    nodes = radau_nodes(BasisParams(n=n, alpha=alpha))
+    d1p = build_poly_d1(nodes, alpha)
+    d2p = build_poly_d2(nodes, alpha)
     d1m = build_mgl_d1(d1p, nodes)
     d2m = build_mgl_d2(d1p, d2p, nodes)
+    for matrix in (d1p, d2p, d1m, d2m):
+        matrix.setflags(write=False)
+    return nodes, d1p, d2p, d1m, d2m
+
+
+def build_operators(params: BasisParams) -> DiffOperators:
+    """Assemble the full operator bundle for one discretization.
+
+    The node set and the unscaled matrices are built once per (n, alpha) and
+    shared, read-only, by every bundle with that pair; only the scaling by L
+    is done per call.
+    """
+    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(params.n, params.alpha)
     d1s, d2s, mapped = scale_operators(d1m, d2m, nodes, params.L)
     return DiffOperators(
         params=params,

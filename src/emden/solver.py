@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lu_solve
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
@@ -202,20 +201,34 @@ def assemble_residual(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.nd
     return out
 
 
-def assemble_jacobian(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:
-    """Analytic Jacobian of assemble_residual with respect to b."""
-    b = np.asarray(b, dtype=float)
+def _linear_jacobian(ops: DiffOperators) -> np.ndarray:
+    """The part of the Jacobian that does not depend on b: both boundary rows
+    and xm * D2_scaled + 2 * D1_scaled on the interior rows."""
     n = ops.n
-    if b.shape != (n + 1,):
-        raise ParameterError(f"b must have length {n + 1}")
     xm = ops.mapped_nodes
     jac = np.zeros((n + 1, n + 1))
     jac[0, 0] = 1.0
     jac[1] = ops.D1_scaled[0]
     interior = np.arange(1, n)
     jac[2:] = xm[interior, None] * ops.D2_scaled[interior] + 2.0 * ops.D1_scaled[interior]
-    jac[interior + 1, interior] += xm[interior] * problem.g_prime(b[interior])
     return jac
+
+
+def _jacobian(linear: np.ndarray, problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:
+    """A copy of the linear part with xm_i * g'(b_i) added on the interior diagonal."""
+    jac = linear.copy()
+    interior = np.arange(1, ops.n)
+    jac[interior + 1, interior] += ops.mapped_nodes[interior] * problem.g_prime(b[interior])
+    return jac
+
+
+def assemble_jacobian(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:
+    """Analytic Jacobian of assemble_residual with respect to b."""
+    b = np.asarray(b, dtype=float)
+    n = ops.n
+    if b.shape != (n + 1,):
+        raise ParameterError(f"b must have length {n + 1}")
+    return _jacobian(_linear_jacobian(ops), problem, ops, b)
 
 
 def _lu_solve_checked(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -228,7 +241,13 @@ def _lu_solve_checked(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = pivots.max() if pivots.size else 0.0
     if not np.isfinite(scale) or scale == 0.0 or pivots.min() < 1e-14 * scale:
         raise NumericalError("singular Jacobian: pivot below 1e-14 of the largest")
-    return lu_solve((lu, piv), rhs)
+    if not np.isfinite(rhs).all():
+        raise NumericalError("linear solve failed: right-hand side must not contain infs or NaNs")
+    # getrs as scipy's lu_solve calls it, the same bits without its wrapper
+    x, info = dgetrs(lu, piv, rhs)
+    if info != 0:
+        raise NumericalError(f"linear solve failed: illegal value in argument {-info} of getrs")
+    return x
 
 
 def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSolution:
@@ -238,10 +257,12 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
     conditions and decays like the true solutions. Each step solves
     J delta = -F by dense LU with partial pivoting, then halves the step
     factor from 1 down to damping_min until the residual infinity-norm
-    decreases. A stalled line search or an exhausted iteration budget returns
-    a non-converged result rather than raising.
+    decreases. The part of J that does not depend on b is assembled once per
+    solve. A stalled line search or an exhausted iteration budget returns a
+    non-converged result rather than raising.
     """
     ops = build_operators(config.basis_params())
+    linear = _linear_jacobian(ops)
     xm = ops.mapped_nodes
     b = (1.0 + xm**2 / 3.0) ** -0.5
     b[0] = 1.0
@@ -250,8 +271,7 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
     history = [norm]
     iterations = 0
     while norm > config.newton_tol and iterations < config.max_iter:
-        jac = assemble_jacobian(problem, ops, b)
-        delta = _lu_solve_checked(jac, -res)
+        delta = _lu_solve_checked(_jacobian(linear, problem, ops, b), -res)
         # the boundary row is e_0 with zero residual, so delta[0] = 0 exactly;
         # clamping removes LU roundoff and keeps b[0] = 1 bit-exact
         delta[0] = 0.0

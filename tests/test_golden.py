@@ -7,6 +7,7 @@ changes only with a reason for that file in CHANGES.md; after such a change,
 rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,32 @@ def test_cli_output_matches_golden(case, fmt, tmp_path):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert status == codes[f"{case}.{fmt}"]
     assert output == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+
+# argv that main rejects with exit code 1 before any solve: a missing
+# required option, a bad choice, a malformed grid, an unknown subcommand
+USAGE_ERRORS = (
+    ["solve", "--m", "3"],
+    ["first-zero", "--m", "3", "--n", "7", "--format", "xml"],
+    ["scan-L", "--m", "2", "--n", "6", "--L-grid", "0.5:4.0"],
+    ["tabulate"],
+)
+
+
+def test_one_process_repeats_every_case(tmp_path, capsys):
+    """main keeps one parser for the process: every case, run twice in a
+    shuffled order with a usage error before each run, keeps its bytes."""
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    runs = [(case, fmt) for case in sorted(CASES) for fmt in FORMATS] * 2
+    random.Random(7).shuffle(runs)
+    for i, (case, fmt) in enumerate(runs):
+        assert main(USAGE_ERRORS[i % len(USAGE_ERRORS)]) == 1
+        directory = tmp_path / str(i)
+        directory.mkdir()
+        status, output = capture(case, fmt, directory)
+        assert status == codes[f"{case}.{fmt}"], (i, case, fmt)
+        assert output == (GOLDEN / f"{case}.{fmt}").read_bytes(), (i, case, fmt)
+    assert "error:" in capsys.readouterr().err
 
 
 if __name__ == "__main__":

@@ -5,8 +5,10 @@ import pytest
 
 from emden.errors import ParameterError, RangeError
 from emden.laguerre import MAX_ARGUMENT, BasisParams, eval_laguerre, eval_mgl, radau_nodes
+from emden import operators
 from emden.operators import (
     NEAR_NODE_TOL,
+    DiffOperators,
     build_mgl_d1,
     build_mgl_d2,
     build_operators,
@@ -19,6 +21,41 @@ from emden.operators import (
 
 def ops_for(n, alpha=1.0, L=1.0):
     return build_operators(BasisParams(n=n, alpha=alpha, L=L))
+
+
+def uncached_build_operators(params):
+    """Reference build: every piece made afresh from the public builders, as
+    build_operators made it before it shared one build per (n, alpha)."""
+    nodes = radau_nodes(params)
+    d1p = build_poly_d1(nodes, params.alpha)
+    d2p = build_poly_d2(nodes, params.alpha)
+    d1m = build_mgl_d1(d1p, nodes)
+    d2m = build_mgl_d2(d1p, d2p, nodes)
+    d1s, d2s, mapped = scale_operators(d1m, d2m, nodes, params.L)
+    return DiffOperators(params=params, nodes=nodes, mapped_nodes=mapped, D1_poly=d1p,
+                         D2_poly=d2p, D1_mgl=d1m, D2_mgl=d2m, D1_scaled=d1s, D2_scaled=d2s)
+
+
+def bundle_arrays(ops):
+    """Every array of a bundle and of its node set, by field name."""
+    arrays = {}
+    for owner in (ops, ops.nodes):
+        for name, value in vars(owner).items():
+            if isinstance(value, np.ndarray):
+                arrays[name] = value
+    return arrays
+
+
+def assert_same_bits(ops, other):
+    """Same parameters and every array and L_n(0) equal bit for bit."""
+    assert ops.params == other.params
+    mine, theirs = bundle_arrays(ops), bundle_arrays(other)
+    assert mine.keys() == theirs.keys()
+    for name, value in mine.items():
+        assert value.dtype == theirs[name].dtype and value.shape == theirs[name].shape, name
+        assert value.tobytes() == theirs[name].tobytes(), name
+    assert np.float64(ops.nodes.Ln_at_zero).tobytes() == \
+        np.float64(other.nodes.Ln_at_zero).tobytes()
 
 
 class TestHandDerivedCase:
@@ -297,3 +334,62 @@ class TestHatInterpolant:
             eval_hat_interpolant(ops_for(7), b, MAX_ARGUMENT)
         with pytest.raises(RangeError):
             eval_hat_interpolant(ops_for(7, L=L), b, np.nextafter(edge, np.inf))
+
+
+class TestUnscaledBuildCache:
+    """build_operators builds the nodes and unscaled matrices once per
+    (n, alpha); bundles share them read-only and differ only in the scaling."""
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, -0.0, 0.5, 1, 1.0, 2.25, 4.0])
+    def test_cached_bundle_equals_an_uncached_build(self, alpha):
+        for n in range(1, 31):
+            params = BasisParams(n=n, alpha=alpha, L=0.7)
+            first, again = build_operators(params), build_operators(params)
+            assert again.nodes is first.nodes
+            assert_same_bits(first, uncached_build_operators(params))
+            assert_same_bits(again, uncached_build_operators(params))
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)])
+    def test_equal_alphas_share_one_build(self, first, second):
+        # 0.0 and -0.0 (and 1 and 1.0) are one cache key: whichever comes
+        # first is the build the other gets, which holds because their
+        # uncached builds are bitwise equal
+        operators._unscaled_operators.cache_clear()
+        for n in (1, 7, 30):
+            a = build_operators(BasisParams(n=n, alpha=first, L=2.0))
+            b = build_operators(BasisParams(n=n, alpha=second, L=2.0))
+            assert b.nodes is a.nodes and b.D2_mgl is a.D2_mgl
+            assert_same_bits(b, uncached_build_operators(BasisParams(n=n, alpha=second, L=2.0)))
+
+    def test_bundles_at_one_pair_share_the_unscaled_part(self):
+        near, far = ops_for(9, alpha=0.5, L=0.3), ops_for(9, alpha=0.5, L=3.0)
+        assert near.nodes is far.nodes
+        for name in ("D1_poly", "D2_poly", "D1_mgl", "D2_mgl"):
+            assert getattr(near, name) is getattr(far, name)
+        np.testing.assert_array_equal(far.D1_scaled, far.D1_mgl / 3.0)
+        assert not np.array_equal(near.D1_scaled, far.D1_scaled)
+
+    def test_every_array_is_read_only(self):
+        ops = ops_for(6, alpha=0.25, L=1.5)
+        for name, value in bundle_arrays(ops).items():
+            assert not value.flags.writeable, name
+            with pytest.raises(ValueError):
+                value[0] = 1.0
+
+    def test_cache_is_bounded(self):
+        # a continuous alpha never repeats: the cache must stay at its bound
+        bound = operators._UNSCALED_CACHE_SIZE
+        for alpha in np.linspace(-0.5, 3.5, 200):
+            build_operators(BasisParams(n=12, alpha=float(alpha)))
+        assert operators._unscaled_operators.cache_info().currsize <= bound
+
+    def test_one_alpha_across_the_cli_degrees_fits(self):
+        # the CLI solves at alpha = 1 with n from 6 to 24: after one pass
+        # every build is a hit
+        operators._unscaled_operators.cache_clear()
+        for n in range(6, 25):
+            ops_for(n, L=0.5)
+        for n in range(6, 25):
+            ops_for(n, L=2.0)
+        info = operators._unscaled_operators.cache_info()
+        assert (info.misses, info.hits) == (19, 19)

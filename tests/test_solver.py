@@ -1,10 +1,11 @@
-import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf
 
 from emden.errors import NumericalError, ParameterError
 from emden.laguerre import BasisParams
@@ -13,6 +14,7 @@ from emden.reference import closed_form
 from emden.solver import (
     LaneEmdenProblem,
     SolverConfig,
+    SpectralSolution,
     _lu_solve_checked,
     assemble_jacobian,
     assemble_residual,
@@ -21,6 +23,7 @@ from emden.solver import (
     pow_signed_deriv,
     scan_L_reports,
 )
+from test_operators import assert_same_bits, uncached_build_operators
 
 # Regression anchors for the canonical m=3, n=7, L=1 solve, recorded from this
 # implementation; they pin point values against accidental drift.
@@ -45,6 +48,107 @@ REG_VALUES = {
 
 def solve(m, n, L, **kw):
     return newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L, **kw))
+
+
+def reference_jacobian(problem, ops, b):
+    """assemble_jacobian as it was when every Newton iteration rebuilt it."""
+    b = np.asarray(b, dtype=float)
+    n = ops.n
+    if b.shape != (n + 1,):
+        raise ParameterError(f"b must have length {n + 1}")
+    xm = ops.mapped_nodes
+    jac = np.zeros((n + 1, n + 1))
+    jac[0, 0] = 1.0
+    jac[1] = ops.D1_scaled[0]
+    interior = np.arange(1, n)
+    jac[2:] = xm[interior, None] * ops.D2_scaled[interior] + 2.0 * ops.D1_scaled[interior]
+    jac[interior + 1, interior] += xm[interior] * problem.g_prime(b[interior])
+    return jac
+
+
+def reference_lu_solve_checked(jac, rhs):
+    """_lu_solve_checked as it was, solving through scipy's lu_solve."""
+    if not np.isfinite(jac).all():
+        raise NumericalError("Jacobian factorization failed: array must not contain infs or NaNs")
+    lu, piv, _ = dgetrf(jac)
+    pivots = np.abs(np.diag(lu))
+    scale = pivots.max() if pivots.size else 0.0
+    if not np.isfinite(scale) or scale == 0.0 or pivots.min() < 1e-14 * scale:
+        raise NumericalError("singular Jacobian: pivot below 1e-14 of the largest")
+    return lu_solve((lu, piv), rhs)
+
+
+def reference_newton_solve(problem, config):
+    """The Newton loop that rebuilds the Jacobian every iteration, kept as the
+    reference newton_solve must equal bit for bit, on an uncached build."""
+    ops = uncached_build_operators(config.basis_params())
+    xm = ops.mapped_nodes
+    b = (1.0 + xm**2 / 3.0) ** -0.5
+    b[0] = 1.0
+    res = assemble_residual(problem, ops, b)
+    norm = float(np.max(np.abs(res)))
+    history = [norm]
+    iterations = 0
+    while norm > config.newton_tol and iterations < config.max_iter:
+        jac = reference_jacobian(problem, ops, b)
+        delta = reference_lu_solve_checked(jac, -res)
+        delta[0] = 0.0
+        iterations += 1
+        step = 1.0
+        accepted = False
+        while step >= config.damping_min * (1.0 - 1e-12):
+            cand = b + step * delta
+            cand[0] = 1.0
+            cand_res = assemble_residual(problem, ops, cand)
+            cand_norm = float(np.max(np.abs(cand_res)))
+            if np.isfinite(cand_norm) and cand_norm < norm:
+                b, res, norm = cand, cand_res, cand_norm
+                history.append(norm)
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    return SpectralSolution(
+        b=b,
+        residual_norm=norm,
+        iterations=iterations,
+        converged=bool(norm <= config.newton_tol),
+        config_echo=config,
+        operators=ops,
+        residual_history=tuple(history),
+    )
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# (m, n, alpha, L, max_iter): canonical setups, a stalled line search at
+# (2, 8, 1, 2), solves cut off by max_iter, 0.0 and -0.0 alpha, and 30
+# random draws of m in [0.3, 5], n in 1..30, alpha in [-0.9, 4] and
+# L log-uniform in [0.05, 4], some of which stall as well
+NEWTON_SAMPLE = (
+    (0.0, 7, 1.0, 1.0, 100), (1.0, 12, 1.0, 1.0, 100), (3.0, 7, 1.0, 1.0, 100),
+    (5.0, 12, 1.0, 0.9, 100), (2.0, 8, 1.0, 2.0, 100), (4.0, 6, 1.0, 2.0, 100),
+    (2.5, 12, 0.5, 0.4, 100), (3.0, 7, 0.0, 1.0, 100), (3.0, 7, -0.0, 1.0, 100),
+    (3.0, 7, 1.0, 1.0, 3), (3.013, 29, -0.891, 1.622, 5),
+    (1.141, 1, 1.39, 0.254, 100), (1.968, 20, 2.974, 2.64, 100),
+    (1.134, 26, 0.562, 3.461, 100), (4.623, 20, 2.216, 1.354, 100),
+    (2.721, 20, 1.297, 0.221, 100), (1.606, 25, 0.209, 0.501, 100),
+    (2.325, 9, -0.837, 0.356, 100), (2.016, 20, 0.057, 0.678, 100),
+    (2.346, 20, 0.126, 2.309, 100), (4.048, 9, 2.073, 0.227, 100),
+    (4.75, 24, 1.221, 2.586, 100), (1.801, 17, 2.51, 0.198, 100),
+    (1.529, 4, 0.217, 0.434, 100), (3.026, 22, 0.026, 1.232, 100),
+    (2.878, 14, 0.924, 0.315, 100), (2.626, 19, 1.403, 0.966, 100),
+    (3.013, 29, -0.891, 1.622, 100), (2.741, 13, 0.7, 0.447, 100),
+    (0.739, 6, 3.95, 0.065, 100), (1.984, 28, 2.677, 0.198, 100),
+    (2.965, 19, 2.894, 3.334, 100), (4.475, 13, 2.143, 0.101, 100),
+    (4.751, 9, 0.559, 0.172, 100), (3.458, 1, 1.488, 0.075, 100),
+    (0.36, 26, 1.508, 0.697, 100), (2.951, 19, 3.463, 2.797, 100),
+    (1.185, 8, 2.96, 0.822, 100), (3.4, 29, 1.776, 2.784, 100),
+    (1.396, 24, 3.09, 0.09, 100), (3.193, 18, 1.074, 1.435, 100),
+)
 
 
 class TestPowSigned:
@@ -277,22 +381,53 @@ class TestNewtonSolve:
         with pytest.raises(NumericalError, match="factorization failed"):
             _lu_solve_checked(jac, np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_right_hand_side_raises(self, bad):
+        rhs = np.ones(3)
+        rhs[1] = bad
+        with pytest.raises(NumericalError, match="right-hand side"):
+            _lu_solve_checked(np.eye(3), rhs)
+
+    def test_solve_equals_scipy_lu_solve(self):
+        rng = np.random.default_rng(17)
+        for n in list(range(2, 32)) * 3:
+            jac = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0, n)
+            rhs = rng.standard_normal(n)
+            x = _lu_solve_checked(jac, rhs)
+            assert bits(x) == bits(lu_solve(lu_factor(jac), rhs))
+            assert x is not rhs
+
     def test_iteration_budget_respected(self):
         sol = solve(3.0, 7, 1.0, max_iter=3)
         assert sol.iterations <= 3
 
     @pytest.mark.parametrize("m,n,alpha,L", [(3.0, 7, 1.0, 1.0), (2.5, 12, 0.5, 0.4)])
     def test_operators_equal_a_fresh_build(self, m, n, alpha, L):
+        # fresh bypasses the (n, alpha) cache, so a wrong cached build fails here
         config = SolverConfig(n=n, alpha=alpha, L=L)
         ops = newton_solve(LaneEmdenProblem(m), config).operators
-        fresh = build_operators(config.basis_params())
-        assert ops.params == fresh.params
-        for owner, other in ((ops, fresh), (ops.nodes, fresh.nodes)):
-            for f in dataclasses.fields(owner):
-                value = getattr(owner, f.name)
-                if isinstance(value, np.ndarray):
-                    np.testing.assert_array_equal(value, getattr(other, f.name))
-        assert ops.nodes.Ln_at_zero == fresh.nodes.Ln_at_zero
+        assert_same_bits(ops, uncached_build_operators(config.basis_params()))
+
+    @pytest.mark.parametrize("m,n,alpha,L,max_iter", NEWTON_SAMPLE)
+    def test_equals_the_rebuilding_reference_loop(self, m, n, alpha, L, max_iter):
+        problem = LaneEmdenProblem(m)
+        config = SolverConfig(n=n, alpha=alpha, L=L, max_iter=max_iter)
+        sol = newton_solve(problem, config)
+        ref = reference_newton_solve(problem, config)
+        assert bits(sol.b) == bits(ref.b)
+        assert bits(sol.residual_history) == bits(ref.residual_history)
+        assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+        assert bits(assemble_jacobian(problem, sol.operators, sol.b)) == \
+            bits(reference_jacobian(problem, ref.operators, ref.b))
+
+    def test_sample_covers_every_way_a_solve_ends(self):
+        outcomes = set()
+        for m, n, alpha, L, max_iter in NEWTON_SAMPLE:
+            sol = newton_solve(LaneEmdenProblem(m),
+                               SolverConfig(n=n, alpha=alpha, L=L, max_iter=max_iter))
+            outcomes.add("converged" if sol.converged
+                         else "max_iter" if sol.iterations == max_iter else "stalled")
+        assert outcomes == {"converged", "stalled", "max_iter"}
 
 
 class TestScanLReports:
