@@ -9,6 +9,10 @@ collocated at nodes i = 1..n-1; the last interior node carries no equation,
 which makes the system square. The nonlinearity g defaults to the signed
 power law y^m; an internal callback slot exists so scale-covariance can be
 tested exactly, but only the power law is public.
+
+newton_solve runs one system in its own loop, the faster one for a single
+solve; scan_L_reports runs the systems of a grid of map scales side by side
+in one lockstep loop, with the same arithmetic per member.
 """
 from __future__ import annotations
 
@@ -44,7 +48,11 @@ def pow_signed(y, m):
     The odd extension keeps transiently negative Newton iterates real-valued.
     0**0 evaluates to 1.
     """
-    m = check_real("m", m, minimum=0.0)
+    return _pow_signed(y, check_real("m", m, minimum=0.0))
+
+
+def _pow_signed(y, m):
+    # pow_signed for an m already validated as a float >= 0
     arr = np.asarray(y, dtype=float)
     if m == int(m):
         out = arr ** int(m)
@@ -79,7 +87,12 @@ def pow_signed_deriv(y, m):
     zeroed and a RuntimeWarning is emitted, trusting the damped line search
     to step off the singularity.
     """
-    m = check_real("m", m, minimum=0.0)
+    return _pow_signed_deriv(y, check_real("m", m, minimum=0.0), stacklevel=3)
+
+
+def _pow_signed_deriv(y, m, stacklevel=2):
+    # pow_signed_deriv for an m already validated as a float >= 0; the
+    # warning points stacklevel frames up, at the caller of the public entry
     arr = np.asarray(y, dtype=float)
     if m == 0:
         out = np.zeros(arr.shape)
@@ -94,7 +107,7 @@ def pow_signed_deriv(y, m):
                 warnings.warn(
                     "power-law derivative is singular at y=0 for m < 1; entry zeroed",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=stacklevel,
                 )
                 out = np.where(singular, 0.0, out)
     return float(out) if out.ndim == 0 else out
@@ -119,12 +132,12 @@ class LaneEmdenProblem:
     def g(self, y):
         if self._g is not None:
             return self._g(np.asarray(y, dtype=float))
-        return pow_signed(y, self.m)
+        return _pow_signed(y, self.m)
 
     def g_prime(self, y):
         if self._g_prime is not None:
             return self._g_prime(np.asarray(y, dtype=float))
-        return self.m * pow_signed_deriv(y, self.m)
+        return self.m * _pow_signed_deriv(y, self.m)
 
 
 @dataclass(frozen=True)
@@ -231,22 +244,33 @@ def assemble_jacobian(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.nd
     return _jacobian(_linear_jacobian(ops), problem, ops, b)
 
 
+# What the checks in front of each LU solve raise, in the order they run;
+# newton_solve and the lockstep scan loop raise the same messages.
+_NONFINITE_JACOBIAN = "Jacobian factorization failed: array must not contain infs or NaNs"
+_SINGULAR_JACOBIAN = "singular Jacobian: pivot below 1e-14 of the largest"
+_NONFINITE_RHS = "linear solve failed: right-hand side must not contain infs or NaNs"
+
+
+def _getrs_failed(info):
+    return f"linear solve failed: illegal value in argument {-info} of getrs"
+
+
 def _lu_solve_checked(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not np.isfinite(jac).all():
-        raise NumericalError("Jacobian factorization failed: array must not contain infs or NaNs")
+        raise NumericalError(_NONFINITE_JACOBIAN)
     # LAPACK's getrf as scipy's lu_factor calls it, without lu_factor's
     # LinAlgWarning on an exactly singular matrix: the pivot check raises then
     lu, piv, _ = dgetrf(jac)
     pivots = np.abs(np.diag(lu))
     scale = pivots.max() if pivots.size else 0.0
     if not np.isfinite(scale) or scale == 0.0 or pivots.min() < 1e-14 * scale:
-        raise NumericalError("singular Jacobian: pivot below 1e-14 of the largest")
+        raise NumericalError(_SINGULAR_JACOBIAN)
     if not np.isfinite(rhs).all():
-        raise NumericalError("linear solve failed: right-hand side must not contain infs or NaNs")
+        raise NumericalError(_NONFINITE_RHS)
     # getrs as scipy's lu_solve calls it, the same bits without its wrapper
     x, info = dgetrs(lu, piv, rhs)
     if info != 0:
-        raise NumericalError(f"linear solve failed: illegal value in argument {-info} of getrs")
+        raise NumericalError(_getrs_failed(info))
     return x
 
 
@@ -302,6 +326,135 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
     )
 
 
+def _stacked_residual(problem: LaneEmdenProblem, d1, d2, xm, b) -> np.ndarray:
+    """assemble_residual for a stack of members, one per row of b.
+
+    Each row gets the bits assemble_residual gives it alone: matmul makes one
+    dot (row 0 of D1_scaled) and one gemv per member and product, the calls
+    that the 1-d products make, and the rest is elementwise.
+    """
+    n = b.shape[1] - 1
+    col = b[:, :, None]
+    out = np.empty(b.shape)
+    out[:, 0] = b[:, 0] - 1.0
+    out[:, 1] = (d1[:, :1] @ col)[:, 0, 0]
+    out[:, 2:] = (
+        xm[:, 1:n] * (d2[:, 1:n] @ col)[:, :, 0]
+        + 2.0 * (d1[:, 1:n] @ col)[:, :, 0]
+        + xm[:, 1:n] * problem.g(b[:, 1:n])
+    )
+    return out
+
+
+def _stacked_lu_solve(jac: np.ndarray, rhs: np.ndarray):
+    """_lu_solve_checked for a stack of systems, up to the first that fails.
+
+    Returns (x, failure). With failure None, row i of x is member i's
+    solution, bit for bit; otherwise failure is what _lu_solve_checked raises
+    for the first member that fails a check, and x holds the members before
+    it. Each check runs once over the stack; getrf and getrs run per member,
+    since scipy's batched LU is a Python loop around them.
+    """
+    count, failure = len(jac), None
+    nonfinite = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))
+    if nonfinite.size:
+        count, failure = int(nonfinite[0]), _NONFINITE_JACOBIAN
+    factors = [dgetrf(a) for a in jac[:count]]
+    if factors:
+        pivots = np.abs(np.array([lu.diagonal() for lu, _, _ in factors]))
+        scale = pivots.max(axis=1)
+        singular = np.flatnonzero(~np.isfinite(scale) | (scale == 0.0)
+                                  | (pivots.min(axis=1) < 1e-14 * scale))
+        if singular.size:
+            count, failure = int(singular[0]), _SINGULAR_JACOBIAN
+    nonfinite = np.flatnonzero(~np.isfinite(rhs[:count]).all(axis=1))
+    if nonfinite.size:
+        count, failure = int(nonfinite[0]), _NONFINITE_RHS
+    x = np.empty((count, rhs.shape[1]))
+    for i in range(count):
+        lu, piv, _ = factors[i]
+        x[i], info = dgetrs(lu, piv, rhs[i])
+        if info != 0:
+            return x[:i], _getrs_failed(info)
+    return x, failure
+
+
+def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
+    """newton_solve for each config, with all members iterated side by side.
+
+    The configs may differ only in L. Every member gets the bits newton_solve
+    gives it alone: the same start, residuals, Jacobians, LU solves and line
+    search, evaluated on stacks of the members that are still iterating. A
+    member halves its own step, and stops where newton_solve would stop. A
+    member that fails a check before its LU solve leaves the loop; the
+    error of the first such member in order is raised once the members
+    before it have finished, which is the error a loop of newton_solve raises.
+    """
+    if not configs:
+        return []
+    ops = [build_operators(config.basis_params()) for config in configs]
+    first = configs[0]
+    n = first.n
+    d1 = np.stack([o.D1_scaled for o in ops])
+    d2 = np.stack([o.D2_scaled for o in ops])
+    xm = np.stack([o.mapped_nodes for o in ops])
+    linear = np.stack([_linear_jacobian(o) for o in ops])
+    b = (1.0 + xm**2 / 3.0) ** -0.5
+    b[:, 0] = 1.0
+    res = _stacked_residual(problem, d1, d2, xm, b)
+    norm = np.abs(res).max(axis=1)
+    histories = [[v] for v in norm.tolist()]
+    iterations = np.zeros(len(configs), dtype=int)
+    stalled = np.zeros(len(configs), dtype=bool)
+    interior = np.arange(1, n)
+    # members from `limit` on come after a failure; their results are never read
+    limit, failure = len(configs), None
+    while True:
+        live = np.flatnonzero(~stalled[:limit] & (norm[:limit] > first.newton_tol)
+                              & (iterations[:limit] < first.max_iter))
+        if not live.size:
+            break
+        jac = linear[live]
+        jac[:, interior + 1, interior] += xm[live][:, interior] * problem.g_prime(b[live][:, interior])
+        delta, failed = _stacked_lu_solve(jac, -res[live])
+        if failed is not None:
+            limit, failure = live[len(delta)], failed
+            live = live[:len(delta)]
+        # the boundary row is e_0 with zero residual, as in newton_solve
+        delta[:, 0] = 0.0
+        iterations[live] += 1
+        pending = np.arange(live.size)
+        step = 1.0
+        while pending.size and step >= first.damping_min * (1.0 - 1e-12):
+            members = live[pending]
+            cand = b[members] + step * delta[pending]
+            cand[:, 0] = 1.0
+            cand_res = _stacked_residual(problem, d1[members], d2[members], xm[members], cand)
+            cand_norm = np.abs(cand_res).max(axis=1)
+            accepted = np.isfinite(cand_norm) & (cand_norm < norm[members])
+            won = members[accepted]
+            b[won], res[won], norm[won] = cand[accepted], cand_res[accepted], cand_norm[accepted]
+            for i, v in zip(won.tolist(), norm[won].tolist()):
+                histories[i].append(v)
+            pending = pending[~accepted]
+            step *= 0.5
+        stalled[live[pending]] = True
+    if failure is not None:
+        raise NumericalError(failure)
+    return [
+        SpectralSolution(
+            b=b[i].copy(),
+            residual_norm=float(norm[i]),
+            iterations=int(iterations[i]),
+            converged=bool(norm[i] <= config.newton_tol),
+            config_echo=config,
+            operators=ops[i],
+            residual_history=tuple(histories[i]),
+        )
+        for i, config in enumerate(configs)
+    ]
+
+
 @dataclass(frozen=True)
 class CoefficientDecayReport:
     """One scan-L record: convergence flag and how small the trailing
@@ -321,11 +474,25 @@ def _tail_magnitude(b) -> float:
 
 def scan_L_reports(m, n, alpha, grid, tol=1e-12, max_iter=100):
     """Solve once per map scale; flag the converged scale with the smallest
-    trailing-coefficient magnitude (the first one on ties) as recommended."""
+    trailing-coefficient magnitude (the first one on ties) as recommended.
+
+    All the map scales are solved together, in one Newton loop over stacked
+    systems; each result is bitwise what newton_solve gives for that L alone,
+    and a failing scan raises the error a loop of newton_solve would raise.
+    """
     problem = LaneEmdenProblem(m)
-    solutions = [newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=float(L),
-                                                    newton_tol=tol, max_iter=max_iter))
-                 for L in grid]
+    configs, invalid = [], None
+    for L in grid:
+        try:
+            configs.append(SolverConfig(n=n, alpha=alpha, L=float(L),
+                                        newton_tol=tol, max_iter=max_iter))
+        except (TypeError, ValueError) as exc:
+            # a loop of solves raises it once the members before it are solved
+            invalid = exc
+            break
+    solutions = _lockstep_newton_solve(problem, configs)
+    if invalid is not None:
+        raise invalid
     tails = [_tail_magnitude(s.b) for s in solutions]
     converged = [i for i, s in enumerate(solutions) if s.converged]
     best = min(converged, key=tails.__getitem__, default=None)

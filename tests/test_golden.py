@@ -30,6 +30,9 @@ CASES = {
     "first-zero_m2_n8_L2": ["first-zero", "--m", "2", "--n", "8", "--L", "2"],
     "first-zero_m2.5_n8_L0.5": ["first-zero", "--m", "2.5", "--n", "8", "--L", "0.5"],
     "scan-L_m2_n8": ["scan-L", "--m", "2", "--n", "8", "--L-grid", "2.0:3.0:3"],
+    "scan-L_m2.5_n9_alpha0.5": ["scan-L", "--m", "2.5", "--n", "9", "--alpha", "0.5",
+                                "--tol", "1e-10", "--max-iter", "6",
+                                "--L-grid", "0.3:3.5:11"],
 }
 FORMATS = ("json", "csv")
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrf
 
+import emden.solver
 from emden.errors import NumericalError, ParameterError
 from emden.laguerre import BasisParams
 from emden.operators import build_operators, eval_hat_interpolant
@@ -15,7 +16,9 @@ from emden.solver import (
     LaneEmdenProblem,
     SolverConfig,
     SpectralSolution,
+    _lockstep_newton_solve,
     _lu_solve_checked,
+    _stacked_lu_solve,
     assemble_jacobian,
     assemble_residual,
     newton_solve,
@@ -151,6 +154,38 @@ NEWTON_SAMPLE = (
 )
 
 
+def linspace(lo, hi, count):
+    return tuple(np.linspace(lo, hi, count).tolist())
+
+
+# (m, n, alpha, L grid, tol, max_iter): the four golden scans, the two
+# reproduce-tables scans (m = 2 at tol 1e-12 is also golden scan-L_m2_n6, so
+# it appears once), alpha -0.5, 0.0 and 2.25, max_iter 3, tol 1e-9, a
+# one-point grid and a grid that repeats an L
+SCAN_SAMPLE = (
+    (2.0, 6, 1.0, linspace(0.5, 4.0, 15), 1e-12, 100),
+    (3.5, 16, 1.0, linspace(0.2, 3.0, 9), 1e-12, 100),
+    (2.0, 8, 1.0, linspace(2.0, 3.0, 3), 1e-12, 100),
+    (2.5, 9, 0.5, linspace(0.3, 3.5, 11), 1e-10, 6),
+    (4.0, 6, 1.0, linspace(0.5, 4.0, 15), 1e-12, 100),
+    (3.0, 7, -0.5, linspace(0.2, 3.0, 8), 1e-12, 100),
+    (1.5, 10, 0.0, linspace(0.3, 4.0, 8), 1e-12, 100),
+    (4.5, 12, 2.25, linspace(0.1, 2.0, 8), 1e-12, 100),
+    (3.0, 12, 1.0, linspace(0.3, 3.0, 6), 1e-12, 3),
+    (2.7, 8, 1.0, linspace(0.2, 3.0, 8), 1e-9, 100),
+    (3.0, 7, 1.0, (1.0,), 1e-12, 100),
+    (3.0, 7, 1.0, (0.5, 1.0, 0.5, 2.0, 1.0), 1e-12, 100),
+)
+
+# a scan whose member at L = 2.0 has a singular Jacobian; the six before it
+# converge or stall
+FAILING_SCAN = (0.1428706620038983, 9, 2.9521810169907963, linspace(0.5, 4.0, 15))
+
+
+def ending(sol, max_iter):
+    return "converged" if sol.converged else "max_iter" if sol.iterations == max_iter else "stalled"
+
+
 class TestPowSigned:
     def test_examples(self):
         assert pow_signed(-0.5, 2) == 0.25
@@ -195,6 +230,11 @@ class TestPowSignedDeriv:
         assert pow_signed_deriv(0.0, 3) == 0.0
         assert pow_signed_deriv(0.0, 1) == 1.0
 
+    def test_singular_warning_points_at_the_caller(self):
+        with pytest.warns(RuntimeWarning) as record:
+            pow_signed_deriv(np.array([0.0, 0.5]), 0.5)
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestProblem:
     def test_power_law_dispatch(self):
@@ -210,6 +250,23 @@ class TestProblem:
     def test_negative_index_rejected(self):
         with pytest.raises(ParameterError):
             LaneEmdenProblem(-1.0)
+
+    @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.75])
+    def test_m_is_validated_once_per_problem(self, m, monkeypatch):
+        # g and g_prime give the bits and types of the public functions
+        # without validating m again
+        ys = (np.array([-1.5, -0.3, 0.2, 0.9, 2.0]), 0.7, -0.4)
+        expected = [(pow_signed(y, m), m * pow_signed_deriv(y, m)) for y in ys]
+        problem = LaneEmdenProblem(m)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("m validated again")
+
+        monkeypatch.setattr(emden.solver, "check_real", refuse)
+        for y, (g, g_prime) in zip(ys, expected):
+            assert type(problem.g(y)) is type(g) and bits(problem.g(y)) == bits(g)
+            assert type(problem.g_prime(y)) is type(g_prime)
+            assert bits(problem.g_prime(y)) == bits(g_prime)
 
 
 class TestAssembly:
@@ -444,6 +501,111 @@ class TestScanLReports:
             assert r.coeff_abs == tuple(float(a) for a in np.abs(s.b))
         best = min((i for i, s in enumerate(solutions) if s.converged), key=tails.__getitem__)
         assert [r.recommended for r in reports] == [i == best for i in range(len(grid))]
+
+    @pytest.mark.parametrize("m,n,alpha,grid,tol,max_iter", SCAN_SAMPLE)
+    def test_each_member_equals_newton_solve_bitwise(self, m, n, alpha, grid, tol, max_iter):
+        problem = LaneEmdenProblem(m)
+        reports = scan_L_reports(m, n, alpha, np.array(grid), tol=tol, max_iter=max_iter)
+        assert [r.L for r in reports] == list(grid)
+        for report, L in zip(reports, grid):
+            config = SolverConfig(n=n, alpha=alpha, L=L, newton_tol=tol, max_iter=max_iter)
+            ref = newton_solve(problem, config)
+            sol = report.solution
+            assert sol.config_echo == config
+            assert bits(sol.b) == bits(ref.b)
+            assert bits(sol.residual_history) == bits(ref.residual_history)
+            assert bits(sol.residual_norm) == bits(ref.residual_norm)
+            assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+            assert report.converged == ref.converged
+            assert not sol.b.flags.writeable
+            assert_same_bits(sol.operators, ref.operators)
+
+    def test_sample_covers_every_way_a_solve_ends(self):
+        outcomes = set()
+        for m, n, alpha, grid, tol, max_iter in SCAN_SAMPLE:
+            reports = scan_L_reports(m, n, alpha, np.array(grid), tol=tol, max_iter=max_iter)
+            outcomes.update(ending(r.solution, max_iter) for r in reports)
+        assert outcomes == {"converged", "stalled", "max_iter"}
+
+    def test_empty_grid(self):
+        assert scan_L_reports(3.0, 7, 1.0, []) == []
+
+    def test_failing_scan_raises_what_a_loop_of_solves_raises(self):
+        m, n, alpha, grid = FAILING_SCAN
+        problem = LaneEmdenProblem(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for L in grid[:6]:
+                newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=L))
+            with pytest.raises(NumericalError) as serial:
+                for L in grid:
+                    newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=L))
+            with pytest.raises(NumericalError) as scan:
+                scan_L_reports(m, n, alpha, np.array(grid))
+        assert str(serial.value).startswith("singular Jacobian")
+        assert str(scan.value) == str(serial.value)
+
+    def test_the_first_failing_member_in_order_decides_the_error(self):
+        # L = 0.5 fails at its first iteration with a non-finite Jacobian,
+        # L = 2.5 later with a singular one; a loop of solves meets 2.5 first
+        m, n, alpha, _ = FAILING_SCAN
+        problem = LaneEmdenProblem(
+            m,
+            _g=lambda y: np.sign(y) * np.abs(y) ** m,
+            _g_prime=lambda y: np.where(y < -1.0, np.inf, m * np.abs(y) ** (m - 1.0)))
+        configs = [SolverConfig(n=n, alpha=alpha, L=L) for L in (2.5, 0.5)]
+        with np.errstate(divide="ignore"):
+            with pytest.raises(NumericalError, match="factorization failed"):
+                newton_solve(problem, configs[1])
+            with pytest.raises(NumericalError) as serial:
+                for config in configs:
+                    newton_solve(problem, config)
+            with pytest.raises(NumericalError) as scan:
+                _lockstep_newton_solve(problem, configs)
+        assert str(serial.value).startswith("singular Jacobian")
+        assert str(scan.value) == str(serial.value)
+
+    def test_an_invalid_L_after_a_failing_member_is_not_reached(self):
+        m, n, alpha, grid = FAILING_SCAN
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError, match="singular Jacobian"):
+                scan_L_reports(m, n, alpha, list(grid) + [-1.0])
+        with pytest.raises(ParameterError):
+            scan_L_reports(3.0, 7, 1.0, [1.0, -1.0])
+
+
+class TestStackedLuSolve:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_a_loop_of_checked_solves(self, seed):
+        # members may carry a NaN or inf Jacobian, an exactly singular one or
+        # a non-finite right-hand side; the stack stops at the first member
+        # that a loop of _lu_solve_checked raises for, with its message
+        rng = np.random.default_rng(seed)
+        k, size = int(rng.integers(1, 8)), int(rng.integers(2, 18))
+        jac = rng.standard_normal((k, size, size)) * rng.uniform(0.1, 10.0, (k, 1, size))
+        rhs = rng.standard_normal((k, size))
+        for i in range(k):
+            kind = rng.integers(8)
+            if kind == 0:
+                jac[i, rng.integers(size), rng.integers(size)] = rng.choice([np.nan, np.inf])
+            elif kind == 1:
+                jac[i, :, rng.integers(size)] = 0.0
+            elif kind == 2:
+                rhs[i, rng.integers(size)] = rng.choice([np.nan, -np.inf])
+        x, failure = _stacked_lu_solve(jac, rhs)
+        expected, message = [], None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(k):
+                try:
+                    expected.append(_lu_solve_checked(jac[i], rhs[i]))
+                except NumericalError as exc:
+                    message = str(exc)
+                    break
+        assert failure == message
+        assert x.shape == (len(expected), size)
+        assert bits(x) == bits(np.reshape(expected, (len(expected), size)))
 
 
 class TestConfigValidation:
