@@ -76,14 +76,18 @@ def _text(value, fmt) -> str:
     return format(value, fmt)
 
 
-def _value(value, fmt):
-    """JSON value of a cell: its CSV text read back (None stays None)."""
-    if value is None:
+def _read_back(text, fmt):
+    """JSON value of a cell from its CSV text; an empty field is None."""
+    if text == "":
         return None
-    text = _text(value, fmt)
     if fmt in _BOOL_TEXT:
         return text == _BOOL_TEXT[fmt][1]
     return int(text) if fmt == "d" else float(text)
+
+
+def _value(value, fmt):
+    """JSON value of a cell: its CSV text read back (None stays None)."""
+    return _read_back(_text(value, fmt), fmt)
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,15 @@ class _Table:
     columns: tuple
     rows: list
 
-    def json_rows(self) -> list:
-        return [[_value(v, fmt) for v, (_, fmt) in zip(row, self.columns)]
+    @functools.cached_property
+    def _texts(self) -> list:
+        """Each cell formatted once, in its column's format."""
+        return [[_text(v, fmt) for v, (_, fmt) in zip(row, self.columns)]
                 for row in self.rows]
+
+    def json_rows(self) -> list:
+        return [[_read_back(text, fmt) for text, (_, fmt) in zip(row, self.columns)]
+                for row in self._texts]
 
     def records(self) -> list:
         names = [name for name, _ in self.columns]
@@ -108,8 +118,7 @@ class _Table:
 
     def csv(self) -> str:
         lines = [",".join(name for name, _ in self.columns)]
-        lines += [",".join(_text(v, fmt) for v, (_, fmt) in zip(row, self.columns))
-                  for row in self.rows]
+        lines += [",".join(row) for row in self._texts]
         return "\n".join(lines) + "\n"
 
 

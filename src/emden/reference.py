@@ -71,8 +71,6 @@ _BISECT_INTERVAL = 1e-13
 _BISECT_MAX_ITER = 200
 # Points per call of a scanned function: bounds memory, keeps an early exit.
 _SCAN_BLOCK = 256
-# Bisection levels per call of f, 2**_BISECT_LEVELS - 1 midpoints; 6 and 7 timed best.
-_BISECT_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -237,24 +235,35 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
     return ReferenceProfile(m=m, xs=xs, ys=ys, source="shooting", yps=yps)
 
 
-def _bisection_midpoints(lo, hi, levels):
-    """Midpoints of up to `levels` bisection levels of [lo, hi], in heap order.
+def _predicted_path(lo, y_lo, hi, y_hi, budget):
+    """Midpoints bisection visits from [lo, hi] if every sign agrees with the
+    regula falsi estimate of the root from the ends and their values.
 
-    Node i bisects the interval of its parent: its left child 2i+1 the lower
-    half, its right child 2i+2 the upper half, each midpoint 0.5*(lo + hi) of
-    its own interval. A level is built only while some node of it could still
-    be bisected: wider than the bisection width, with a midpoint strictly
-    between its ends.
+    The path takes at most `budget` steps and stops where bisection stops:
+    width 1e-13, a midpoint equal to an end, or a midpoint on the estimate
+    itself, which predicts an exact zero. An estimate that is not finite or
+    falls outside [lo, hi] is replaced by the midpoint.
     """
-    ends, mids = [lo, hi], []  # the ascending interval ends of the current level
-    for _ in range(levels):
-        level = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
-        if not any(b - a > _BISECT_INTERVAL and a < mid < b
-                   for a, mid, b in zip(ends, level, ends[1:])):
+    root = lo - y_lo * (hi - lo) / (y_hi - y_lo)
+    if not lo <= root <= hi:  # NaN fails the test as well
+        root = 0.5 * (lo + hi)
+    path = []
+    while hi - lo > _BISECT_INTERVAL and len(path) < budget:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
             break
-        mids += level
-        ends = sorted(ends + level)  # each midpoint lies between its ends
-    return mids
+        path.append(mid)
+        if mid < root:
+            lo = mid
+        elif mid > root:
+            hi = mid
+        else:
+            break
+    return path
+
+
+def _nan_error(x):
+    return NumericalError(f"function value is NaN at x={x!r} in the zero search")
 
 
 def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
@@ -265,14 +274,22 @@ def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
     an end point, and stops at the first block with a sign change. Bisection
     then refines the first bracketing interval to width <= 1e-13, leaving the
     function value at the root below 1e-12 for any slope of practical size.
-    It evaluates _BISECT_LEVELS levels per call (the midpoints of every
-    interval the next levels could visit) and walks them one level at a time
-    with the sign test against the lower end, stopping at an exact zero, at
-    width 1e-13, after 200 steps, or when the midpoint equals an end. That
-    last stop happens only at x >= 512, where neighbouring doubles lie more
-    than 1e-13 apart: the bracket ends as two neighbouring doubles with
-    x_star their rounded midpoint, as it did before, but the steps up to the
-    cap of 200 that could not move it are no longer taken or counted.
+    Each call of f evaluates the midpoints bisection would visit if every
+    sign agreed with the regula falsi estimate of the root from the current
+    bracket ends; the walk takes them one at a time with the sign test
+    against the lower end, stopping at an exact zero, at width 1e-13, after
+    200 steps, or when the midpoint equals an end, and at the first midpoint
+    whose sign disagrees with the prediction the next call starts from the
+    narrowed bracket. The steps and their signs are those of a bisection that
+    calls f once per step. The stop at a midpoint equal to an end happens
+    only at x >= 512, where neighbouring doubles lie more than 1e-13 apart:
+    the bracket ends as two neighbouring doubles with x_star their rounded
+    midpoint, and the steps up to the cap of 200 that could not move it are
+    not taken or counted.
+
+    A NaN that the search acts on, at a scan point up to the first sign
+    change or at a midpoint the walk visits, raises NumericalError; ±inf
+    count with their sign.
     """
     scan_step = check_real("scan_step", scan_step, minimum=0.0, exclusive=True)
     x_max = check_real("x_max", x_max, minimum=0.0, exclusive=True)
@@ -282,35 +299,45 @@ def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
         ys = np.asarray(f(xs), dtype=float)
         if ys[0] == 0.0:  # only at x = 0: a later zero ends a block as a sign change
             return FirstZeroResult(x_star=0.0, bracket=(0.0, 0.0), refinement_iterations=0)
+        # a NaN differs in sign from everything, so it ends the scan here too
         flips = np.flatnonzero(np.sign(ys[1:]) != np.sign(ys[:-1]))
         if flips.size:
             k = int(flips[0])
             break
     else:
         raise NoZeroFound(f"no sign change in [0, {x_max:g}] at scan step {scan_step:g}")
+    for x, y in ((xs[k], ys[k]), (xs[k + 1], ys[k + 1])):
+        if np.isnan(y):
+            raise _nan_error(float(x))
     bracket = (float(xs[k]), float(xs[k + 1]))
     lo, hi = bracket
-    sign_lo = np.sign(ys[k])  # lo only moves to midpoints of this sign
+    y_lo, y_hi = float(ys[k]), float(ys[k + 1])
+    positive_lo = y_lo > 0.0  # lo only moves to midpoints of its sign; y_lo != 0
     iterations = 0
-    node, mids = 0, []
+    node, path = 0, []
     while hi - lo > _BISECT_INTERVAL and iterations < _BISECT_MAX_ITER:
-        if node >= len(mids):
-            mids = _bisection_midpoints(lo, hi, min(_BISECT_LEVELS, _BISECT_MAX_ITER - iterations))
-            if not mids:  # no midpoint strictly inside [lo, hi]
+        if node >= len(path):
+            path = _predicted_path(lo, y_lo, hi, y_hi, _BISECT_MAX_ITER - iterations)
+            if not path:  # no midpoint strictly inside [lo, hi]
                 break
-            signs = np.sign(np.asarray(f(np.array(mids)), dtype=float))
+            values = np.asarray(f(np.array(path)), dtype=float).tolist()
             node = 0
-        mid = mids[node]
-        if mid == lo or mid == hi:
-            break
+        mid, y = path[node], values[node]
         iterations += 1
-        if signs[node] == 0.0:
+        if y != y:
+            raise _nan_error(mid)
+        if y == 0.0:
             lo = hi = mid
             break
-        if signs[node] == sign_lo:
-            lo, node = mid, 2 * node + 2
+        moved_lo = (y > 0.0) == positive_lo
+        if moved_lo:
+            lo, y_lo = mid, y
         else:
-            hi, node = mid, 2 * node + 1
+            hi, y_hi = mid, y
+        # the path goes on above mid where it predicted lo to move there; past
+        # a misprediction it holds the midpoints of another bracket
+        predicted_lo = node + 1 < len(path) and path[node + 1] > mid
+        node = node + 1 if moved_lo == predicted_lo else len(path)
     return FirstZeroResult(x_star=0.5 * (lo + hi), bracket=bracket, refinement_iterations=iterations)
 
 

@@ -12,7 +12,10 @@ tested exactly, but only the power law is public.
 
 newton_solve runs one system in its own loop, the faster one for a single
 solve; scan_L_reports runs the systems of a grid of map scales side by side
-in one lockstep loop, with the same arithmetic per member.
+in one lockstep loop, with the same arithmetic per member. The scan scales
+its operators for the whole grid in one pass, and each of its iterations
+evaluates the whole damping ladder of every member in one stacked residual
+call, where newton_solve halves its step one residual at a time.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
-from .operators import DiffOperators, build_operators
+from .operators import DiffOperators, _unscaled_operators, build_operators
 from .validation import check_integer, check_real
 
 __all__ = [
@@ -214,16 +217,18 @@ def assemble_residual(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.nd
     return out
 
 
-def _linear_jacobian(ops: DiffOperators) -> np.ndarray:
+def _linear_jacobian(d1, d2, xm) -> np.ndarray:
     """The part of the Jacobian that does not depend on b: both boundary rows
-    and xm * D2_scaled + 2 * D1_scaled on the interior rows."""
-    n = ops.n
-    xm = ops.mapped_nodes
-    jac = np.zeros((n + 1, n + 1))
-    jac[0, 0] = 1.0
-    jac[1] = ops.D1_scaled[0]
-    interior = np.arange(1, n)
-    jac[2:] = xm[interior, None] * ops.D2_scaled[interior] + 2.0 * ops.D1_scaled[interior]
+    and xm * D2_scaled + 2 * D1_scaled on the interior rows.
+
+    d1, d2 and xm are one bundle's D1_scaled, D2_scaled and mapped_nodes, or
+    stacks of them along leading axes; the result stacks the same way.
+    """
+    n = d1.shape[-1] - 1
+    jac = np.zeros(d1.shape)
+    jac[..., 0, 0] = 1.0
+    jac[..., 1, :] = d1[..., 0, :]
+    jac[..., 2:, :] = xm[..., 1:n, None] * d2[..., 1:n, :] + 2.0 * d1[..., 1:n, :]
     return jac
 
 
@@ -241,7 +246,8 @@ def assemble_jacobian(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.nd
     n = ops.n
     if b.shape != (n + 1,):
         raise ParameterError(f"b must have length {n + 1}")
-    return _jacobian(_linear_jacobian(ops), problem, ops, b)
+    return _jacobian(_linear_jacobian(ops.D1_scaled, ops.D2_scaled, ops.mapped_nodes),
+                     problem, ops, b)
 
 
 # What the checks in front of each LU solve raise, in the order they run;
@@ -286,8 +292,8 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
     non-converged result rather than raising.
     """
     ops = build_operators(config.basis_params())
-    linear = _linear_jacobian(ops)
     xm = ops.mapped_nodes
+    linear = _linear_jacobian(ops.D1_scaled, ops.D2_scaled, xm)
     b = (1.0 + xm**2 / 3.0) ** -0.5
     b[0] = 1.0
     res = assemble_residual(problem, ops, b)
@@ -327,21 +333,23 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
 
 
 def _stacked_residual(problem: LaneEmdenProblem, d1, d2, xm, b) -> np.ndarray:
-    """assemble_residual for a stack of members, one per row of b.
+    """assemble_residual for a stack of coefficient vectors along the leading
+    axes of b, against operators that broadcast to them.
 
-    Each row gets the bits assemble_residual gives it alone: matmul makes one
-    dot (row 0 of D1_scaled) and one gemv per member and product, the calls
-    that the 1-d products make, and the rest is elementwise.
+    Each vector gets the bits assemble_residual gives it alone: matmul makes
+    one dot (row 0 of D1_scaled) and one gemv per vector and product, the
+    calls that the 1-d products make, and the rest is elementwise. A gemm
+    against several vectors at once would change the bits.
     """
-    n = b.shape[1] - 1
-    col = b[:, :, None]
+    n = b.shape[-1] - 1
+    col = b[..., None]
     out = np.empty(b.shape)
-    out[:, 0] = b[:, 0] - 1.0
-    out[:, 1] = (d1[:, :1] @ col)[:, 0, 0]
-    out[:, 2:] = (
-        xm[:, 1:n] * (d2[:, 1:n] @ col)[:, :, 0]
-        + 2.0 * (d1[:, 1:n] @ col)[:, :, 0]
-        + xm[:, 1:n] * problem.g(b[:, 1:n])
+    out[..., 0] = b[..., 0] - 1.0
+    out[..., 1] = (d1[..., :1, :] @ col)[..., 0, 0]
+    out[..., 2:] = (
+        xm[..., 1:n] * (d2[..., 1:n, :] @ col)[..., 0]
+        + 2.0 * (d1[..., 1:n, :] @ col)[..., 0]
+        + xm[..., 1:n] * problem.g(b[..., 1:n])
     )
     return out
 
@@ -379,26 +387,58 @@ def _stacked_lu_solve(jac: np.ndarray, rhs: np.ndarray):
     return x, failure
 
 
+def _stacked_operators(configs):
+    """build_operators for configs that differ only in L, scaled in one pass
+    over the grid. Returns the bundles and the read-only stacks of their
+    D1_scaled, D2_scaled and mapped_nodes; each bundle holds slices of them."""
+    first = configs[0]
+    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(first.n, first.alpha)
+    scales = np.array([config.L for config in configs])[:, None, None]
+    # the elementwise products and quotients scale_operators forms per L
+    d1 = d1m / scales
+    d2 = d2m / (scales * scales)
+    xm = scales[:, :, 0] * nodes.eta
+    for stack in (d1, d2, xm):
+        stack.setflags(write=False)
+    ops = [
+        DiffOperators(params=config.basis_params(), nodes=nodes, mapped_nodes=xm[i],
+                      D1_poly=d1p, D2_poly=d2p, D1_mgl=d1m, D2_mgl=d2m,
+                      D1_scaled=d1[i], D2_scaled=d2[i])
+        for i, config in enumerate(configs)
+    ]
+    return ops, d1, d2, xm
+
+
+def _damping_ladder(damping_min) -> np.ndarray:
+    """The step factors newton_solve's line search tries, in order."""
+    ladder, step = [], 1.0
+    while step >= damping_min * (1.0 - 1e-12):
+        ladder.append(step)
+        step *= 0.5
+    return np.array(ladder)
+
+
 def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
     """newton_solve for each config, with all members iterated side by side.
 
     The configs may differ only in L. Every member gets the bits newton_solve
     gives it alone: the same start, residuals, Jacobians, LU solves and line
-    search, evaluated on stacks of the members that are still iterating. A
-    member halves its own step, and stops where newton_solve would stop. A
-    member that fails a check before its LU solve leaves the loop; the
-    error of the first such member in order is raised once the members
-    before it have finished, which is the error a loop of newton_solve raises.
+    search, evaluated on stacks of the members that are still iterating.
+    Each iteration evaluates every rung of the damping ladder for every
+    member in one stacked residual call; a member takes its first accepted
+    rung, the one newton_solve's halving stops at, or stalls where none is
+    accepted, and stops where newton_solve would stop. A member that fails a
+    check before its LU solve leaves the loop; the error of the first such
+    member in order is raised once the members before it have finished,
+    which is the error a loop of newton_solve raises.
     """
     if not configs:
         return []
-    ops = [build_operators(config.basis_params()) for config in configs]
+    ops, d1, d2, xm = _stacked_operators(configs)
     first = configs[0]
     n = first.n
-    d1 = np.stack([o.D1_scaled for o in ops])
-    d2 = np.stack([o.D2_scaled for o in ops])
-    xm = np.stack([o.mapped_nodes for o in ops])
-    linear = np.stack([_linear_jacobian(o) for o in ops])
+    linear = _linear_jacobian(d1, d2, xm)
+    ladder = _damping_ladder(first.damping_min)[:, None]
     b = (1.0 + xm**2 / 3.0) ** -0.5
     b[:, 0] = 1.0
     res = _stacked_residual(problem, d1, d2, xm, b)
@@ -423,22 +463,20 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
         # the boundary row is e_0 with zero residual, as in newton_solve
         delta[:, 0] = 0.0
         iterations[live] += 1
-        pending = np.arange(live.size)
-        step = 1.0
-        while pending.size and step >= first.damping_min * (1.0 - 1e-12):
-            members = live[pending]
-            cand = b[members] + step * delta[pending]
-            cand[:, 0] = 1.0
-            cand_res = _stacked_residual(problem, d1[members], d2[members], xm[members], cand)
-            cand_norm = np.abs(cand_res).max(axis=1)
-            accepted = np.isfinite(cand_norm) & (cand_norm < norm[members])
-            won = members[accepted]
-            b[won], res[won], norm[won] = cand[accepted], cand_res[accepted], cand_norm[accepted]
-            for i, v in zip(won.tolist(), norm[won].tolist()):
-                histories[i].append(v)
-            pending = pending[~accepted]
-            step *= 0.5
-        stalled[live[pending]] = True
+        # cand[i, r] is member live[i] stepped by rung r
+        cand = b[live][:, None] + ladder * delta[:, None]
+        cand[:, :, 0] = 1.0
+        cand_res = _stacked_residual(problem, d1[live][:, None], d2[live][:, None],
+                                     xm[live][:, None], cand)
+        cand_norm = np.abs(cand_res).max(axis=2)
+        accepted = np.isfinite(cand_norm) & (cand_norm < norm[live][:, None])
+        took = accepted.any(axis=1)
+        rung = accepted.argmax(axis=1)[took]
+        won = live[took]
+        b[won], res[won], norm[won] = (a[took, rung] for a in (cand, cand_res, cand_norm))
+        for i, v in zip(won.tolist(), norm[won].tolist()):
+            histories[i].append(v)
+        stalled[live[~took]] = True
     if failure is not None:
         raise NumericalError(failure)
     return [

@@ -312,6 +312,22 @@ class TestRunnersDirect:
         assert csv_text.startswith("x,y\n")
         assert doc["config"]["L"] == 1.0
 
+    def test_solve_formats_each_cell_once(self, monkeypatch):
+        # the CSV field and the JSON value of a cell come from one format call
+        cells = []
+
+        def counted(value, fmt):
+            cells.append(value)
+            return text(value, fmt)
+
+        text = emden.cli._text
+        monkeypatch.setattr(emden.cli, "_text", counted)
+        status, doc, csv_text = run_solve(RunConfig(command="solve", m=3.0, n=7))
+        monkeypatch.undo()
+        solution_cells = 7 + 2  # b and the residual norm
+        assert len(cells) == 2 * len(doc["evaluations"]) + solution_cells == 402 + solution_cells
+        assert csv_text == run_solve(RunConfig(command="solve", m=3.0, n=7))[2]
+
     def test_run_first_zero_direct(self):
         config = RunConfig(command="first-zero", m=5.0, n=10)
         status, doc, _ = run_first_zero(config)

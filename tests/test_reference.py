@@ -4,13 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from emden import reference
 from emden.errors import NoZeroFound, NumericalError, ParameterError
 from emden.laguerre import MAX_ARGUMENT, BasisParams
 from emden.operators import build_operators, eval_hat_interpolant
 from emden.reference import (
-    _BISECT_LEVELS,
     _SCAN_BLOCK,
     FirstZeroResult,
     ReferenceProfile,
@@ -295,13 +296,22 @@ def scalar_scan_first_zero(f, scan_step=0.05, x_max=50.0, stop_at_adjacent_doubl
 
 
 def array_only(f, calls):
-    """f behind a guard that rejects any but 1-d input, recording each call's size."""
+    """f behind a guard that rejects any but 1-d input, recording the points
+    of each call as a list of floats."""
     def guarded(x):
         if np.ndim(x) != 1:
             raise TypeError(f"f called with {np.ndim(x)}-d input")
-        calls.append(np.size(x))
+        calls.append(np.asarray(x).tolist())
         return f(x)
     return guarded
+
+
+def scalar_points(f, visited):
+    """f recording each scalar point it is called at."""
+    def recorded(x):
+        visited.append(float(x))
+        return f(x)
+    return recorded
 
 
 def dyadic_root(j, depth):
@@ -313,8 +323,8 @@ def dyadic_root(j, depth):
 
 
 class TestScanMatchesScalarReference:
-    """first_zero_of scans in blocks and bisects _BISECT_LEVELS levels per
-    call; every result must equal the scalar scan's."""
+    """first_zero_of scans in blocks and walks predicted bisection paths;
+    every result must equal the scalar scan's."""
 
     @pytest.mark.parametrize("f, kwargs", [
         pytest.param(lambda x: x, {}, id="zero-at-origin"),
@@ -365,11 +375,13 @@ class TestScanMatchesScalarReference:
             if sol.converged:
                 assert first_zero(sol, sol.operators) == expected
 
+    # the ids name the depths around where a bisection batched 6 tree levels
+    # per call split its calls; the walk reaches any of them in one call
     @pytest.mark.parametrize("depth", [
-        pytest.param(_BISECT_LEVELS - 1, id="deep-node"),
-        pytest.param(_BISECT_LEVELS, id="last-level-of-first-call"),
-        pytest.param(_BISECT_LEVELS + 1, id="first-node-of-second-call"),
-        pytest.param(2 * _BISECT_LEVELS + 1, id="first-node-of-third-call"),
+        pytest.param(5, id="deep-node"),
+        pytest.param(6, id="last-level-of-first-call"),
+        pytest.param(7, id="first-node-of-second-call"),
+        pytest.param(13, id="first-node-of-third-call"),
     ])
     @pytest.mark.parametrize("j", [0, 3])
     def test_exact_zero_at_tree_node(self, depth, j):
@@ -378,18 +390,29 @@ class TestScanMatchesScalarReference:
         result = first_zero_of(array_only(f, calls), scan_step=0.125)
         assert result == scalar_scan_first_zero(f, scan_step=0.125)
         assert result.x_star == root and result.refinement_iterations == depth
-        # one scan call, then one call per started block of levels
-        assert len(calls) == 1 + math.ceil(depth / _BISECT_LEVELS)
+        # regula falsi on a line lands on the root exactly: one scan call,
+        # then one walk call whose path ends at the root
+        assert [len(points) for points in calls] == [_SCAN_BLOCK + 1, depth]
 
     def test_width_reached_mid_call(self):
-        # 0.05 halves to <= 1e-13 in 39 steps, not a multiple of the levels
-        # per call; the last call holds only the levels the walk can reach
+        # 0.05 halves to <= 1e-13 in 39 steps. Every walk call starts at the
+        # next midpoint bisection visits, and the last one ends where the
+        # width is reached: the path holds no midpoint the walk cannot reach.
         f = lambda x: closed_form(0, x)
-        calls = []
+        calls, visited = [], []
         result = first_zero_of(array_only(f, calls))
-        assert result == scalar_scan_first_zero(f)
-        assert result.refinement_iterations % _BISECT_LEVELS != 0
-        assert calls[-1] == 2 ** (result.refinement_iterations % _BISECT_LEVELS) - 1
+        assert result == scalar_scan_first_zero(scalar_points(f, visited))
+        mids = visited[-result.refinement_iterations:]
+        assert len(calls) > 2
+        position = 0
+        for points in calls[1:]:
+            walked = 0
+            while walked < len(points) and points[walked] == mids[position + walked]:
+                walked += 1
+            assert walked >= 1
+            position += walked
+        assert position == len(mids)
+        assert calls[-1] == mids[-len(calls[-1]):]
 
     @pytest.mark.parametrize("scan_step", [0.05, 0.125])
     def test_stops_at_adjacent_doubles_past_512(self, scan_step):
@@ -405,6 +428,90 @@ class TestScanMatchesScalarReference:
         assert earlier.refinement_iterations == 200
         assert result.refinement_iterations < 45
         assert result.x_star in (600.3, np.nextafter(600.3, 700.0))
+
+
+# Converged (m, n, L) setups with a first zero below x = 50, drawn once from
+# m in [0.5, 4], n in 10..24 and L log-uniform in [0.25, 2].
+ZERO_SAMPLE = (
+    (3.8622, 22, 1.6095), (3.7584, 11, 1.8951), (3.9319, 22, 0.4401), (3.8921, 24, 0.3322),
+    (0.9576, 13, 0.76), (0.9971, 23, 1.2667), (1.6122, 15, 0.4098), (3.7021, 18, 0.7366),
+    (0.6501, 18, 1.9954), (1.6135, 21, 0.3996), (1.1828, 22, 0.2778), (1.7334, 19, 0.7305),
+    (1.9291, 22, 0.6398), (1.7411, 20, 0.5749), (0.7604, 15, 0.8209), (0.7486, 14, 1.7752),
+    (2.1381, 22, 0.4548), (2.1953, 19, 0.325), (3.3681, 15, 0.593), (3.8174, 10, 0.4464),
+    (2.0977, 13, 1.6017), (0.6464, 12, 0.816), (1.1408, 20, 0.7732), (1.0955, 10, 0.9316),
+)
+
+
+class TestPredictedWalk:
+    """The walk evaluates predicted bisection paths ahead; the steps it takes
+    and their results stay those of the scalar bisection."""
+
+    @given(root=st.floats(0.01, 20.0), bend=st.floats(-3.0, 3.0), freq=st.floats(0.0, 40.0),
+           cubic=st.floats(0.0, 50.0), scale=st.floats(1e-3, 1e3))
+    def test_smooth_functions(self, root, bend, freq, cubic, scale):
+        # one root, at `root`; the positive factor bends the function inside
+        # the bracket, so regula falsi mispredicts at some depth
+        def f(x):
+            d = root - x
+            return scale * d * (np.exp(bend * np.sin(freq * x)) + cubic * d * d)
+        calls = []
+        result = first_zero_of(array_only(f, calls))
+        assert result == scalar_scan_first_zero(f)
+        assert len(calls) <= 2 + result.refinement_iterations
+
+    def test_interpolant_calls_on_a_spectral_sample(self):
+        # measured: 100 calls for the 24 searches; batching 6 bisection
+        # levels per call took 195, and one call per step 960
+        calls, steps = [], 0
+        for m, n, L in ZERO_SAMPLE:
+            sol = newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L))
+            f = lambda x: eval_hat_interpolant(sol.operators, sol.b, x)
+            result = first_zero_of(array_only(f, calls))
+            assert result == scalar_scan_first_zero(f)
+            steps += result.refinement_iterations
+        assert (len(calls), steps) == (100, 936)
+
+    def test_nan_on_an_unvisited_midpoint_is_not_read(self):
+        # the first path of a bending function mispredicts at some depth; the
+        # midpoints after that belong to another bracket and are never walked
+        g = lambda x: closed_form(1, x)
+        visited = []
+        expected = scalar_scan_first_zero(scalar_points(g, visited))
+        lo, hi = expected.bracket
+        path = reference._predicted_path(lo, float(g(lo)), hi, float(g(hi)), 200)
+        unvisited = [x for x in path if x not in visited]
+        assert unvisited
+        f = lambda x: np.where(x == unvisited[0], np.nan, g(x))
+        assert first_zero_of(f) == expected
+
+    def test_nan_on_a_visited_midpoint_raises(self):
+        g = lambda x: closed_form(1, x)
+        visited = []
+        result = scalar_scan_first_zero(scalar_points(g, visited))
+        mid = visited[-result.refinement_iterations // 2]
+        with pytest.raises(NumericalError, match="NaN"):
+            first_zero_of(lambda x: np.where(x == mid, np.nan, g(x)))
+
+    def test_nan_after_the_first_sign_change_is_not_read(self):
+        f = lambda x: np.where(x >= 3.0, np.nan, 2.0 - x)
+        assert first_zero_of(f) == scalar_scan_first_zero(f)
+
+    @pytest.mark.parametrize("f", [
+        pytest.param(lambda x: np.where(abs(x - 1.0) < 0.03, np.nan, 2.0 - x), id="nan-before-root"),
+        pytest.param(lambda x: np.where(x >= 1.5, np.nan, 1.0), id="nan-without-root"),
+    ])
+    def test_nan_at_a_scan_point_raises(self, f):
+        # a NaN is no sign change; counted as one, x_star would read 0.97 and 1.5
+        with pytest.raises(NumericalError, match="NaN"):
+            first_zero_of(f)
+
+    def test_infinities_keep_their_sign(self):
+        f = lambda x: np.where(x < 1.0, np.inf, np.where(x > 3.0, -np.inf, 2.0 - x))
+        assert first_zero_of(f) == scalar_scan_first_zero(f)
+        step = lambda x: np.where(x < 2.0, np.inf, -np.inf)
+        result = first_zero_of(step)
+        assert result == scalar_scan_first_zero(step)
+        assert result.x_star == pytest.approx(2.0, abs=1e-13)
 
 
 class TestFirstZeroOf:

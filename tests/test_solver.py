@@ -520,6 +520,45 @@ class TestScanLReports:
             assert not sol.b.flags.writeable
             assert_same_bits(sol.operators, ref.operators)
 
+    @pytest.mark.parametrize("m,n,alpha,grid,tol,max_iter", SCAN_SAMPLE)
+    def test_one_residual_call_per_iteration(self, monkeypatch, m, n, alpha, grid, tol, max_iter):
+        # the whole damping ladder of every live member goes into one call
+        calls = []
+
+        def counted(problem, d1, d2, xm, b):
+            calls.append(b.shape)
+            return stacked_residual(problem, d1, d2, xm, b)
+
+        stacked_residual = emden.solver._stacked_residual
+        monkeypatch.setattr(emden.solver, "_stacked_residual", counted)
+        reports = scan_L_reports(m, n, alpha, np.array(grid), tol=tol, max_iter=max_iter)
+        assert len(calls) == 1 + max(r.solution.iterations for r in reports)
+        assert calls[0] == (len(grid), n + 1)
+        assert all(shape[1:] == (7, n + 1) for shape in calls[1:])
+
+    @pytest.mark.parametrize("damping_min", [1.0, 0.3, 0.125 * (1.0 + 1e-13), 2.0**-20])
+    def test_other_damping_floors_equal_newton_solve(self, damping_min):
+        # the ladder stops where newton_solve's halving stops, rung for rung
+        problem = LaneEmdenProblem(2.0)
+        configs = [SolverConfig(n=6, L=L, damping_min=damping_min)
+                   for L in np.linspace(0.5, 4.0, 15).tolist()]
+        outcomes = set()
+        for sol, config in zip(_lockstep_newton_solve(problem, configs), configs):
+            ref = newton_solve(problem, config)
+            assert bits(sol.b) == bits(ref.b)
+            assert bits(sol.residual_history) == bits(ref.residual_history)
+            assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+            outcomes.add(ending(ref, config.max_iter))
+        assert "stalled" in outcomes
+
+    def test_members_hold_read_only_slices_of_one_stack(self):
+        reports = scan_L_reports(3.0, 7, 1.0, [0.5, 1.0, 2.0])
+        ops = [r.solution.operators for r in reports]
+        for name in ("D1_scaled", "D2_scaled", "mapped_nodes"):
+            arrays = [getattr(o, name) for o in ops]
+            assert all(not a.flags.writeable for a in arrays)
+            assert all(a.base is not None and a.base is arrays[0].base for a in arrays)
+
     def test_sample_covers_every_way_a_solve_ends(self):
         outcomes = set()
         for m, n, alpha, grid, tol, max_iter in SCAN_SAMPLE:
