@@ -64,7 +64,11 @@ class LaneEmdenSolver:
 
     def fit(self, X=None, y=None):
         """Run the collocation solve. X and y are accepted for interface
-        compatibility and ignored."""
+        compatibility and ignored. A fit that raises leaves the estimator
+        unfitted; one that stops without converging warns and keeps its
+        result."""
+        for name in [name for name in vars(self) if name.endswith("_")]:
+            delattr(self, name)
         problem = LaneEmdenProblem(self.m)
         config = SolverConfig(
             n=self.n,

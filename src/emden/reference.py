@@ -4,6 +4,10 @@ embedded published values, and profile comparison.
 The shooting integrator is the package's independent oracle. It never touches
 the collocation machinery: series start near the singular origin, classical
 RK4 with step doubling, derivative samples kept for Hermite interpolation.
+
+Only ReferenceProfile.interpolant() and ReferenceProfile.first_zero() use
+scipy.interpolate and scipy.optimize; they import them on first use, so that
+importing the package (and every CLI subcommand) loads only scipy.linalg.
 """
 from __future__ import annotations
 
@@ -11,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.optimize import brentq
 
 from .errors import NoZeroFound, NumericalError, ParameterError
 from .laguerre import MAX_ARGUMENT
@@ -102,6 +104,8 @@ class ReferenceProfile:
 
     def interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
         """Smooth evaluator through the samples; exact at the sample points."""
+        from scipy.interpolate import CubicHermiteSpline, CubicSpline
+
         if self.yps is not None:
             return CubicHermiteSpline(self.xs, self.ys, self.yps)
         if len(self.xs) >= 4:
@@ -110,6 +114,8 @@ class ReferenceProfile:
 
     def first_zero(self) -> float:
         """Smallest root of the interpolant inside the sampled range."""
+        from scipy.optimize import brentq
+
         signs = np.sign(self.ys)
         flips = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
         flips = flips[signs[flips] != 0] if flips.size else flips
@@ -199,12 +205,15 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
     NaN when either is NaN, so a NaN stage rejects the step.
 
     h_max caps the step size (useful when dense output is wanted for
-    interpolation). Raises NumericalError if the step underflows.
+    interpolation); None means no cap, otherwise it must be finite and > 0.
+    Raises NumericalError if the step underflows.
     """
     m = check_real("m", m, minimum=0.0)
     h_series = check_real("h_series", h_series, minimum=0.0, exclusive=True)
     x_end = check_real("x_end", x_end, minimum=h_series, exclusive=True)
     tol = check_real("tol", tol, minimum=0.0, exclusive=True)
+    if h_max is not None:
+        h_max = check_real("h_max", h_max, minimum=0.0, exclusive=True)
     g = pow_signed_scalar(m)
 
     x = h_series

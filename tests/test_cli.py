@@ -368,6 +368,43 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
+    def test_subcommands_load_only_scipy_linalg(self, tmp_path):
+        # Every subcommand, run in one fresh interpreter, must leave
+        # scipy.linalg the only public scipy subpackage loaded; the reference
+        # profile's spline and root finder load theirs on first use.
+        script = """
+import json, sys
+import emden.cli
+from emden.reference import shooting_oracle
+out = sys.argv[1]
+runs = [
+    ["solve", "--m", "3", "--n", "12"],
+    ["solve", "--m", "3", "--n", "12", "--format", "csv"],
+    ["first-zero", "--m", "3", "--n", "7"],
+    ["first-zero", "--m", "5", "--n", "12", "--L", "0.9"],
+    ["scan-L", "--m", "2", "--n", "6", "--L-grid", "0.5:4.0:15"],
+    ["reproduce-tables"],
+]
+status = [emden.cli.main(argv + ["--out", f"{out}/{k}.txt"]) for k, argv in enumerate(runs)]
+def subpackages():
+    return sorted(name for name, module in sys.modules.items()
+                  if name.startswith("scipy.") and name.count(".") == 1
+                  and not name[6:].startswith("_") and hasattr(module, "__path__"))
+before = subpackages()
+x_star = shooting_oracle(3.0, 8.0).first_zero()
+print(json.dumps({"status": status, "before": before, "x_star": x_star,
+                  "after": subpackages()}))
+"""
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, timeout=300, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_NO_ZERO, EXIT_OK, EXIT_MISMATCH]
+        assert all((tmp_path / f"{k}.txt").stat().st_size > 0 for k in range(6))
+        assert doc["before"] == ["scipy.linalg"]
+        assert round(doc["x_star"], 8) == 6.89684842
+        assert {"scipy.interpolate", "scipy.optimize"} <= set(doc["after"])
+
     def test_subprocess_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "emden", "solve"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emden.errors import ConvergenceWarning, NotFittedError, ParameterError
+from emden.errors import ConvergenceWarning, NotFittedError, ParameterError, RangeError
 from emden.estimator import LaneEmdenSolver
 from emden.laguerre import BasisParams
 from emden.operators import build_operators, eval_hat_interpolant
@@ -100,3 +100,20 @@ class TestFitPredict:
         second = est.predict(1.0)[0]
         assert first != second
         assert second == pytest.approx(np.sin(1.0), abs=1e-3)
+
+    def test_failed_refit_leaves_the_estimator_unfitted(self):
+        est = LaneEmdenSolver(m=3, n=12, L=0.5).fit()
+        with pytest.raises(RangeError):
+            est.set_params(n=40).fit()
+        with pytest.raises(NotFittedError):
+            est.predict([1.0])
+        assert not any(name.endswith("_") for name in vars(est))
+        assert est.get_params()["n"] == 40
+
+    def test_unconverged_refit_keeps_its_own_result(self):
+        est = LaneEmdenSolver(m=3.0, n=7).fit()
+        with pytest.warns(ConvergenceWarning):
+            est.set_params(m=2.0, n=8, L=2.0).fit()
+        assert not est.converged_
+        assert len(est.coefficients_) - 1 == 8
+        assert est.predict([0.0])[0] == pytest.approx(1.0)

@@ -136,6 +136,11 @@ class TestShootingOracle:
         with pytest.raises(ParameterError):
             shooting_oracle(3.0, 2.0, tol=0.0)
 
+    @pytest.mark.parametrize("h_max", [-1.0, 0.0, float("nan"), float("inf"), "abc"])
+    def test_bad_step_cap(self, h_max):
+        with pytest.raises(ParameterError, match="h_max"):
+            shooting_oracle(3.0, 2.0, h_max=h_max)
+
 
 def vector_rk4_step(f, x, y, h):
     k1 = f(x, y)
