@@ -162,26 +162,35 @@ def _unscaled_operators(n: int, alpha: float):
     return nodes, d1p, d2p, d1m, d2m
 
 
+def _scaled_operators(params):
+    """Bundles for BasisParams that differ only in L, scaled in one pass, and
+    the read-only stacks of their D1_scaled, D2_scaled and mapped_nodes, of
+    which each bundle holds slices."""
+    first = params[0]
+    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(first.n, first.alpha)
+    scales = np.array([p.L for p in params])[:, None, None]
+    # the elementwise products and quotients scale_operators forms per L
+    d1 = d1m / scales
+    d2 = d2m / (scales * scales)
+    xm = scales[:, :, 0] * nodes.eta
+    for stack in (d1, d2, xm):
+        stack.setflags(write=False)
+    ops = [
+        DiffOperators(params=p, nodes=nodes, mapped_nodes=xm[i], D1_poly=d1p, D2_poly=d2p,
+                      D1_mgl=d1m, D2_mgl=d2m, D1_scaled=d1[i], D2_scaled=d2[i])
+        for i, p in enumerate(params)
+    ]
+    return ops, d1, d2, xm
+
+
 def build_operators(params: BasisParams) -> DiffOperators:
     """Assemble the full operator bundle for one discretization.
 
     The node set and the unscaled matrices are built once per (n, alpha) and
     shared, read-only, by every bundle with that pair; only the scaling by L
-    is done per call.
+    is done per call, by the code that scales the operators of every solve.
     """
-    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(params.n, params.alpha)
-    d1s, d2s, mapped = scale_operators(d1m, d2m, nodes, params.L)
-    return DiffOperators(
-        params=params,
-        nodes=nodes,
-        mapped_nodes=mapped,
-        D1_poly=d1p,
-        D2_poly=d2p,
-        D1_mgl=d1m,
-        D2_mgl=d2m,
-        D1_scaled=d1s,
-        D2_scaled=d2s,
-    )
+    return _scaled_operators([params])[0][0]
 
 
 def _hat_cardinals(nodes: RadauNodeSet, alpha: float, t: np.ndarray) -> np.ndarray:

@@ -275,6 +275,15 @@ def _nan_error(x):
     return NumericalError(f"function value is NaN at x={x!r} in the zero search")
 
 
+def _values(f, xs):
+    """f(xs) as a float array, checked to hold one value per point of xs."""
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise ParameterError(
+            f"function must return one value per point: got shape {ys.shape} for {xs.size} points")
+    return ys
+
+
 def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
     """First sign change of a callable on [0, x_max]: scan, then bisect.
 
@@ -298,14 +307,15 @@ def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
 
     A NaN that the search acts on, at a scan point up to the first sign
     change or at a midpoint the walk visits, raises NumericalError; ±inf
-    count with their sign.
+    count with their sign. A call of f that returns anything other than one
+    value per point raises ParameterError.
     """
     scan_step = check_real("scan_step", scan_step, minimum=0.0, exclusive=True)
     x_max = check_real("x_max", x_max, minimum=0.0, exclusive=True)
     steps = int(np.ceil(x_max / scan_step))
     for start in range(0, steps, _SCAN_BLOCK):
         xs = np.minimum(np.arange(start, min(start + _SCAN_BLOCK, steps) + 1) * scan_step, x_max)
-        ys = np.asarray(f(xs), dtype=float)
+        ys = _values(f, xs)
         if ys[0] == 0.0:  # only at x = 0: a later zero ends a block as a sign change
             return FirstZeroResult(x_star=0.0, bracket=(0.0, 0.0), refinement_iterations=0)
         # a NaN differs in sign from everything, so it ends the scan here too
@@ -329,7 +339,7 @@ def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
             path = _predicted_path(lo, y_lo, hi, y_hi, _BISECT_MAX_ITER - iterations)
             if not path:  # no midpoint strictly inside [lo, hi]
                 break
-            values = np.asarray(f(np.array(path)), dtype=float).tolist()
+            values = _values(f, np.array(path)).tolist()
             node = 0
         mid, y = path[node], values[node]
         iterations += 1
@@ -367,24 +377,27 @@ def first_zero(solution: SpectralSolution, ops: DiffOperators,
 def compare_profiles(profile: ReferenceProfile, evaluator, xs=None) -> ErrorReport:
     """Absolute deviation of an evaluator from a reference profile on a grid.
 
-    xs defaults to the profile's own sample grid and must stay inside it. The
-    evaluator is called once, with the whole grid.
+    xs defaults to the profile's own sample grid; a grid given must be
+    non-empty and stay inside it. The evaluator is called once, with the
+    whole grid, and must return one value per point.
     """
     if xs is None:
         grid = profile.xs
     else:
         grid = as_float_grid(xs, "xs")
+        if not grid.size:
+            raise ParameterError("comparison grid must not be empty")
         if grid.min() < profile.xs[0] - 1e-12 or grid.max() > profile.xs[-1] + 1e-12:
             raise ParameterError("comparison grid extends beyond the profile's range")
     ref_vals = np.asarray(profile.interpolant()(grid), dtype=float)
-    vals = np.asarray(evaluator(grid), dtype=float)
+    vals = _values(evaluator, grid)
     errs = np.abs(vals - ref_vals)
     return ErrorReport(xs=np.array(grid), abs_errors=errs, max_abs=float(errs.max()))
 
 
 def horedt_reference(m) -> ReferenceProfile:
     """The embedded published profile (Horedt's tables); only m=3 is excerpted."""
-    if float(m) != 3.0:
+    if check_real("m", m) != 3.0:
         raise ParameterError(f"no embedded table profile for m={m}; only m=3 is available")
     xs, ys = (np.array(column) for column in zip(*_HOREDT_M3))
     return ReferenceProfile(m=3.0, xs=xs, ys=ys, source="horedt-table")
@@ -392,7 +405,7 @@ def horedt_reference(m) -> ReferenceProfile:
 
 def first_zero_reference(m) -> float:
     """High-accuracy first zero for m in {2, 3, 4}."""
-    key = float(m)
+    key = check_real("m", m)
     if key not in _FIRST_ZERO_EXACT:
         raise ParameterError(f"no reference first zero for m={m}; supported m are 2, 3, 4")
     return _FIRST_ZERO_EXACT[key]
@@ -400,7 +413,7 @@ def first_zero_reference(m) -> float:
 
 def method_reference_profile(m) -> ReferenceProfile:
     """Published values of this collocation method for the m=3 profile (n=7, L=1)."""
-    if float(m) != 3.0:
+    if check_real("m", m) != 3.0:
         raise ParameterError(f"no published method profile for m={m}; only m=3 is available")
     xs, ys = (np.array(column) for column in zip(*_METHOD_M3))
     return ReferenceProfile(m=3.0, xs=xs, ys=ys, source="method-table")
@@ -408,7 +421,7 @@ def method_reference_profile(m) -> ReferenceProfile:
 
 def method_reference_first_zero(m):
     """Published method first zero for m in {2, 3, 4}: returns (degree, value)."""
-    key = float(m)
+    key = check_real("m", m)
     if key not in _METHOD_FIRST_ZERO:
         raise ParameterError(f"no published method first zero for m={m}; supported m are 2, 3, 4")
     return _METHOD_FIRST_ZERO[key]

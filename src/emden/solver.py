@@ -10,15 +10,14 @@ which makes the system square. The nonlinearity g defaults to the signed
 power law y^m; an internal callback slot exists so scale-covariance can be
 tested exactly, but only the power law is public.
 
-newton_solve runs one system in its own loop, the faster one for a single
-solve; scan_L_reports runs the systems of a grid of map scales side by side
-in one lockstep loop, with the same arithmetic per member. The scan scales
-its operators for the whole grid in one pass, and each of its iterations
-evaluates the whole damping ladder of every member in one stacked residual
-call, where newton_solve halves its step one residual at a time.
+newton_solve and scan_L_reports share one damped Newton loop: a scan
+iterates the systems of its map scales side by side on stacks of their
+arrays, and a single solve is the one-member case. assemble_residual and
+assemble_jacobian are the one-system forms of what the loop assembles.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -28,7 +27,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
-from .operators import DiffOperators, _unscaled_operators, build_operators
+from .operators import DiffOperators, _scaled_operators
 from .validation import check_integer, check_real
 
 __all__ = [
@@ -156,6 +155,8 @@ class SolverConfig:
 
     def __post_init__(self):
         basis = BasisParams(n=self.n, alpha=self.alpha, L=self.L)
+        # kept outside the fields, so out of equality, hashing and repr
+        object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "n", basis.n)
         object.__setattr__(self, "alpha", basis.alpha)
         object.__setattr__(self, "L", basis.L)
@@ -167,7 +168,8 @@ class SolverConfig:
         object.__setattr__(self, "damping_min", dm)
 
     def basis_params(self) -> BasisParams:
-        return BasisParams(n=self.n, alpha=self.alpha, L=self.L)
+        """The validated BasisParams of n, alpha and L, built once per config."""
+        return self._basis
 
 
 @dataclass(frozen=True)
@@ -198,23 +200,39 @@ class SpectralSolution:
         return self.operators.mapped_nodes
 
 
-def assemble_residual(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:
-    """Residual of the collocation system at coefficients b."""
-    b = np.asarray(b, dtype=float)
-    n = ops.n
-    if b.shape != (n + 1,):
-        raise ParameterError(f"b must have length {n + 1}")
-    xm = ops.mapped_nodes
-    interior = slice(1, n)
-    out = np.empty(n + 1)
-    out[0] = b[0] - 1.0
-    out[1] = ops.D1_scaled[0] @ b
-    out[2:] = (
-        xm[interior] * (ops.D2_scaled[interior] @ b)
-        + 2.0 * (ops.D1_scaled[interior] @ b)
-        + xm[interior] * problem.g(b[interior])
+def _stacked_residual(problem: LaneEmdenProblem, d1, d2, xm, b) -> np.ndarray:
+    """Residual of the collocation system at b, or at each vector of a stack
+    of them along the leading axes of b, against D1_scaled, D2_scaled and
+    mapped_nodes stacks d1, d2 and xm that broadcast to it.
+
+    A vector gets the same bits in any stack: matmul makes one dot (row 0 of
+    D1_scaled) and one gemv per vector and product, and the rest is
+    elementwise. A gemm against several vectors at once would change them.
+    """
+    n = b.shape[-1] - 1
+    col = b[..., None]
+    out = np.empty(b.shape)
+    out[..., 0] = b[..., 0] - 1.0
+    out[..., 1] = (d1[..., :1, :] @ col)[..., 0, 0]
+    out[..., 2:] = (
+        xm[..., 1:n] * (d2[..., 1:n, :] @ col)[..., 0]
+        + 2.0 * (d1[..., 1:n, :] @ col)[..., 0]
+        + xm[..., 1:n] * problem.g(b[..., 1:n])
     )
     return out
+
+
+def _coefficients(ops: DiffOperators, b) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    if b.shape != (ops.n + 1,):
+        raise ParameterError(f"b must have length {ops.n + 1}")
+    return b
+
+
+def assemble_residual(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:
+    """Residual of the collocation system at coefficients b."""
+    return _stacked_residual(problem, ops.D1_scaled, ops.D2_scaled, ops.mapped_nodes,
+                             _coefficients(ops, b))
 
 
 def _linear_jacobian(d1, d2, xm) -> np.ndarray:
@@ -232,185 +250,57 @@ def _linear_jacobian(d1, d2, xm) -> np.ndarray:
     return jac
 
 
-def _jacobian(linear: np.ndarray, problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:
-    """A copy of the linear part with xm_i * g'(b_i) added on the interior diagonal."""
+def _add_g_prime(linear: np.ndarray, problem: LaneEmdenProblem, xm, b) -> np.ndarray:
+    """A copy of the linear part with xm_i * g'(b_i) added on the interior
+    diagonal; linear, xm and b may stack along leading axes."""
+    n = b.shape[-1] - 1
     jac = linear.copy()
-    interior = np.arange(1, ops.n)
-    jac[interior + 1, interior] += ops.mapped_nodes[interior] * problem.g_prime(b[interior])
+    # entries (i + 1, i) for i = 1..n-1: every (n + 2)-th of a flattened
+    # matrix, from (2, 1) on; a strided view, so += writes into jac
+    diagonal = jac.reshape(*jac.shape[:-2], -1)[..., 2 * n + 3::n + 2]
+    diagonal += xm[..., 1:n] * problem.g_prime(b[..., 1:n])
     return jac
 
 
 def assemble_jacobian(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:
     """Analytic Jacobian of assemble_residual with respect to b."""
-    b = np.asarray(b, dtype=float)
-    n = ops.n
-    if b.shape != (n + 1,):
-        raise ParameterError(f"b must have length {n + 1}")
-    return _jacobian(_linear_jacobian(ops.D1_scaled, ops.D2_scaled, ops.mapped_nodes),
-                     problem, ops, b)
-
-
-# What the checks in front of each LU solve raise, in the order they run;
-# newton_solve and the lockstep scan loop raise the same messages.
-_NONFINITE_JACOBIAN = "Jacobian factorization failed: array must not contain infs or NaNs"
-_SINGULAR_JACOBIAN = "singular Jacobian: pivot below 1e-14 of the largest"
-_NONFINITE_RHS = "linear solve failed: right-hand side must not contain infs or NaNs"
-
-
-def _getrs_failed(info):
-    return f"linear solve failed: illegal value in argument {-info} of getrs"
-
-
-def _lu_solve_checked(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if not np.isfinite(jac).all():
-        raise NumericalError(_NONFINITE_JACOBIAN)
-    # LAPACK's getrf as scipy's lu_factor calls it, without lu_factor's
-    # LinAlgWarning on an exactly singular matrix: the pivot check raises then
-    lu, piv, _ = dgetrf(jac)
-    pivots = np.abs(np.diag(lu))
-    scale = pivots.max() if pivots.size else 0.0
-    if not np.isfinite(scale) or scale == 0.0 or pivots.min() < 1e-14 * scale:
-        raise NumericalError(_SINGULAR_JACOBIAN)
-    if not np.isfinite(rhs).all():
-        raise NumericalError(_NONFINITE_RHS)
-    # getrs as scipy's lu_solve calls it, the same bits without its wrapper
-    x, info = dgetrs(lu, piv, rhs)
-    if info != 0:
-        raise NumericalError(_getrs_failed(info))
-    return x
-
-
-def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSolution:
-    """Damped Newton iteration on the collocation system.
-
-    Starts from b_j = (1 + xm_j**2/3)**(-1/2), which satisfies both boundary
-    conditions and decays like the true solutions. Each step solves
-    J delta = -F by dense LU with partial pivoting, then halves the step
-    factor from 1 down to damping_min until the residual infinity-norm
-    decreases. The part of J that does not depend on b is assembled once per
-    solve. A stalled line search or an exhausted iteration budget returns a
-    non-converged result rather than raising.
-    """
-    ops = build_operators(config.basis_params())
-    xm = ops.mapped_nodes
-    linear = _linear_jacobian(ops.D1_scaled, ops.D2_scaled, xm)
-    b = (1.0 + xm**2 / 3.0) ** -0.5
-    b[0] = 1.0
-    res = assemble_residual(problem, ops, b)
-    norm = float(np.max(np.abs(res)))
-    history = [norm]
-    iterations = 0
-    while norm > config.newton_tol and iterations < config.max_iter:
-        delta = _lu_solve_checked(_jacobian(linear, problem, ops, b), -res)
-        # the boundary row is e_0 with zero residual, so delta[0] = 0 exactly;
-        # clamping removes LU roundoff and keeps b[0] = 1 bit-exact
-        delta[0] = 0.0
-        iterations += 1
-        step = 1.0
-        accepted = False
-        while step >= config.damping_min * (1.0 - 1e-12):
-            cand = b + step * delta
-            cand[0] = 1.0
-            cand_res = assemble_residual(problem, ops, cand)
-            cand_norm = float(np.max(np.abs(cand_res)))
-            if np.isfinite(cand_norm) and cand_norm < norm:
-                b, res, norm = cand, cand_res, cand_norm
-                history.append(norm)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # stalled: no step factor down to damping_min reduces the residual
-    return SpectralSolution(
-        b=b,
-        residual_norm=norm,
-        iterations=iterations,
-        converged=bool(norm <= config.newton_tol),
-        config_echo=config,
-        operators=ops,
-        residual_history=tuple(history),
-    )
-
-
-def _stacked_residual(problem: LaneEmdenProblem, d1, d2, xm, b) -> np.ndarray:
-    """assemble_residual for a stack of coefficient vectors along the leading
-    axes of b, against operators that broadcast to them.
-
-    Each vector gets the bits assemble_residual gives it alone: matmul makes
-    one dot (row 0 of D1_scaled) and one gemv per vector and product, the
-    calls that the 1-d products make, and the rest is elementwise. A gemm
-    against several vectors at once would change the bits.
-    """
-    n = b.shape[-1] - 1
-    col = b[..., None]
-    out = np.empty(b.shape)
-    out[..., 0] = b[..., 0] - 1.0
-    out[..., 1] = (d1[..., :1, :] @ col)[..., 0, 0]
-    out[..., 2:] = (
-        xm[..., 1:n] * (d2[..., 1:n, :] @ col)[..., 0]
-        + 2.0 * (d1[..., 1:n, :] @ col)[..., 0]
-        + xm[..., 1:n] * problem.g(b[..., 1:n])
-    )
-    return out
+    b = _coefficients(ops, b)
+    linear = _linear_jacobian(ops.D1_scaled, ops.D2_scaled, ops.mapped_nodes)
+    return _add_g_prime(linear, problem, ops.mapped_nodes, b)
 
 
 def _stacked_lu_solve(jac: np.ndarray, rhs: np.ndarray):
-    """_lu_solve_checked for a stack of systems, up to the first that fails.
+    """Checked dense LU solves of a stack of systems, up to the first that fails.
 
-    Returns (x, failure). With failure None, row i of x is member i's
-    solution, bit for bit; otherwise failure is what _lu_solve_checked raises
-    for the first member that fails a check, and x holds the members before
-    it. Each check runs once over the stack; getrf and getrs run per member,
-    since scipy's batched LU is a Python loop around them.
+    Returns (x, None), row i of x bit for bit what scipy's lu_factor and
+    lu_solve give for system i, or (solutions of the systems before it,
+    message) for the first system that fails a check. The checks run in this
+    order: finite Jacobian, no LU pivot below 1e-14 of the largest (without
+    lu_factor's LinAlgWarning on an exactly singular one), finite right-hand
+    side, getrs success.
     """
-    count, failure = len(jac), None
-    nonfinite = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))
-    if nonfinite.size:
-        count, failure = int(nonfinite[0]), _NONFINITE_JACOBIAN
-    factors = [dgetrf(a) for a in jac[:count]]
-    if factors:
-        pivots = np.abs(np.array([lu.diagonal() for lu, _, _ in factors]))
-        scale = pivots.max(axis=1)
-        singular = np.flatnonzero(~np.isfinite(scale) | (scale == 0.0)
-                                  | (pivots.min(axis=1) < 1e-14 * scale))
-        if singular.size:
-            count, failure = int(singular[0]), _SINGULAR_JACOBIAN
-    nonfinite = np.flatnonzero(~np.isfinite(rhs[:count]).all(axis=1))
-    if nonfinite.size:
-        count, failure = int(nonfinite[0]), _NONFINITE_RHS
-    x = np.empty((count, rhs.shape[1]))
-    for i in range(count):
-        lu, piv, _ = factors[i]
+    finite_jac = np.isfinite(jac).all(axis=(1, 2)).tolist()
+    finite_rhs = np.isfinite(rhs).all(axis=1).tolist()
+    x = np.empty(rhs.shape)
+    for i, a in enumerate(jac):
+        if not finite_jac[i]:
+            return x[:i], "Jacobian factorization failed: array must not contain infs or NaNs"
+        lu, piv, _ = dgetrf(a)
+        pivots = np.abs(lu.diagonal())
+        scale = pivots.max()
+        # false for a NaN or infinite scale as well
+        if not (0.0 < scale < math.inf and pivots.min() >= 1e-14 * scale):
+            return x[:i], "singular Jacobian: pivot below 1e-14 of the largest"
+        if not finite_rhs[i]:
+            return x[:i], "linear solve failed: right-hand side must not contain infs or NaNs"
         x[i], info = dgetrs(lu, piv, rhs[i])
         if info != 0:
-            return x[:i], _getrs_failed(info)
-    return x, failure
-
-
-def _stacked_operators(configs):
-    """build_operators for configs that differ only in L, scaled in one pass
-    over the grid. Returns the bundles and the read-only stacks of their
-    D1_scaled, D2_scaled and mapped_nodes; each bundle holds slices of them."""
-    first = configs[0]
-    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(first.n, first.alpha)
-    scales = np.array([config.L for config in configs])[:, None, None]
-    # the elementwise products and quotients scale_operators forms per L
-    d1 = d1m / scales
-    d2 = d2m / (scales * scales)
-    xm = scales[:, :, 0] * nodes.eta
-    for stack in (d1, d2, xm):
-        stack.setflags(write=False)
-    ops = [
-        DiffOperators(params=config.basis_params(), nodes=nodes, mapped_nodes=xm[i],
-                      D1_poly=d1p, D2_poly=d2p, D1_mgl=d1m, D2_mgl=d2m,
-                      D1_scaled=d1[i], D2_scaled=d2[i])
-        for i, config in enumerate(configs)
-    ]
-    return ops, d1, d2, xm
+            return x[:i], f"linear solve failed: illegal value in argument {-info} of getrs"
+    return x, None
 
 
 def _damping_ladder(damping_min) -> np.ndarray:
-    """The step factors newton_solve's line search tries, in order."""
+    """The step factors of the line search, halving from 1 down to damping_min."""
     ladder, step = [], 1.0
     while step >= damping_min * (1.0 - 1e-12):
         ladder.append(step)
@@ -419,78 +309,91 @@ def _damping_ladder(damping_min) -> np.ndarray:
 
 
 def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
-    """newton_solve for each config, with all members iterated side by side.
-
-    The configs may differ only in L. Every member gets the bits newton_solve
-    gives it alone: the same start, residuals, Jacobians, LU solves and line
-    search, evaluated on stacks of the members that are still iterating.
-    Each iteration evaluates every rung of the damping ladder for every
-    member in one stacked residual call; a member takes its first accepted
-    rung, the one newton_solve's halving stops at, or stalls where none is
-    accepted, and stops where newton_solve would stop. A member that fails a
-    check before its LU solve leaves the loop; the error of the first such
-    member in order is raised once the members before it have finished,
-    which is the error a loop of newton_solve raises.
+    """The damped Newton loop, run on configs that differ only in L, side by
+    side on stacks of the members still iterating; stacking changes no
+    member's bits. Each iteration evaluates every rung of the damping ladder
+    of every member in one residual call; a member takes the first rung that
+    reduces its residual, or stalls. A member that fails a check before its
+    LU solve drops out with the members after it, and its error is raised
+    once the members before it finish: the error a loop of newton_solve
+    raises.
     """
     if not configs:
         return []
-    ops, d1, d2, xm = _stacked_operators(configs)
+    ops, d1, d2, xm = _scaled_operators([config.basis_params() for config in configs])
     first = configs[0]
-    n = first.n
+    tol = first.newton_tol
     linear = _linear_jacobian(d1, d2, xm)
     ladder = _damping_ladder(first.damping_min)[:, None]
     b = (1.0 + xm**2 / 3.0) ** -0.5
     b[:, 0] = 1.0
     res = _stacked_residual(problem, d1, d2, xm, b)
-    norm = np.abs(res).max(axis=1)
-    histories = [[v] for v in norm.tolist()]
-    iterations = np.zeros(len(configs), dtype=int)
-    stalled = np.zeros(len(configs), dtype=bool)
-    interior = np.arange(1, n)
-    # members from `limit` on come after a failure; their results are never read
-    limit, failure = len(configs), None
-    while True:
-        live = np.flatnonzero(~stalled[:limit] & (norm[:limit] > first.newton_tol)
-                              & (iterations[:limit] < first.max_iter))
-        if not live.size:
-            break
-        jac = linear[live]
-        jac[:, interior + 1, interior] += xm[live][:, interior] * problem.g_prime(b[live][:, interior])
-        delta, failed = _stacked_lu_solve(jac, -res[live])
+    norm = np.abs(res).max(axis=1).tolist()
+    histories = [[v] for v in norm]
+    iterations = [0] * len(configs)
+    live = [i for i, v in enumerate(norm) if v > tol]
+    iteration, failure = 0, None
+    while live and iteration < first.max_iter:
+        iteration += 1
+        # a slice while every member iterates, which copies no stack
+        rows = slice(None) if len(live) == len(configs) else live
+        delta, failed = _stacked_lu_solve(_add_g_prime(linear[rows], problem, xm[rows], b[rows]),
+                                          -res[rows])
         if failed is not None:
-            limit, failure = live[len(delta)], failed
-            live = live[:len(delta)]
-        # the boundary row is e_0 with zero residual, as in newton_solve
+            failure, live = failed, live[:len(delta)]
+            if not live:
+                break
+            rows = live
+        # the boundary row is e_0 with zero residual, so delta[0] = 0 exactly;
+        # clamping removes LU roundoff and keeps b[0] = 1 bit-exact on every rung
         delta[:, 0] = 0.0
-        iterations[live] += 1
-        # cand[i, r] is member live[i] stepped by rung r
-        cand = b[live][:, None] + ladder * delta[:, None]
-        cand[:, :, 0] = 1.0
-        cand_res = _stacked_residual(problem, d1[live][:, None], d2[live][:, None],
-                                     xm[live][:, None], cand)
-        cand_norm = np.abs(cand_res).max(axis=2)
-        accepted = np.isfinite(cand_norm) & (cand_norm < norm[live][:, None])
-        took = accepted.any(axis=1)
-        rung = accepted.argmax(axis=1)[took]
-        won = live[took]
-        b[won], res[won], norm[won] = (a[took, rung] for a in (cand, cand_res, cand_norm))
-        for i, v in zip(won.tolist(), norm[won].tolist()):
-            histories[i].append(v)
-        stalled[live[~took]] = True
+        # cand[j, r] is member live[j] stepped by rung r
+        cand = b[rows, None] + ladder * delta[:, None]
+        cand_res = _stacked_residual(problem, d1[rows, None], d2[rows, None], xm[rows, None], cand)
+        still = []
+        for j, (i, cand_norms) in enumerate(zip(live, np.abs(cand_res).max(axis=2).tolist())):
+            iterations[i] = iteration
+            # the first rung that reduces the residual; a NaN or inf never does
+            for r, v in enumerate(cand_norms):
+                if v < norm[i]:
+                    break
+            else:
+                continue  # stalled: no rung down to damping_min reduces the residual
+            b[i], res[i], norm[i] = cand[j, r], cand_res[j, r], v
+            histories[i].append(norm[i])
+            if norm[i] > tol:
+                still.append(i)
+        live = still
     if failure is not None:
         raise NumericalError(failure)
     return [
         SpectralSolution(
             b=b[i].copy(),
-            residual_norm=float(norm[i]),
-            iterations=int(iterations[i]),
-            converged=bool(norm[i] <= config.newton_tol),
+            residual_norm=norm[i],
+            iterations=iterations[i],
+            converged=norm[i] <= config.newton_tol,
             config_echo=config,
             operators=ops[i],
             residual_history=tuple(histories[i]),
         )
         for i, config in enumerate(configs)
     ]
+
+
+def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSolution:
+    """Damped Newton iteration on the collocation system.
+
+    Starts from b_j = (1 + xm_j**2/3)**(-1/2), which satisfies both boundary
+    conditions and decays like the true solutions. Each step solves
+    J delta = -F by dense LU with partial pivoting, then takes the largest
+    step factor of 1, 1/2, 1/4, ... down to damping_min that decreases the
+    residual infinity-norm. The part of J that does not depend on b is
+    assembled once per solve. A stalled line search or an exhausted iteration
+    budget returns a non-converged result rather than raising; a non-finite
+    or singular Jacobian raises NumericalError. This is the one-member case
+    of the loop scan_L_reports runs.
+    """
+    return _lockstep_newton_solve(problem, [config])[0]
 
 
 @dataclass(frozen=True)
@@ -517,14 +420,15 @@ def scan_L_reports(m, n, alpha, grid, tol=1e-12, max_iter=100):
     All the map scales are solved together, in one Newton loop over stacked
     systems; each result is bitwise what newton_solve gives for that L alone,
     and a failing scan raises the error a loop of newton_solve would raise.
+    A grid entry that is not a valid map scale raises ParameterError once the
+    entries before it are solved.
     """
     problem = LaneEmdenProblem(m)
     configs, invalid = [], None
     for L in grid:
         try:
-            configs.append(SolverConfig(n=n, alpha=alpha, L=float(L),
-                                        newton_tol=tol, max_iter=max_iter))
-        except (TypeError, ValueError) as exc:
+            configs.append(SolverConfig(n=n, alpha=alpha, L=L, newton_tol=tol, max_iter=max_iter))
+        except ParameterError as exc:
             # a loop of solves raises it once the members before it are solved
             invalid = exc
             break
@@ -536,12 +440,12 @@ def scan_L_reports(m, n, alpha, grid, tol=1e-12, max_iter=100):
     best = min(converged, key=tails.__getitem__, default=None)
     return [
         CoefficientDecayReport(
-            L=float(L),
+            L=s.config_echo.L,
             converged=bool(s.converged),
             recommended=(i == best),
             tail_magnitude=tails[i],
             coeff_abs=tuple(float(a) for a in np.abs(s.b)),
             solution=s,
         )
-        for i, (L, s) in enumerate(zip(grid, solutions))
+        for i, s in enumerate(solutions)
     ]

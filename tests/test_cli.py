@@ -21,7 +21,7 @@ from emden.cli import (
     run_scan_L,
     run_solve,
 )
-from emden.solver import _lockstep_newton_solve, newton_solve
+from emden.solver import _lockstep_newton_solve
 
 
 def run_json(capsys, argv):
@@ -218,18 +218,13 @@ class TestReproduceTablesCommand:
     def test_each_setup_solved_once_at_the_given_tol(self, tol, monkeypatch, capsys):
         calls = []
 
-        def counted(problem, config):
-            calls.append((problem.m, config.n, config.L, config.newton_tol))
-            return newton_solve(problem, config)
-
-        def counted_scan(problem, configs):
-            # a scan solves its members together; each one counts as a solve
+        def counted(problem, configs):
+            # every solve runs through the one Newton loop, a single solve as
+            # a one-member stack and a scan with all its members together
             calls.extend((problem.m, c.n, c.L, c.newton_tol) for c in configs)
             return _lockstep_newton_solve(problem, configs)
 
-        monkeypatch.setattr(emden.cli, "newton_solve", counted)
-        monkeypatch.setattr(emden.solver, "newton_solve", counted)
-        monkeypatch.setattr(emden.solver, "_lockstep_newton_solve", counted_scan)
+        monkeypatch.setattr(emden.solver, "_lockstep_newton_solve", counted)
         assert main(["reproduce-tables", "--tol", repr(tol)]) in (EXIT_OK, EXIT_MISMATCH)
         capsys.readouterr()
         # the m=3 profile solve, then a 15-point scan each for m=2 and m=4

@@ -550,6 +550,26 @@ class TestFirstZeroOf:
         result = first_zero_of(lambda x: x)
         assert result.x_star == 0.0
 
+    @pytest.mark.parametrize("f", [
+        lambda x: 1.0,
+        lambda x: np.cos(x)[:5],  # the sign change at pi/2 lies past the fifth point
+        lambda x: np.cos(x)[:, None],
+        lambda x: np.append(np.cos(x), 1.0),
+    ], ids=["scalar", "short", "column", "long"])
+    def test_scan_values_not_one_per_point_raise(self, f):
+        with pytest.raises(ParameterError, match="one value per point"):
+            first_zero_of(f)
+
+    @pytest.mark.parametrize("wrong", [lambda y: y[:-1], lambda y: float(y[0])],
+                             ids=["short", "scalar"])
+    def test_walk_values_not_one_per_point_raise(self, wrong):
+        # the scan's first block holds 257 points, every walk path at most 200
+        def f(x):
+            return np.cos(x) if x.size > 200 else wrong(np.cos(x))
+
+        with pytest.raises(ParameterError, match="one value per point"):
+            first_zero_of(f)
+
 
 class TestSpectralFirstZero:
     def test_canonical_regression(self):
@@ -632,6 +652,20 @@ class TestProfilesAndComparison:
         with pytest.raises(ParameterError):
             compare_profiles(prof, lambda x: 0.0, np.array([0.0, 3.0]))
 
+    def test_compare_rejects_an_empty_grid(self):
+        prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
+        with pytest.raises(ParameterError, match="empty"):
+            compare_profiles(prof, lambda x: closed_form(0.0, x), [])
+
+    @pytest.mark.parametrize("xs", [None, [0.5, 1.0, 1.5]])
+    @pytest.mark.parametrize("evaluator", [lambda x: 0.0, lambda x: np.zeros(2),
+                                           lambda x: np.zeros((len(x), 1))],
+                             ids=["scalar", "short", "column"])
+    def test_compare_rejects_values_not_one_per_point(self, evaluator, xs):
+        prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
+        with pytest.raises(ParameterError, match="one value per point"):
+            compare_profiles(prof, evaluator, xs)
+
 
 class TestEmbeddedReferences:
     def test_horedt_profile(self):
@@ -656,6 +690,18 @@ class TestEmbeddedReferences:
         assert method_reference_first_zero(3.0) == (7, 6.896849)
         assert method_reference_first_zero(2.0) == (6, 4.352875)
         assert method_reference_first_zero(4.0) == (6, 14.971546)
+
+    @pytest.mark.parametrize("lookup", [horedt_reference, first_zero_reference,
+                                        method_reference_profile, method_reference_first_zero])
+    @pytest.mark.parametrize("m", [None, "x", "3", [3.0], True])
+    def test_index_that_is_not_a_real_number(self, lookup, m):
+        with pytest.raises(ParameterError, match="m must be a real number"):
+            lookup(m)
+
+    def test_integer_and_numpy_indices(self):
+        assert first_zero_reference(3) == first_zero_reference(np.float64(3.0)) == 6.89684862
+        assert method_reference_first_zero(np.int64(2)) == (6, 4.352875)
+        assert horedt_reference(3).m == method_reference_profile(np.float32(3.0)).m == 3.0
 
     def test_unsupported_indices(self):
         with pytest.raises(ParameterError):

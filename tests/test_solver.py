@@ -17,7 +17,6 @@ from emden.solver import (
     SolverConfig,
     SpectralSolution,
     _lockstep_newton_solve,
-    _lu_solve_checked,
     _stacked_lu_solve,
     assemble_jacobian,
     assemble_residual,
@@ -53,6 +52,22 @@ def solve(m, n, L, **kw):
     return newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L, **kw))
 
 
+def reference_residual(problem, ops, b):
+    """assemble_residual as it was before it evaluated stacks: 1-d products."""
+    n = ops.n
+    xm = ops.mapped_nodes
+    interior = slice(1, n)
+    out = np.empty(n + 1)
+    out[0] = b[0] - 1.0
+    out[1] = ops.D1_scaled[0] @ b
+    out[2:] = (
+        xm[interior] * (ops.D2_scaled[interior] @ b)
+        + 2.0 * (ops.D1_scaled[interior] @ b)
+        + xm[interior] * problem.g(b[interior])
+    )
+    return out
+
+
 def reference_jacobian(problem, ops, b):
     """assemble_jacobian as it was when every Newton iteration rebuilt it."""
     b = np.asarray(b, dtype=float)
@@ -70,7 +85,8 @@ def reference_jacobian(problem, ops, b):
 
 
 def reference_lu_solve_checked(jac, rhs):
-    """_lu_solve_checked as it was, solving through scipy's lu_solve."""
+    """The checked LU solve of one system, through scipy's lu_solve, raising
+    the messages of the solver's checks in their order."""
     if not np.isfinite(jac).all():
         raise NumericalError("Jacobian factorization failed: array must not contain infs or NaNs")
     lu, piv, _ = dgetrf(jac)
@@ -78,17 +94,20 @@ def reference_lu_solve_checked(jac, rhs):
     scale = pivots.max() if pivots.size else 0.0
     if not np.isfinite(scale) or scale == 0.0 or pivots.min() < 1e-14 * scale:
         raise NumericalError("singular Jacobian: pivot below 1e-14 of the largest")
+    if not np.isfinite(rhs).all():
+        raise NumericalError("linear solve failed: right-hand side must not contain infs or NaNs")
     return lu_solve((lu, piv), rhs)
 
 
 def reference_newton_solve(problem, config):
-    """The Newton loop that rebuilds the Jacobian every iteration, kept as the
-    reference newton_solve must equal bit for bit, on an uncached build."""
+    """The Newton loop that rebuilds the Jacobian every iteration and halves
+    its step one residual at a time, kept as the reference newton_solve and
+    every scan member must equal bit for bit, on an uncached build."""
     ops = uncached_build_operators(config.basis_params())
     xm = ops.mapped_nodes
     b = (1.0 + xm**2 / 3.0) ** -0.5
     b[0] = 1.0
-    res = assemble_residual(problem, ops, b)
+    res = reference_residual(problem, ops, b)
     norm = float(np.max(np.abs(res)))
     history = [norm]
     iterations = 0
@@ -102,7 +121,7 @@ def reference_newton_solve(problem, config):
         while step >= config.damping_min * (1.0 - 1e-12):
             cand = b + step * delta
             cand[0] = 1.0
-            cand_res = assemble_residual(problem, ops, cand)
+            cand_res = reference_residual(problem, ops, cand)
             cand_norm = float(np.max(np.abs(cand_res)))
             if np.isfinite(cand_norm) and cand_norm < norm:
                 b, res, norm = cand, cand_res, cand_norm
@@ -290,6 +309,21 @@ class TestAssembly:
                     + xm[1] * b[1] ** 3)
         assert F[2] == pytest.approx(expected, rel=1e-14)
 
+    def test_residual_equals_the_1d_reference(self):
+        # a coefficient vector alone gets the bits it gets in any stack
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = float(rng.choice([0.0, 1.0, 2.0, 3.0, rng.uniform(0.0, 5.0)]))
+            n, alpha = int(rng.integers(1, 31)), float(rng.uniform(-0.9, 4.0))
+            ops = build_operators(BasisParams(n=n, alpha=alpha, L=float(np.exp(rng.uniform(-3, 1.4)))))
+            b = rng.standard_normal(n + 1) * rng.uniform(0.01, 3.0)
+            problem = LaneEmdenProblem(m)
+            F = assemble_residual(problem, ops, b)
+            assert bits(F) == bits(reference_residual(problem, ops, b))
+            stack = emden.solver._stacked_residual(problem, ops.D1_scaled, ops.D2_scaled,
+                                                   ops.mapped_nodes, np.stack([-b, b]))
+            assert bits(stack[1]) == bits(F)
+
     def test_last_node_not_collocated(self):
         # the square system uses rows 0..n-1 of the operators plus the two
         # boundary rows; perturbing only the equation at the last node cannot
@@ -429,30 +463,34 @@ class TestNewtonSolve:
     def test_singular_system_raises(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning ahead of the typed error fails
-            with pytest.raises(NumericalError):
-                _lu_solve_checked(np.zeros((3, 3)), np.ones(3))
+            x, failure = _stacked_lu_solve(np.zeros((1, 3, 3)), np.ones((1, 3)))
+        assert failure.startswith("singular Jacobian")
+        assert x.shape == (0, 3)
 
     def test_non_finite_system_raises(self):
         jac = np.eye(3)
         jac[2, 0] = np.nan
-        with pytest.raises(NumericalError, match="factorization failed"):
-            _lu_solve_checked(jac, np.ones(3))
+        x, failure = _stacked_lu_solve(jac[None], np.ones((1, 3)))
+        assert failure.startswith("Jacobian factorization failed")
+        assert x.shape == (0, 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_right_hand_side_raises(self, bad):
         rhs = np.ones(3)
         rhs[1] = bad
-        with pytest.raises(NumericalError, match="right-hand side"):
-            _lu_solve_checked(np.eye(3), rhs)
+        x, failure = _stacked_lu_solve(np.eye(3)[None], rhs[None])
+        assert failure.startswith("linear solve failed: right-hand side")
+        assert x.shape == (0, 3)
 
     def test_solve_equals_scipy_lu_solve(self):
         rng = np.random.default_rng(17)
         for n in list(range(2, 32)) * 3:
             jac = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0, n)
             rhs = rng.standard_normal(n)
-            x = _lu_solve_checked(jac, rhs)
-            assert bits(x) == bits(lu_solve(lu_factor(jac), rhs))
-            assert x is not rhs
+            x, failure = _stacked_lu_solve(jac[None], rhs[None])
+            assert failure is None
+            assert bits(x[0]) == bits(lu_solve(lu_factor(jac), rhs))
+            assert not np.shares_memory(x, rhs)
 
     def test_iteration_budget_respected(self):
         sol = solve(3.0, 7, 1.0, max_iter=3)
@@ -476,6 +514,40 @@ class TestNewtonSolve:
         assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
         assert bits(assemble_jacobian(problem, sol.operators, sol.b)) == \
             bits(reference_jacobian(problem, ref.operators, ref.b))
+
+    @pytest.mark.parametrize("m,config,ends", [
+        # the start guess meets the tolerance: the interior rows scale like 1/L
+        (3.0, SolverConfig(n=7, L=1e20), "converged"),
+        # a one-rung ladder: every step is the full Newton step or a stall
+        (2.0, SolverConfig(n=6, L=2.0, damping_min=1.0), "stalled"),
+        (3.0, SolverConfig(n=7, L=1.0, damping_min=1.0), "converged"),
+        # driven to the round-off floor, where a rung can only match the norm
+        (3.0, SolverConfig(n=7, L=1.0, newton_tol=1e-300), "stalled"),
+        (1.0, SolverConfig(n=7, L=1.0, newton_tol=1e-300), "stalled"),
+        # the member of FAILING_SCAN whose Jacobian turns singular
+        (FAILING_SCAN[0], SolverConfig(n=FAILING_SCAN[1], alpha=FAILING_SCAN[2], L=2.0),
+         "singular Jacobian"),
+    ])
+    def test_edge_cases_equal_the_reference_loop(self, m, config, ends):
+        problem = LaneEmdenProblem(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if ends.startswith("singular"):
+                with pytest.raises(NumericalError) as ref:
+                    reference_newton_solve(problem, config)
+                with pytest.raises(NumericalError) as sol:
+                    newton_solve(problem, config)
+                assert str(sol.value) == str(ref.value)
+                assert str(ref.value).startswith(ends)
+                return
+            sol = newton_solve(problem, config)
+            ref = reference_newton_solve(problem, config)
+        assert bits(sol.b) == bits(ref.b)
+        assert bits(sol.residual_history) == bits(ref.residual_history)
+        assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+        assert ending(sol, config.max_iter) == ends
+        if config.L == 1e20:
+            assert sol.iterations == 0 and sol.residual_history == (sol.residual_norm,)
 
     def test_sample_covers_every_way_a_solve_ends(self):
         outcomes = set()
@@ -504,12 +576,14 @@ class TestScanLReports:
 
     @pytest.mark.parametrize("m,n,alpha,grid,tol,max_iter", SCAN_SAMPLE)
     def test_each_member_equals_newton_solve_bitwise(self, m, n, alpha, grid, tol, max_iter):
+        # newton_solve is the one-member scan, so the members are held to the
+        # reference loop that newton_solve itself equals
         problem = LaneEmdenProblem(m)
         reports = scan_L_reports(m, n, alpha, np.array(grid), tol=tol, max_iter=max_iter)
         assert [r.L for r in reports] == list(grid)
         for report, L in zip(reports, grid):
             config = SolverConfig(n=n, alpha=alpha, L=L, newton_tol=tol, max_iter=max_iter)
-            ref = newton_solve(problem, config)
+            ref = reference_newton_solve(problem, config)
             sol = report.solution
             assert sol.config_echo == config
             assert bits(sol.b) == bits(ref.b)
@@ -538,13 +612,13 @@ class TestScanLReports:
 
     @pytest.mark.parametrize("damping_min", [1.0, 0.3, 0.125 * (1.0 + 1e-13), 2.0**-20])
     def test_other_damping_floors_equal_newton_solve(self, damping_min):
-        # the ladder stops where newton_solve's halving stops, rung for rung
+        # the ladder stops where the reference loop's halving stops, rung for rung
         problem = LaneEmdenProblem(2.0)
         configs = [SolverConfig(n=6, L=L, damping_min=damping_min)
                    for L in np.linspace(0.5, 4.0, 15).tolist()]
         outcomes = set()
         for sol, config in zip(_lockstep_newton_solve(problem, configs), configs):
-            ref = newton_solve(problem, config)
+            ref = reference_newton_solve(problem, config)
             assert bits(sol.b) == bits(ref.b)
             assert bits(sol.residual_history) == bits(ref.residual_history)
             assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
@@ -575,10 +649,10 @@ class TestScanLReports:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for L in grid[:6]:
-                newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=L))
+                reference_newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=L))
             with pytest.raises(NumericalError) as serial:
                 for L in grid:
-                    newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=L))
+                    reference_newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=L))
             with pytest.raises(NumericalError) as scan:
                 scan_L_reports(m, n, alpha, np.array(grid))
         assert str(serial.value).startswith("singular Jacobian")
@@ -595,10 +669,10 @@ class TestScanLReports:
         configs = [SolverConfig(n=n, alpha=alpha, L=L) for L in (2.5, 0.5)]
         with np.errstate(divide="ignore"):
             with pytest.raises(NumericalError, match="factorization failed"):
-                newton_solve(problem, configs[1])
+                reference_newton_solve(problem, configs[1])
             with pytest.raises(NumericalError) as serial:
                 for config in configs:
-                    newton_solve(problem, config)
+                    reference_newton_solve(problem, config)
             with pytest.raises(NumericalError) as scan:
                 _lockstep_newton_solve(problem, configs)
         assert str(serial.value).startswith("singular Jacobian")
@@ -613,13 +687,42 @@ class TestScanLReports:
         with pytest.raises(ParameterError):
             scan_L_reports(3.0, 7, 1.0, [1.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [None, "a", "1.0", [1.0], True, float("nan")])
+    def test_a_grid_entry_that_is_not_a_map_scale(self, bad):
+        with pytest.raises(ParameterError, match="^L must be"):
+            scan_L_reports(3.0, 7, 1.0, [1.0, bad])
+        m, n, alpha, grid = FAILING_SCAN
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError, match="singular Jacobian"):
+                scan_L_reports(m, n, alpha, list(grid) + [bad])
+
+    def test_report_L_is_the_solved_float(self):
+        reports = scan_L_reports(3.0, 7, 1.0, [1, np.float32(0.5), np.int64(2)])
+        assert [type(r.L) for r in reports] == [float] * 3
+        assert [r.L for r in reports] == [r.solution.config_echo.L for r in reports] == [1.0, 0.5, 2.0]
+
 
 class TestStackedLuSolve:
+    @pytest.mark.parametrize("jac,rhs,message", [
+        ([[np.nan, 0.0], [0.0, 1.0]], [np.inf, 1.0], "Jacobian factorization failed"),
+        ([[0.0, 0.0], [0.0, 1.0]], [np.nan, 1.0], "singular Jacobian"),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0], "linear solve failed: right-hand side"),
+    ])
+    def test_a_system_failing_several_checks_reports_the_first(self, jac, rhs, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, failure = _stacked_lu_solve(np.array([np.eye(2), jac]), np.array([[1.0, 2.0], rhs]))
+        assert failure.startswith(message)
+        assert bits(x) == bits([[1.0, 2.0]])
+        with pytest.raises(NumericalError, match=f"^{message}"):
+            reference_lu_solve_checked(np.array(jac), np.array(rhs))
+
     @pytest.mark.parametrize("seed", range(40))
     def test_equals_a_loop_of_checked_solves(self, seed):
         # members may carry a NaN or inf Jacobian, an exactly singular one or
         # a non-finite right-hand side; the stack stops at the first member
-        # that a loop of _lu_solve_checked raises for, with its message
+        # that a loop of the reference checked solve raises for, with its message
         rng = np.random.default_rng(seed)
         k, size = int(rng.integers(1, 8)), int(rng.integers(2, 18))
         jac = rng.standard_normal((k, size, size)) * rng.uniform(0.1, 10.0, (k, 1, size))
@@ -638,7 +741,7 @@ class TestStackedLuSolve:
             warnings.simplefilter("error")
             for i in range(k):
                 try:
-                    expected.append(_lu_solve_checked(jac[i], rhs[i]))
+                    expected.append(reference_lu_solve_checked(jac[i], rhs[i]))
                 except NumericalError as exc:
                     message = str(exc)
                     break
@@ -668,3 +771,18 @@ class TestConfigValidation:
         assert params.n == 9
         assert params.alpha == 0.5
         assert params.L == 2.0
+
+    def test_basis_params_built_once(self, monkeypatch):
+        config = SolverConfig(n=9, alpha=0.5, L=2.0)
+        assert config.basis_params() is config.basis_params()
+        assert config == SolverConfig(n=9, alpha=0.5, L=2.0)
+        assert hash(config) == hash(SolverConfig(n=9, alpha=0.5, L=2.0))
+        assert repr(config) == ("SolverConfig(n=9, alpha=0.5, L=2.0, newton_tol=1e-12, "
+                                "max_iter=100, damping_min=0.015625)")
+        # a solve and every scan member use their config's params, not a copy
+        configs = [SolverConfig(n=7, L=L) for L in (0.5, 1.0)]
+        monkeypatch.setattr(emden.solver, "BasisParams", None)
+        sol = newton_solve(LaneEmdenProblem(3.0), config)
+        assert sol.operators.params is config.basis_params()
+        for sol, config in zip(_lockstep_newton_solve(LaneEmdenProblem(3.0), configs), configs):
+            assert sol.operators.params is config.basis_params()
