@@ -40,6 +40,7 @@ from emden.solver import (
     assemble_residual,
     newton_solve,
 )
+from conftest import STALLED_ARGV
 
 # converged setups used wherever a criterion needs one per polytropic index
 CONVERGED_SETUPS = {
@@ -264,7 +265,7 @@ def test_criterion_7_cli_contract(tmp_path, capsys):
     # exit contract
     assert main(["solve", "--m", "3"]) == EXIT_USAGE
     capsys.readouterr()
-    assert main(["solve", "--m", "2", "--n", "8", "--L", "2"]) == EXIT_NOT_CONVERGED
+    assert main(["solve"] + STALLED_ARGV) == EXIT_NOT_CONVERGED
     capsys.readouterr()
     assert main(["first-zero", "--m", "5", "--n", "10"]) == EXIT_NO_ZERO
     capsys.readouterr()

@@ -22,6 +22,7 @@ from emden.cli import (
     run_solve,
 )
 from emden.solver import _lockstep_newton_solve
+from conftest import STALLED_ARGV
 
 
 def run_json(capsys, argv):
@@ -82,7 +83,7 @@ class TestSolveCommand:
         assert evals[-1][0] == pytest.approx(1.2 * 6.79648150, abs=1e-4)
 
     def test_non_convergence_still_emits(self, capsys):
-        status, doc = run_json(capsys, ["solve", "--m", "2", "--n", "8", "--L", "2"])
+        status, doc = run_json(capsys, ["solve"] + STALLED_ARGV)
         assert status == EXIT_NOT_CONVERGED
         assert doc["solution"]["converged"] is False
         assert len(doc["evaluations"]) == 201
@@ -131,7 +132,7 @@ class TestFirstZeroCommand:
         assert "no sign change" in doc["reason"]
 
     def test_non_convergence_exit(self, capsys):
-        status, doc = run_json(capsys, ["first-zero", "--m", "2", "--n", "8", "--L", "2"])
+        status, doc = run_json(capsys, ["first-zero"] + STALLED_ARGV)
         assert status == EXIT_NOT_CONVERGED
         assert doc["first_zero"] is None
 
@@ -173,8 +174,8 @@ class TestScanLCommand:
         assert by_L[1.0]["converged"]
 
     def test_all_failed_exit(self, capsys):
-        status, doc = run_json(capsys, ["scan-L", "--m", "2", "--n", "8",
-                                        "--L-grid", "2.0:3.0:3"])
+        status, doc = run_json(capsys, ["scan-L", "--m", "3", "--n", "6",
+                                        "--L-grid", "4:4:1"])
         assert status == EXIT_NOT_CONVERGED
         assert doc["recommended_L"] is None
         assert all(not r["converged"] for r in doc["records"])

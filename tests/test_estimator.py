@@ -7,6 +7,7 @@ from emden.laguerre import BasisParams
 from emden.operators import build_operators, eval_hat_interpolant
 from emden.reference import closed_form
 from emden.solver import LaneEmdenProblem, SolverConfig, newton_solve
+from conftest import STALLED
 
 
 class TestParams:
@@ -86,7 +87,8 @@ class TestFitPredict:
         assert err <= 1e-3
 
     def test_non_convergence_warns(self):
-        est = LaneEmdenSolver(m=2.0, n=8, L=2.0)
+        m, n, L = STALLED
+        est = LaneEmdenSolver(m=m, n=n, L=L)
         with pytest.warns(ConvergenceWarning):
             est.fit()
         assert not est.converged_
@@ -111,9 +113,10 @@ class TestFitPredict:
         assert est.get_params()["n"] == 40
 
     def test_unconverged_refit_keeps_its_own_result(self):
+        m, n, L = STALLED
         est = LaneEmdenSolver(m=3.0, n=7).fit()
         with pytest.warns(ConvergenceWarning):
-            est.set_params(m=2.0, n=8, L=2.0).fit()
+            est.set_params(m=m, n=n, L=L).fit()
         assert not est.converged_
-        assert len(est.coefficients_) - 1 == 8
+        assert len(est.coefficients_) - 1 == n
         assert est.predict([0.0])[0] == pytest.approx(1.0)

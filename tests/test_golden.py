@@ -33,6 +33,9 @@ CASES = {
     "scan-L_m2.5_n9_alpha0.5": ["scan-L", "--m", "2.5", "--n", "9", "--alpha", "0.5",
                                 "--tol", "1e-10", "--max-iter", "6",
                                 "--L-grid", "0.3:3.5:11"],
+    "solve_m3_n6_L4": ["solve", "--m", "3", "--n", "6", "--L", "4"],
+    "first-zero_m3_n6_L4": ["first-zero", "--m", "3", "--n", "6", "--L", "4"],
+    "scan-L_m3_n6_L4": ["scan-L", "--m", "3", "--n", "6", "--L-grid", "4:4:1"],
 }
 FORMATS = ("json", "csv")
 

@@ -28,6 +28,7 @@ from emden.reference import (
 )
 from emden.solver import LaneEmdenProblem, SolverConfig, newton_solve, pow_signed, pow_signed_scalar
 from emden.validation import check_real
+from conftest import STALLED
 
 
 class TestClosedForm:
@@ -581,9 +582,10 @@ class TestSpectralFirstZero:
         assert abs(val) <= 1e-12
 
     def test_requires_convergence(self):
-        sol = newton_solve(LaneEmdenProblem(2.0), SolverConfig(n=8, L=2.0))
+        m, n, L = STALLED
+        sol = newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L))
         assert not sol.converged
-        ops = build_operators(BasisParams(n=8, L=2.0))
+        ops = build_operators(BasisParams(n=n, L=L))
         with pytest.raises(ParameterError):
             first_zero(sol, ops)
 

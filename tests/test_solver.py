@@ -25,6 +25,7 @@ from emden.solver import (
     pow_signed_deriv,
     scan_L_reports,
 )
+from conftest import STALLED
 from test_operators import assert_same_bits, uncached_build_operators
 
 # Regression anchors for the canonical m=3, n=7, L=1 solve, recorded from this
@@ -454,7 +455,7 @@ class TestNewtonSolve:
             assert abs(ypp + 2.0 / x * yp + f(x) ** 3) <= 1e-6
 
     def test_stall_reports_non_convergence(self):
-        sol = solve(2.0, 8, 2.0)
+        sol = solve(*STALLED)
         assert not sol.converged
         assert sol.residual_norm > 1e-12
         hist = np.array(sol.residual_history)
@@ -613,7 +614,7 @@ class TestScanLReports:
     @pytest.mark.parametrize("damping_min", [1.0, 0.3, 0.125 * (1.0 + 1e-13), 2.0**-20])
     def test_other_damping_floors_equal_newton_solve(self, damping_min):
         # the ladder stops where the reference loop's halving stops, rung for rung
-        problem = LaneEmdenProblem(2.0)
+        problem = LaneEmdenProblem(3.0)
         configs = [SolverConfig(n=6, L=L, damping_min=damping_min)
                    for L in np.linspace(0.5, 4.0, 15).tolist()]
         outcomes = set()
