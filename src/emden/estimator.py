@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConvergenceWarning, NotFittedError, ParameterError
 from .operators import eval_hat_interpolant
 from .solver import LaneEmdenProblem, SolverConfig, newton_solve
+from .validation import as_points
 
 __all__ = ["LaneEmdenSolver"]
 
@@ -100,7 +101,7 @@ class LaneEmdenSolver:
         column); returns a 1-d array."""
         if not hasattr(self, "coefficients_"):
             raise NotFittedError("this LaneEmdenSolver is not fitted yet; call fit() first")
-        arr = np.asarray(X, dtype=float)
+        arr = as_points(X, "X")
         if arr.ndim == 2 and arr.shape[1] == 1:
             arr = arr[:, 0]
         if arr.ndim > 1:

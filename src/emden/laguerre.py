@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError, ParameterError, RangeError
-from .validation import check_integer, check_real
+from .validation import as_points, check_integer, check_real
 
 __all__ = [
     "MAX_DEGREE",
@@ -179,10 +179,7 @@ def eval_mgl(params: BasisParams, n_index, x):
     Defined for x >= 0 only (the half-line weight); x may be scalar or array.
     """
     n_index = _check_degree(n_index)
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ParameterError("x must be nonnegative")
-    t = arr / params.L
+    t = as_points(x) / params.L
     values = np.exp(-t / 2.0) * eval_laguerre_all(n_index, params.alpha, t)[-1]
     return float(values) if values.ndim == 0 else values
 

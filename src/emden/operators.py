@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .laguerre import MAX_ARGUMENT, BasisParams, RadauNodeSet, eval_laguerre_all, radau_nodes
-from .validation import check_real
+from .validation import as_points, check_real
 
 __all__ = [
     "DiffOperators",
@@ -222,9 +222,7 @@ def eval_hat_interpolant(ops: DiffOperators, b, x):
     b = np.asarray(b, dtype=float)
     if b.shape != (ops.n + 1,):
         raise ParameterError(f"coefficient vector must have length {ops.n + 1}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ParameterError("x must be nonnegative")
+    arr = as_points(x)
     pts = arr.reshape(-1)
     t = pts / ops.params.L
     # x/L can round past the edge by one ulp

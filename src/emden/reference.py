@@ -20,7 +20,7 @@ from .errors import NoZeroFound, NumericalError, ParameterError
 from .laguerre import MAX_ARGUMENT
 from .operators import DiffOperators, eval_hat_interpolant
 from .solver import SpectralSolution, pow_signed_scalar
-from .validation import as_float_grid, check_real
+from .validation import as_float_grid, as_points, check_real
 
 __all__ = [
     "ReferenceProfile",
@@ -149,9 +149,7 @@ class ErrorReport:
 def closed_form(m, x):
     """Exact solutions: m=0 parabola, m=1 sin(x)/x, m=5 inverse square root."""
     m = check_real("m", m)
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ParameterError("x must be nonnegative")
+    arr = as_points(x)
     if m == 0.0:
         out = 1.0 - arr**2 / 6.0
     elif m == 1.0:

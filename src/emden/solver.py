@@ -6,9 +6,10 @@ vanishing first derivative) with the interior rows
     xm_i * (D2_scaled b)_i + 2 * (D1_scaled b)_i + xm_i * g(b_i) = 0
 
 collocated at nodes i = 1..n-1; the last interior node carries no equation,
-which makes the system square. The nonlinearity g defaults to the signed
-power law y^m; an internal callback slot exists so scale-covariance can be
-tested exactly, but only the power law is public.
+which makes the system square. The nonlinearity g defaults to the odd
+power law sign(y)|y|^m, one rule for every m > 0, and to g = 1 at m = 0; an
+internal callback slot exists so scale-covariance can be tested exactly, but
+only the power law is public.
 
 newton_solve and scan_L_reports share one damped Newton loop: a scan
 iterates the systems of its map scales side by side on stacks of their
@@ -45,9 +46,12 @@ __all__ = [
 
 
 def pow_signed(y, m):
-    """sign(y)*|y|**m for non-integer m; the plain integer power otherwise.
+    """sign(y)*|y|**m, the odd extension, for every m > 0; 1 for m = 0.
 
-    The odd extension keeps transiently negative Newton iterates real-valued.
+    One rule for every m keeps g from changing form between neighbouring
+    indices and keeps negative Newton iterates real-valued. m = 0 keeps
+    g = 1: its solution 1 - x**2/6 holds on the whole half line, where sign(y)
+    would cut it off at its zero and stall the linear problem's Newton solve.
     0**0 evaluates to 1.
     """
     return _pow_signed(y, check_real("m", m, minimum=0.0))
@@ -56,38 +60,32 @@ def pow_signed(y, m):
 def _pow_signed(y, m):
     # pow_signed for an m already validated as a float >= 0
     arr = np.asarray(y, dtype=float)
-    if m == int(m):
-        out = arr ** int(m)
-    else:
-        out = np.sign(arr) * np.abs(arr) ** m
+    out = np.ones(arr.shape) if m == 0 else np.sign(arr) * np.abs(arr) ** m
     return float(out) if out.ndim == 0 else out
 
 
 def pow_signed_scalar(m):
     """pow_signed for one index m as a function of one float, bit for bit.
 
-    m is validated here once, not on every call. Integer m keeps numpy's
-    integer power, whose last bits differ from libm pow; non-integer m takes
-    sign(y)*|y|**m on Python floats, with the sign as np.sign gives it (0 at
-    -0.0, so the result is +0.0 there as well). Where |y|**m would overflow,
-    Python raises OverflowError and numpy returns inf; states of the
-    shooting oracle, its one caller, stay many orders of magnitude below that.
+    m is validated here once, not on every call. The power is taken on
+    Python floats, with the sign as np.sign gives it (0 at -0.0, so the
+    result is +0.0 there as well). Where |y|**m would overflow, Python
+    raises OverflowError and numpy returns inf; states of the shooting
+    oracle, its one caller, stay many orders of magnitude below that.
     """
     m = check_real("m", m, minimum=0.0)
-    if m == int(m):
-        k = int(m)
-        return lambda y: float(np.asarray(y, dtype=float) ** k)
+    if m == 0:
+        return lambda y: 1.0
     return lambda y: ((y > 0.0) - (y < 0.0)) * abs(y) ** m
 
 
 def pow_signed_deriv(y, m):
     """Derivative factor of pow_signed with the leading m kept out.
 
-    Returns y**(m-1) for integer m >= 1, |y|**(m-1) for non-integer m, and 0
-    for m = 0 (so the caller's m * pow_signed_deriv never forms 0 * inf).
-    For non-integer m < 1 the factor is singular at y = 0; those entries are
-    zeroed and a RuntimeWarning is emitted, trusting the damped line search
-    to step off the singularity.
+    Returns |y|**(m-1) for m > 0 and 0 for m = 0 (so the caller's
+    m * pow_signed_deriv never forms 0 * inf). For m < 1 the factor is
+    singular at y = 0; those entries are zeroed and a RuntimeWarning is
+    emitted, trusting the damped line search to step off the singularity.
     """
     return _pow_signed_deriv(y, check_real("m", m, minimum=0.0), stacklevel=3)
 
@@ -98,26 +96,26 @@ def _pow_signed_deriv(y, m, stacklevel=2):
     arr = np.asarray(y, dtype=float)
     if m == 0:
         out = np.zeros(arr.shape)
-    elif m == int(m):
-        out = arr ** (int(m) - 1)
+    elif m >= 1.0:
+        out = np.abs(arr) ** (m - 1.0)
     else:
         with np.errstate(divide="ignore"):
             out = np.abs(arr) ** (m - 1.0)
-        if m < 1.0:
-            singular = arr == 0.0
-            if np.any(singular):
-                warnings.warn(
-                    "power-law derivative is singular at y=0 for m < 1; entry zeroed",
-                    RuntimeWarning,
-                    stacklevel=stacklevel,
-                )
-                out = np.where(singular, 0.0, out)
+        singular = arr == 0.0
+        if np.any(singular):
+            warnings.warn(
+                "power-law derivative is singular at y=0 for m < 1; entry zeroed",
+                RuntimeWarning,
+                stacklevel=stacklevel,
+            )
+            out = np.where(singular, 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class LaneEmdenProblem:
-    """Power-law nonlinearity g(y) = y^m with index m >= 0.
+    """Power-law nonlinearity g(y) = sign(y)|y|^m with index m >= 0, g = 1
+    at m = 0 (see pow_signed), and g'(y) = m|y|^(m-1).
 
     The physically interesting range is 0 <= m <= 5 but larger m is accepted.
     The private callback pair replaces g and its derivative wholesale when

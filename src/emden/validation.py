@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["check_real", "check_integer", "as_float_grid"]
+__all__ = ["check_real", "check_integer", "as_points", "as_float_grid"]
 
 
 def check_real(name, value, minimum=None, exclusive=False, maximum=None):
@@ -42,13 +42,23 @@ def check_integer(name, value, minimum=None, maximum=None):
     return value
 
 
-def as_float_grid(xs, name="x", nonnegative=True):
-    """Coerce to a 1-d float array; reject NaN/inf and (optionally) negatives."""
-    arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    if arr.ndim != 1:
-        raise ParameterError(f"{name} must be one-dimensional, got shape {arr.shape}")
+def as_points(x, name="x"):
+    """Coerce points on the half line to a float array of their own shape;
+    reject non-numeric, NaN, infinite and negative entries."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be real numbers, got {x!r:.40}") from None
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} must be finite")
-    if nonnegative and np.any(arr < 0):
+    if np.any(arr < 0):
         raise ParameterError(f"{name} must be nonnegative")
+    return arr
+
+
+def as_float_grid(xs, name="x"):
+    """as_points as a 1-d array; a scalar becomes one point."""
+    arr = np.atleast_1d(as_points(xs, name))
+    if arr.ndim != 1:
+        raise ParameterError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr

@@ -10,6 +10,10 @@ settings.load_profile("suite")
 STALLED = (3.0, 6, 4.0)
 STALLED_ARGV = ["--m", "3", "--n", "6", "--L", "4"]
 
+# Points that no evaluation entry point accepts: text, NaN, infinity, an
+# array with a NaN, and None (which numpy reads as NaN)
+BAD_POINTS = ("abc", float("nan"), float("inf"), [0.5, float("nan")], None)
+
 # Ordered record of acceptance-criterion outcomes, printed as a summary block
 # so a full run ends with one PASS/FAIL line per criterion.
 _acceptance_results = {}

@@ -7,7 +7,7 @@ from emden.laguerre import BasisParams
 from emden.operators import build_operators, eval_hat_interpolant
 from emden.reference import closed_form
 from emden.solver import LaneEmdenProblem, SolverConfig, newton_solve
-from conftest import STALLED
+from conftest import BAD_POINTS, STALLED
 
 
 class TestParams:
@@ -75,6 +75,13 @@ class TestFitPredict:
         assert est.predict(np.array([[0.0], [1.0]])).shape == (2,)
         with pytest.raises(ParameterError):
             est.predict(np.zeros((2, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", BAD_POINTS)
+    def test_predict_rejects_points_that_are_not_finite_numbers(self, x):
+        est = LaneEmdenSolver(m=3.0, n=7).fit()
+        with pytest.raises(ParameterError):
+            est.predict(x)
 
     def test_predict_boundary_value(self):
         est = LaneEmdenSolver(m=3.0, n=7).fit()

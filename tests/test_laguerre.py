@@ -20,6 +20,7 @@ from emden.laguerre import (
     mgl_norm_constant,
     radau_nodes,
 )
+from conftest import BAD_POINTS
 
 ALPHAS = [0.0, 1.0, 2.5]
 
@@ -185,6 +186,12 @@ class TestEvalMgl:
     def test_negative_x_rejected(self):
         with pytest.raises(ParameterError):
             eval_mgl(BasisParams(n=3), 3, -0.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", BAD_POINTS)
+    def test_rejects_points_that_are_not_finite_numbers(self, x):
+        with pytest.raises(ParameterError):
+            eval_mgl(BasisParams(n=3), 3, x)
 
 
 class TestMglOrthogonality:

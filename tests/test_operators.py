@@ -17,6 +17,7 @@ from emden.operators import (
     eval_hat_interpolant,
     scale_operators,
 )
+from conftest import BAD_POINTS
 
 
 def ops_for(n, alpha=1.0, L=1.0):
@@ -323,6 +324,12 @@ class TestHatInterpolant:
             eval_hat_interpolant(ops, np.zeros(3), 1.0)  # wrong length
         with pytest.raises(ParameterError):
             eval_hat_interpolant(ops, np.zeros(5), -0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", BAD_POINTS)
+    def test_rejects_points_that_are_not_finite_numbers(self, x):
+        with pytest.raises(ParameterError):
+            eval_hat_interpolant(ops_for(4), np.zeros(5), x)
 
     @pytest.mark.parametrize("L", [0.041, 0.052])
     def test_envelope_edge_evaluates(self, L):

@@ -28,7 +28,7 @@ from emden.reference import (
 )
 from emden.solver import LaneEmdenProblem, SolverConfig, newton_solve, pow_signed, pow_signed_scalar
 from emden.validation import check_real
-from conftest import STALLED
+from conftest import BAD_POINTS, STALLED
 
 
 class TestClosedForm:
@@ -65,6 +65,13 @@ class TestClosedForm:
     def test_negative_x_rejected(self):
         with pytest.raises(ParameterError):
             closed_form(0, -1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    @pytest.mark.parametrize("x", BAD_POINTS)
+    def test_rejects_points_that_are_not_finite_numbers(self, m, x):
+        with pytest.raises(ParameterError):
+            closed_form(m, x)
 
 
 class TestShootingOracle:
@@ -653,6 +660,14 @@ class TestProfilesAndComparison:
         prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
         with pytest.raises(ParameterError):
             compare_profiles(prof, lambda x: 0.0, np.array([0.0, 3.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("xs", [x for x in BAD_POINTS if x is not None])
+    def test_compare_rejects_points_that_are_not_finite_numbers(self, xs):
+        # xs=None is the profile's own grid
+        prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
+        with pytest.raises(ParameterError):
+            compare_profiles(prof, lambda x: closed_form(0.0, x), xs)
 
     def test_compare_rejects_an_empty_grid(self):
         prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))

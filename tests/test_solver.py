@@ -147,13 +147,15 @@ def bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-# (m, n, alpha, L, max_iter): canonical setups, a stalled line search at
-# (2, 8, 1, 2), solves cut off by max_iter, 0.0 and -0.0 alpha, and 30
-# random draws of m in [0.3, 5], n in 1..30, alpha in [-0.9, 4] and
-# L log-uniform in [0.05, 4], some of which stall as well
+# (m, n, alpha, L, max_iter): canonical setups, even m at (2, 8, 1, 2) and
+# (4, 6, 1, 2), the shared stalled line search at (3, 6, 1, 4), solves cut off
+# by max_iter, 0.0 and -0.0 alpha, and 30 random draws of m in [0.3, 5],
+# n in 1..30, alpha in [-0.9, 4] and L log-uniform in [0.05, 4], some of
+# which stall as well
 NEWTON_SAMPLE = (
     (0.0, 7, 1.0, 1.0, 100), (1.0, 12, 1.0, 1.0, 100), (3.0, 7, 1.0, 1.0, 100),
     (5.0, 12, 1.0, 0.9, 100), (2.0, 8, 1.0, 2.0, 100), (4.0, 6, 1.0, 2.0, 100),
+    (3.0, 6, 1.0, 4.0, 100),
     (2.5, 12, 0.5, 0.4, 100), (3.0, 7, 0.0, 1.0, 100), (3.0, 7, -0.0, 1.0, 100),
     (3.0, 7, 1.0, 1.0, 3), (3.013, 29, -0.891, 1.622, 5),
     (1.141, 1, 1.39, 0.254, 100), (1.968, 20, 2.974, 2.64, 100),
@@ -208,21 +210,27 @@ def ending(sol, max_iter):
 
 class TestPowSigned:
     def test_examples(self):
-        assert pow_signed(-0.5, 2) == 0.25
+        assert pow_signed(-0.5, 2) == -0.25
         assert pow_signed(-0.25, 0.5) == -0.5
         assert pow_signed(0.0, 3) == 0.0
         assert pow_signed(0.0, 0) == 1.0
         assert pow_signed(2.0, 3) == 8.0
 
-    def test_integer_exponent_keeps_sign_parity(self):
+    def test_integer_exponent_takes_the_odd_extension(self):
         assert pow_signed(-2.0, 3) == -8.0
-        assert pow_signed(-2.0, 2) == 4.0
+        assert pow_signed(-2.0, 2) == -4.0
+        assert pow_signed(-2.0, 4) == -16.0
+
+    def test_zero_exponent_is_one_everywhere(self):
+        # m = 0 is the one index outside the odd extension
+        ys = np.array([-2.0, -0.0, 0.0, 0.5, np.nan])
+        assert bits(pow_signed(ys, 0)) == bits(np.ones(5))
+        assert bits(pow_signed_deriv(ys, 0)) == bits(np.zeros(5))
 
     @given(y=st.floats(min_value=0.01, max_value=10.0),
-           m=st.floats(min_value=0.0, max_value=5.0).filter(lambda v: not v.is_integer()))
+           m=st.floats(min_value=0.0, max_value=5.0, exclude_min=True))
     def test_odd_extension(self, y, m):
-        # odd extension holds for the sign(y)|y|^m branch; integer exponents
-        # keep plain parity instead and are covered above
+        # every m > 0, integer or not, takes sign(y)|y|^m
         assert pow_signed(-y, m) == pytest.approx(-pow_signed(y, m), rel=1e-14)
 
     def test_matches_power_for_positive_base(self):
@@ -249,6 +257,20 @@ class TestPowSignedDeriv:
     def test_integer_exponent_at_zero(self):
         assert pow_signed_deriv(0.0, 3) == 0.0
         assert pow_signed_deriv(0.0, 1) == 1.0
+
+    @pytest.mark.parametrize("m", [1.0, 1.5, 2.0, 3.0, 4.75])
+    def test_no_warning_at_zero_from_m_one_on(self, m):
+        # |y|**(m-1) cannot divide by zero for m >= 1, so no floating-point
+        # state is needed there
+        ys = np.array([0.0, -0.0, -0.5, 0.5])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = pow_signed_deriv(ys, m)
+        assert bits(got) == bits(np.abs(ys) ** (m - 1.0))
+
+    def test_even_exponent_is_even(self):
+        assert pow_signed_deriv(-2.0, 2) == 2.0
+        assert pow_signed_deriv(-2.0, 4) == 8.0
 
     def test_singular_warning_points_at_the_caller(self):
         with pytest.warns(RuntimeWarning) as record:
@@ -702,6 +724,21 @@ class TestScanLReports:
         reports = scan_L_reports(3.0, 7, 1.0, [1, np.float32(0.5), np.int64(2)])
         assert [type(r.L) for r in reports] == [float] * 3
         assert [r.L for r in reports] == [r.solution.config_echo.L for r in reports] == [1.0, 0.5, 2.0]
+
+
+class TestConvergenceMap:
+    def test_floor_over_the_grid(self):
+        # 10 m in {0.5, ..., 5} x 7 n x 12 geometric L in [0.05, 4]: the
+        # floors are the counts measured with the odd extension for every m
+        # (the literal integer power converged 760, m=2 37 and m=4 72)
+        grid = np.geomspace(0.05, 4.0, 12)
+        converged = {}
+        for m in np.linspace(0.5, 5.0, 10).tolist():
+            converged[m] = sum(r.converged for n in (6, 7, 8, 10, 12, 16, 20)
+                               for r in scan_L_reports(m, n, 1.0, grid))
+        assert sum(converged.values()) >= 809
+        assert converged[2.0] >= 74
+        assert converged[4.0] == 84
 
 
 class TestStackedLuSolve:
