@@ -129,10 +129,10 @@ class RunConfig:
     command: str
     m: Optional[float] = None
     n: Optional[int] = None
-    alpha: float = 1.0
-    L: float = 1.0
-    tol: float = 1e-12
-    max_iter: int = 100
+    alpha: float = SolverConfig.alpha
+    L: float = SolverConfig.L
+    tol: float = SolverConfig.newton_tol
+    max_iter: int = SolverConfig.max_iter
     eval_points: Optional[tuple] = None
     L_grid: Optional[tuple] = None
     fmt: str = "json"
@@ -182,7 +182,7 @@ def _default_eval_grid(solution) -> np.ndarray:
     hi = min(10.0, envelope)
     if solution.converged:
         try:
-            zero = first_zero(solution, solution.operators)
+            zero = first_zero(solution)
             hi = min(1.2 * zero.x_star, envelope)
         except NoZeroFound:
             pass
@@ -220,7 +220,7 @@ def run_first_zero(config: RunConfig):
         doc["reason"] = "solver did not converge"
         return EXIT_NOT_CONVERGED, doc, no_zero.csv()
     try:
-        result = first_zero(solution, solution.operators)
+        result = first_zero(solution)
     except NoZeroFound as exc:
         doc["reason"] = str(exc)
         return EXIT_NO_ZERO, doc, no_zero.csv()
@@ -272,7 +272,7 @@ def _table_zero_row(m, solution):
     if solution is None:
         return None
     try:
-        x_star = first_zero(solution, solution.operators).x_star
+        x_star = first_zero(solution).x_star
     except NoZeroFound:
         return None
     reference = first_zero_reference(m)
@@ -313,7 +313,12 @@ def run_reproduce_tables(config: RunConfig):
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract reserves 2 for solver
-    non-convergence, so usage errors are remapped to 1."""
+    non-convergence, so usage errors are remapped to 1. An option not given
+    stays out of the namespace: RunConfig's fields hold every default."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("argument_default", argparse.SUPPRESS)
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -338,6 +343,8 @@ def _grid_spec(text):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must look like lo:hi:count, got {text!r}")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise argparse.ArgumentTypeError("grid bounds must be finite")
     if lo <= 0.0:
         raise argparse.ArgumentTypeError("grid lower bound must be positive")
     if hi < lo:
@@ -350,17 +357,16 @@ def _grid_spec(text):
 def _add_problem_args(parser, with_L=True):
     parser.add_argument("--m", type=float, required=True, help="polytropic index")
     parser.add_argument("--n", type=int, required=True, help="collocation degree")
-    parser.add_argument("--alpha", type=float, default=1.0, help="Laguerre parameter")
+    parser.add_argument("--alpha", type=float, help="Laguerre parameter")
     if with_L:
-        parser.add_argument("--L", type=float, default=1.0, help="map scale")
-    parser.add_argument("--tol", type=float, default=1e-12, help="Newton tolerance")
-    parser.add_argument("--max-iter", type=int, default=100, help="Newton iteration cap")
+        parser.add_argument("--L", type=float, help="map scale")
+    parser.add_argument("--tol", type=float, help="Newton tolerance")
+    parser.add_argument("--max-iter", type=int, help="Newton iteration cap")
 
 
 def _add_output_args(parser):
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        dest="fmt", help="output format")
-    parser.add_argument("--out", default=None, help="write output to this file")
+    parser.add_argument("--format", choices=("json", "csv"), dest="fmt", help="output format")
+    parser.add_argument("--out", help="write output to this file")
 
 
 def build_parser() -> _Parser:
@@ -371,7 +377,7 @@ def build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="solve one problem and tabulate the profile")
     _add_problem_args(p_solve)
-    p_solve.add_argument("--eval", type=_eval_list, default=None, dest="eval_points",
+    p_solve.add_argument("--eval", type=_eval_list, dest="eval_points",
                          help="comma separated evaluation points (default: plot grid)")
     _add_output_args(p_solve)
 
@@ -387,26 +393,10 @@ def build_parser() -> _Parser:
 
     p_tables = sub.add_parser("reproduce-tables",
                               help="recompute the embedded reference tables")
-    p_tables.add_argument("--tol", type=float, default=1e-12, help="Newton tolerance")
+    p_tables.add_argument("--tol", type=float, help="Newton tolerance")
     _add_output_args(p_tables)
 
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        m=getattr(args, "m", None),
-        n=getattr(args, "n", None),
-        alpha=getattr(args, "alpha", 1.0),
-        L=getattr(args, "L", 1.0),
-        tol=getattr(args, "tol", 1e-12),
-        max_iter=getattr(args, "max_iter", 100),
-        eval_points=getattr(args, "eval_points", None),
-        L_grid=getattr(args, "L_grid", None),
-        fmt=args.fmt,
-        out=args.out,
-    )
 
 
 _RUNNERS = {
@@ -437,7 +427,7 @@ def main(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    config = _config_from_args(args)
+    config = RunConfig(**vars(args))
     try:
         status, doc, csv_text = _RUNNERS[config.command](config)
     except ParameterError as exc:

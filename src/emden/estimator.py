@@ -42,7 +42,8 @@ class LaneEmdenSolver:
     solution_, operators_ : the underlying solution record and operator bundle.
     """
 
-    def __init__(self, m=3.0, n=12, alpha=1.0, L=1.0, tol=1e-12, max_iter=100):
+    def __init__(self, m=3.0, n=12, alpha=SolverConfig.alpha, L=SolverConfig.L,
+                 tol=SolverConfig.newton_tol, max_iter=SolverConfig.max_iter):
         self.m = m
         self.n = n
         self.alpha = alpha

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import NoZeroFound, NumericalError, ParameterError
 from .laguerre import MAX_ARGUMENT
-from .operators import DiffOperators, eval_hat_interpolant
+from .operators import eval_hat_interpolant
 from .solver import SpectralSolution, pow_signed_scalar
-from .validation import as_float_grid, as_points, check_real
+from .validation import as_float_grid, as_points, as_reals, check_real
 
 __all__ = [
     "ReferenceProfile",
@@ -73,6 +73,8 @@ _BISECT_INTERVAL = 1e-13
 _BISECT_MAX_ITER = 200
 # Points per call of a scanned function: bounds memory, keeps an early exit.
 _SCAN_BLOCK = 256
+# Where a zero scan ends unless the caller says otherwise.
+_SCAN_END = 50.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,8 @@ class ReferenceProfile:
 
     source is one of {"closed-form", "shooting", "horedt-table",
     "method-table"}. yps optionally carries derivative samples (the shooting
-    oracle fills it), upgrading interpolation to Hermite.
+    oracle fills it), upgrading interpolation to Hermite. Samples that are not
+    finite, or xs that are not nonnegative and ascending, raise ParameterError.
     """
 
     m: float
@@ -91,16 +94,20 @@ class ReferenceProfile:
     yps: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.xs.shape != self.ys.shape or self.xs.ndim != 1:
-            raise ParameterError("xs and ys must be matching 1-d arrays")
-        if np.any(np.diff(self.xs) <= 0):
-            raise ParameterError("xs must be strictly ascending")
-        if self.xs[0] == 0.0 and abs(self.ys[0] - 1.0) > 1e-12:
-            raise ParameterError("a profile starting at x=0 must start at y=1")
-        self.xs.setflags(write=False)
-        self.ys.setflags(write=False)
+        object.__setattr__(self, "m", check_real("m", self.m, minimum=0.0))
+        xs = as_points(self.xs, "xs")
+        samples = {"xs": xs, "ys": as_reals(self.ys, "ys")}
         if self.yps is not None:
-            self.yps.setflags(write=False)
+            samples["yps"] = as_reals(self.yps, "yps")
+        if xs.ndim != 1 or not xs.size or any(v.shape != xs.shape for v in samples.values()):
+            raise ParameterError("xs, ys and yps must be matching non-empty 1-d arrays")
+        if np.any(np.diff(xs) <= 0):
+            raise ParameterError("xs must be strictly ascending")
+        if xs[0] == 0.0 and abs(samples["ys"][0] - 1.0) > 1e-12:
+            raise ParameterError("a profile starting at x=0 must start at y=1")
+        for name, values in samples.items():
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     def interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
         """Smooth evaluator through the samples; exact at the sample points."""
@@ -164,7 +171,7 @@ def closed_form(m, x):
 def closed_form_profile(m, xs) -> ReferenceProfile:
     """Sample a closed form into a ReferenceProfile."""
     xs = as_float_grid(xs, "xs")
-    return ReferenceProfile(m=float(m), xs=xs, ys=closed_form(m, xs), source="closed-form")
+    return ReferenceProfile(m=m, xs=xs, ys=closed_form(m, xs), source="closed-form")
 
 
 def _rk4_step(g, x, y, yp, h):
@@ -282,7 +289,7 @@ def _values(f, xs):
     return ys
 
 
-def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
+def first_zero_of(f, scan_step=0.05, x_max=_SCAN_END) -> FirstZeroResult:
     """First sign change of a callable on [0, x_max]: scan, then bisect.
 
     f is always called with a 1-d array. The scan calls it with blocks of up
@@ -358,18 +365,19 @@ def first_zero_of(f, scan_step=0.05, x_max=50.0) -> FirstZeroResult:
     return FirstZeroResult(x_star=0.5 * (lo + hi), bracket=bracket, refinement_iterations=iterations)
 
 
-def first_zero(solution: SpectralSolution, ops: DiffOperators,
-               scan_step=0.05, x_max=50.0) -> FirstZeroResult:
+def first_zero(solution: SpectralSolution) -> FirstZeroResult:
     """First zero of a converged spectral solution's interpolant.
 
-    Scans the smooth interpolant (the zero generically falls between nodes).
-    The scan ceiling is clamped to the evaluation envelope 200*L. Raises
-    NoZeroFound when the profile never changes sign (the m=5 situation).
+    Scans the smooth interpolant on the solution's own operators (the zero
+    generically falls between nodes) up to x = 50, clamped to the evaluation
+    envelope 200*L. Raises NoZeroFound when the profile never changes sign
+    (the m=5 situation).
     """
     if not solution.converged:
         raise ParameterError("first_zero requires a converged solution")
-    ceiling = min(float(x_max), MAX_ARGUMENT * ops.params.L)
-    return first_zero_of(lambda x: eval_hat_interpolant(ops, solution.b, x), scan_step, ceiling)
+    ops = solution.operators
+    return first_zero_of(lambda x: eval_hat_interpolant(ops, solution.b, x),
+                         x_max=min(_SCAN_END, MAX_ARGUMENT * ops.params.L))
 
 
 def compare_profiles(profile: ReferenceProfile, evaluator, xs=None) -> ErrorReport:

@@ -142,14 +142,15 @@ class LaneEmdenProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization and Newton knobs for one solve."""
+    """Discretization and Newton knobs for one solve. Every entry point takes
+    its defaults from these fields (alpha and L are BasisParams'). The line
+    search tries the step factors 1, 1/2, ..., 1/64, the same in every solve."""
 
     n: int
-    alpha: float = 1.0
-    L: float = 1.0
+    alpha: float = BasisParams.alpha
+    L: float = BasisParams.L
     newton_tol: float = 1e-12
     max_iter: int = 100
-    damping_min: float = 1.0 / 64.0
 
     def __post_init__(self):
         basis = BasisParams(n=self.n, alpha=self.alpha, L=self.L)
@@ -160,10 +161,6 @@ class SolverConfig:
         object.__setattr__(self, "L", basis.L)
         object.__setattr__(self, "newton_tol", check_real("newton_tol", self.newton_tol, minimum=0.0, exclusive=True))
         object.__setattr__(self, "max_iter", check_integer("max_iter", self.max_iter, minimum=1))
-        dm = check_real("damping_min", self.damping_min, minimum=0.0, exclusive=True)
-        if dm > 1.0:
-            raise ParameterError(f"damping_min must be <= 1, got {dm}")
-        object.__setattr__(self, "damping_min", dm)
 
     def basis_params(self) -> BasisParams:
         """The validated BasisParams of n, alpha and L, built once per config."""
@@ -177,8 +174,8 @@ class SpectralSolution:
     b[0] is exactly 1 whenever converged is True (the boundary row is clamped,
     not left to linear-algebra roundoff). residual_history records the
     accepted residual norms, including the initial one; it is non-increasing.
-    operators is the DiffOperators bundle the solve was assembled on; pass it
-    to eval_hat_interpolant or first_zero instead of building it again.
+    operators is the DiffOperators bundle the solve was assembled on, which
+    first_zero reads; pass it to eval_hat_interpolant instead of a rebuild.
     mapped_nodes is operators.mapped_nodes.
     """
 
@@ -297,13 +294,8 @@ def _stacked_lu_solve(jac: np.ndarray, rhs: np.ndarray):
     return x, None
 
 
-def _damping_ladder(damping_min) -> np.ndarray:
-    """The step factors of the line search, halving from 1 down to damping_min."""
-    ladder, step = [], 1.0
-    while step >= damping_min * (1.0 - 1e-12):
-        ladder.append(step)
-        step *= 0.5
-    return np.array(ladder)
+# The step factors of the line search, one column: 1, 1/2, ..., 1/64.
+_DAMPING_LADDER = (0.5 ** np.arange(7.0))[:, None]
 
 
 def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
@@ -322,7 +314,6 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
     first = configs[0]
     tol = first.newton_tol
     linear = _linear_jacobian(d1, d2, xm)
-    ladder = _damping_ladder(first.damping_min)[:, None]
     b = (1.0 + xm**2 / 3.0) ** -0.5
     b[:, 0] = 1.0
     res = _stacked_residual(problem, d1, d2, xm, b)
@@ -346,7 +337,7 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
         # clamping removes LU roundoff and keeps b[0] = 1 bit-exact on every rung
         delta[:, 0] = 0.0
         # cand[j, r] is member live[j] stepped by rung r
-        cand = b[rows, None] + ladder * delta[:, None]
+        cand = b[rows, None] + _DAMPING_LADDER * delta[:, None]
         cand_res = _stacked_residual(problem, d1[rows, None], d2[rows, None], xm[rows, None], cand)
         still = []
         for j, (i, cand_norms) in enumerate(zip(live, np.abs(cand_res).max(axis=2).tolist())):
@@ -356,7 +347,7 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
                 if v < norm[i]:
                     break
             else:
-                continue  # stalled: no rung down to damping_min reduces the residual
+                continue  # stalled: no rung down to 1/64 reduces the residual
             b[i], res[i], norm[i] = cand[j, r], cand_res[j, r], v
             histories[i].append(norm[i])
             if norm[i] > tol:
@@ -384,8 +375,8 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
     Starts from b_j = (1 + xm_j**2/3)**(-1/2), which satisfies both boundary
     conditions and decays like the true solutions. Each step solves
     J delta = -F by dense LU with partial pivoting, then takes the largest
-    step factor of 1, 1/2, 1/4, ... down to damping_min that decreases the
-    residual infinity-norm. The part of J that does not depend on b is
+    step factor of 1, 1/2, 1/4, ... down to the constant floor 1/64 that
+    decreases the residual infinity-norm. The b-independent part of J is
     assembled once per solve. A stalled line search or an exhausted iteration
     budget returns a non-converged result rather than raising; a non-finite
     or singular Jacobian raises NumericalError. This is the one-member case
@@ -411,7 +402,8 @@ def _tail_magnitude(b) -> float:
     return float(np.max(np.abs(b[-3:])))
 
 
-def scan_L_reports(m, n, alpha, grid, tol=1e-12, max_iter=100):
+def scan_L_reports(m, n, alpha, grid, tol=SolverConfig.newton_tol,
+                   max_iter=SolverConfig.max_iter):
     """Solve once per map scale; flag the converged scale with the smallest
     trailing-coefficient magnitude (the first one on ties) as recommended.
 

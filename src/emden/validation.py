@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["check_real", "check_integer", "as_points", "as_float_grid"]
+__all__ = ["check_real", "check_integer", "as_reals", "as_points", "as_float_grid"]
 
 
 def check_real(name, value, minimum=None, exclusive=False, maximum=None):
@@ -42,15 +42,20 @@ def check_integer(name, value, minimum=None, maximum=None):
     return value
 
 
-def as_points(x, name="x"):
-    """Coerce points on the half line to a float array of their own shape;
-    reject non-numeric, NaN, infinite and negative entries."""
+def as_reals(x, name="x"):
+    """x as a float array of its own shape; reject non-numeric, NaN and inf entries."""
     try:
         arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise ParameterError(f"{name} must be real numbers, got {x!r:.40}") from None
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} must be finite")
+    return arr
+
+
+def as_points(x, name="x"):
+    """as_reals for points on the half line: negative entries are rejected too."""
+    arr = as_reals(x, name)
     if np.any(arr < 0):
         raise ParameterError(f"{name} must be nonnegative")
     return arr

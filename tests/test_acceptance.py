@@ -67,7 +67,7 @@ def scanned_zero_deltas(m, n, grid):
         if not sol.converged:
             continue
         try:
-            deltas.append(abs(first_zero(sol, ops).x_star - exact))
+            deltas.append(abs(first_zero(sol).x_star - exact))
         except Exception:
             continue
     return deltas
@@ -92,7 +92,7 @@ def test_criterion_1_profile_table():
 @pytest.mark.acceptance("2a: first zero m=3, n=7, L=1 within 1e-4")
 def test_criterion_2a_first_zero_m3():
     sol, ops = spectral(3.0, 7, 1.0)
-    result = first_zero(sol, ops)
+    result = first_zero(sol)
     assert abs(result.x_star - 6.89684862) <= 1e-4
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -21,7 +22,8 @@ from emden.cli import (
     run_scan_L,
     run_solve,
 )
-from emden.solver import _lockstep_newton_solve
+from emden.estimator import LaneEmdenSolver
+from emden.solver import SolverConfig, _lockstep_newton_solve, scan_L_reports
 from conftest import STALLED_ARGV
 
 
@@ -246,6 +248,9 @@ class TestExitCodes:
         assert main(["scan-L", "--m", "3", "--n", "7",
                      "--L-grid", "nonsense"]) == EXIT_USAGE
         capsys.readouterr()
+        for spec in ("1:inf:3", "nan:2:3"):
+            assert main(["scan-L", "--m", "3", "--n", "7", "--L-grid", spec]) == EXIT_USAGE
+            assert "grid bounds must be finite" in capsys.readouterr().err
         assert main(["solve", "--m", "3", "--n", "7",
                      "--eval", "abc"]) == EXIT_USAGE
         capsys.readouterr()
@@ -323,6 +328,20 @@ class TestRunnersDirect:
         solution_cells = 7 + 2  # b and the residual norm
         assert len(cells) == 2 * len(doc["evaluations"]) + solution_cells == 402 + solution_cells
         assert csv_text == run_solve(RunConfig(command="solve", m=3.0, n=7))[2]
+
+    def test_every_default_is_solver_configs(self):
+        # alpha, L, tol and max_iter have one source: SolverConfig's fields
+        defaults = SolverConfig(n=7)
+        expected = (defaults.alpha, defaults.L, defaults.newton_tol, defaults.max_iter)
+        scan = inspect.signature(scan_L_reports).parameters
+        assert (scan["tol"].default, scan["max_iter"].default) == expected[2:]
+        est = LaneEmdenSolver()
+        assert (est.alpha, est.L, est.tol, est.max_iter) == expected
+        parser = emden.cli.build_parser()
+        for config in (RunConfig(command="solve"),
+                       RunConfig(**vars(parser.parse_args(["solve", "--m", "3", "--n", "7"]))),
+                       RunConfig(**vars(parser.parse_args(["reproduce-tables"])))):
+            assert (config.alpha, config.L, config.tol, config.max_iter) == expected
 
     def test_run_first_zero_direct(self):
         config = RunConfig(command="first-zero", m=5.0, n=10)

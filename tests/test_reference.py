@@ -386,7 +386,7 @@ class TestScanMatchesScalarReference:
             assert first_zero_of(array_only(f, calls), x_max=x_max) == expected
             assert len(calls) < expected.refinement_iterations
             if sol.converged:
-                assert first_zero(sol, sol.operators) == expected
+                assert first_zero(sol) == expected
 
     # the ids name the depths around where a bisection batched 6 tree levels
     # per call split its calls; the walk reaches any of them in one call
@@ -583,7 +583,7 @@ class TestSpectralFirstZero:
     def test_canonical_regression(self):
         sol = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7, L=1.0))
         ops = build_operators(BasisParams(n=7))
-        result = first_zero(sol, ops)
+        result = first_zero(sol)
         assert result.x_star == pytest.approx(6.7964814974, abs=1e-8)
         val = eval_hat_interpolant(ops, sol.b, result.x_star)
         assert abs(val) <= 1e-12
@@ -592,30 +592,27 @@ class TestSpectralFirstZero:
         m, n, L = STALLED
         sol = newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L))
         assert not sol.converged
-        ops = build_operators(BasisParams(n=n, L=L))
         with pytest.raises(ParameterError):
-            first_zero(sol, ops)
+            first_zero(sol)
 
     def test_no_crossing_raises(self):
         sol = newton_solve(LaneEmdenProblem(5.0), SolverConfig(n=12, L=0.9))
-        ops = build_operators(BasisParams(n=12, L=0.9))
         with pytest.raises(NoZeroFound):
-            first_zero(sol, ops)
+            first_zero(sol)
 
     def test_scan_ceiling_respects_envelope(self):
         # a tiny map scale shrinks the evaluable range; the scan must clamp
         # instead of stepping outside it
         sol = newton_solve(LaneEmdenProblem(5.0), SolverConfig(n=10, L=0.05))
-        ops = build_operators(BasisParams(n=10, L=0.05))
         with pytest.raises(NoZeroFound):
-            first_zero(sol, ops, x_max=50.0)
+            first_zero(sol)
 
     def test_scan_reaching_envelope_edge(self):
         # the last scan point 200*L maps to t = 200.00000000000003 here
         sol = newton_solve(LaneEmdenProblem(5.0), SolverConfig(n=12, L=0.052))
         assert sol.converged
         with pytest.raises(NoZeroFound):
-            first_zero(sol, sol.operators)
+            first_zero(sol)
 
 
 class TestProfilesAndComparison:
@@ -631,6 +628,28 @@ class TestProfilesAndComparison:
         with pytest.raises(ParameterError):
             ReferenceProfile(m=3.0, xs=np.array([1.0, 0.5]),
                              ys=np.array([0.9, 0.8]), source="closed-form")
+        with pytest.raises(ParameterError):
+            closed_form_profile(5.0, [])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name,value", [
+        ("m", "x"), ("m", -1.0), ("m", math.nan),
+        ("xs", [0.0, "a"]), ("xs", [0.0, math.nan]), ("xs", [-1.0, 0.0]), ("xs", [[0.0, 1.0]]),
+        ("ys", [1.0, math.nan]), ("ys", [1.0, -math.inf]), ("ys", [1.0]),
+        ("yps", [0.0, math.nan]), ("yps", [0.0]), ("yps", [0.0, -0.3, 0.1]),
+    ])
+    def test_samples_checked_when_built(self, name, value):
+        samples = dict(m=3.0, xs=[0.0, 1.0], ys=[1.0, 0.8], yps=[0.0, -0.3])
+        samples[name] = value
+        with pytest.raises(ParameterError):
+            ReferenceProfile(source="shooting", **samples)
+
+    def test_samples_read_from_sequences(self):
+        prof = ReferenceProfile(m=3, xs=[0, 1], ys=[1, -1], source="closed-form")
+        assert prof.m == 3.0
+        for values in (prof.xs, prof.ys):
+            assert values.dtype == float and not values.flags.writeable
+        assert prof.first_zero() == 0.5
 
     def test_interpolant_hits_samples(self):
         prof = horedt_reference(3.0)
