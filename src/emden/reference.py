@@ -83,8 +83,9 @@ class ReferenceProfile:
 
     source is one of {"closed-form", "shooting", "horedt-table",
     "method-table"}. yps optionally carries derivative samples (the shooting
-    oracle fills it), upgrading interpolation to Hermite. Samples that are not
-    finite, or xs that are not nonnegative and ascending, raise ParameterError.
+    oracle fills it), upgrading interpolation to Hermite from two samples on.
+    Samples that are not finite, or xs that are not nonnegative and ascending,
+    raise ParameterError.
     """
 
     m: float
@@ -113,7 +114,7 @@ class ReferenceProfile:
         """Smooth evaluator through the samples; exact at the sample points."""
         from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-        if self.yps is not None:
+        if self.yps is not None and len(self.xs) >= 2:
             return CubicHermiteSpline(self.xs, self.ys, self.yps)
         if len(self.xs) >= 4:
             return CubicSpline(self.xs, self.ys)

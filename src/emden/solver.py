@@ -15,6 +15,8 @@ newton_solve and scan_L_reports share one damped Newton loop: a scan
 iterates the systems of its map scales side by side on stacks of their
 arrays, and a single solve is the one-member case. assemble_residual and
 assemble_jacobian are the one-system forms of what the loop assembles.
+Input is checked before any work starts, and a check that fails during the
+loop raises NumericalError where it is found.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
 from .operators import DiffOperators, _scaled_operators
-from .validation import check_integer, check_real
+from .validation import as_reals, check_integer, check_real
 
 __all__ = [
     "LaneEmdenProblem",
@@ -52,9 +54,9 @@ def pow_signed(y, m):
     indices and keeps negative Newton iterates real-valued. m = 0 keeps
     g = 1: its solution 1 - x**2/6 holds on the whole half line, where sign(y)
     would cut it off at its zero and stall the linear problem's Newton solve.
-    0**0 evaluates to 1.
+    0**0 evaluates to 1. Non-finite or non-numeric y raises ParameterError.
     """
-    return _pow_signed(y, check_real("m", m, minimum=0.0))
+    return _pow_signed(as_reals(y, "y"), check_real("m", m, minimum=0.0))
 
 
 def _pow_signed(y, m):
@@ -86,8 +88,9 @@ def pow_signed_deriv(y, m):
     m * pow_signed_deriv never forms 0 * inf). For m < 1 the factor is
     singular at y = 0; those entries are zeroed and a RuntimeWarning is
     emitted, trusting the damped line search to step off the singularity.
+    y is read as pow_signed reads it.
     """
-    return _pow_signed_deriv(y, check_real("m", m, minimum=0.0), stacklevel=3)
+    return _pow_signed_deriv(as_reals(y, "y"), check_real("m", m, minimum=0.0), stacklevel=3)
 
 
 def _pow_signed_deriv(y, m, stacklevel=2):
@@ -264,34 +267,33 @@ def assemble_jacobian(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.nd
     return _add_g_prime(linear, problem, ops.mapped_nodes, b)
 
 
-def _stacked_lu_solve(jac: np.ndarray, rhs: np.ndarray):
-    """Checked dense LU solves of a stack of systems, up to the first that fails.
+def _stacked_lu_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Checked dense LU solves of a stack of systems.
 
-    Returns (x, None), row i of x bit for bit what scipy's lu_factor and
-    lu_solve give for system i, or (solutions of the systems before it,
-    message) for the first system that fails a check. The checks run in this
-    order: finite Jacobian, no LU pivot below 1e-14 of the largest (without
-    lu_factor's LinAlgWarning on an exactly singular one), finite right-hand
-    side, getrs success.
+    Returns x, row i bit for bit what scipy's lu_factor and lu_solve give for
+    system i, or raises NumericalError for the first system in stack order
+    that fails a check. The checks run in this order: finite Jacobian, no LU
+    pivot below 1e-14 of the largest (without lu_factor's LinAlgWarning on an
+    exactly singular one), finite right-hand side, getrs success.
     """
     finite_jac = np.isfinite(jac).all(axis=(1, 2)).tolist()
     finite_rhs = np.isfinite(rhs).all(axis=1).tolist()
     x = np.empty(rhs.shape)
     for i, a in enumerate(jac):
         if not finite_jac[i]:
-            return x[:i], "Jacobian factorization failed: array must not contain infs or NaNs"
+            raise NumericalError("Jacobian factorization failed: array must not contain infs or NaNs")
         lu, piv, _ = dgetrf(a)
         pivots = np.abs(lu.diagonal())
         scale = pivots.max()
         # false for a NaN or infinite scale as well
         if not (0.0 < scale < math.inf and pivots.min() >= 1e-14 * scale):
-            return x[:i], "singular Jacobian: pivot below 1e-14 of the largest"
+            raise NumericalError("singular Jacobian: pivot below 1e-14 of the largest")
         if not finite_rhs[i]:
-            return x[:i], "linear solve failed: right-hand side must not contain infs or NaNs"
+            raise NumericalError("linear solve failed: right-hand side must not contain infs or NaNs")
         x[i], info = dgetrs(lu, piv, rhs[i])
         if info != 0:
-            return x[:i], f"linear solve failed: illegal value in argument {-info} of getrs"
-    return x, None
+            raise NumericalError(f"linear solve failed: illegal value in argument {-info} of getrs")
+    return x
 
 
 # The step factors of the line search, one column: 1, 1/2, ..., 1/64.
@@ -303,10 +305,9 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
     side on stacks of the members still iterating; stacking changes no
     member's bits. Each iteration evaluates every rung of the damping ladder
     of every member in one residual call; a member takes the first rung that
-    reduces its residual, or stalls. A member that fails a check before its
-    LU solve drops out with the members after it, and its error is raised
-    once the members before it finish: the error a loop of newton_solve
-    raises.
+    reduces its residual, or stalls. A member that fails a check of its LU
+    solve raises NumericalError at once; among members failing at the same
+    iteration, the first in configs decides.
     """
     if not configs:
         return []
@@ -321,18 +322,12 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
     histories = [[v] for v in norm]
     iterations = [0] * len(configs)
     live = [i for i, v in enumerate(norm) if v > tol]
-    iteration, failure = 0, None
+    iteration = 0
     while live and iteration < first.max_iter:
         iteration += 1
         # a slice while every member iterates, which copies no stack
         rows = slice(None) if len(live) == len(configs) else live
-        delta, failed = _stacked_lu_solve(_add_g_prime(linear[rows], problem, xm[rows], b[rows]),
-                                          -res[rows])
-        if failed is not None:
-            failure, live = failed, live[:len(delta)]
-            if not live:
-                break
-            rows = live
+        delta = _stacked_lu_solve(_add_g_prime(linear[rows], problem, xm[rows], b[rows]), -res[rows])
         # the boundary row is e_0 with zero residual, so delta[0] = 0 exactly;
         # clamping removes LU roundoff and keeps b[0] = 1 bit-exact on every rung
         delta[:, 0] = 0.0
@@ -353,8 +348,6 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
             if norm[i] > tol:
                 still.append(i)
         live = still
-    if failure is not None:
-        raise NumericalError(failure)
     return [
         SpectralSolution(
             b=b[i].copy(),
@@ -408,23 +401,19 @@ def scan_L_reports(m, n, alpha, grid, tol=SolverConfig.newton_tol,
     trailing-coefficient magnitude (the first one on ties) as recommended.
 
     All the map scales are solved together, in one Newton loop over stacked
-    systems; each result is bitwise what newton_solve gives for that L alone,
-    and a failing scan raises the error a loop of newton_solve would raise.
-    A grid entry that is not a valid map scale raises ParameterError once the
-    entries before it are solved.
+    systems; each result is bitwise what newton_solve gives for that L alone.
+    A grid that is not iterable, or an entry of it that is not a valid map
+    scale, raises ParameterError before any solve. A member whose LU solve
+    fails a check raises NumericalError at the iteration it fails; of members
+    failing at the same iteration, the one earlier in the grid decides.
     """
     problem = LaneEmdenProblem(m)
-    configs, invalid = [], None
-    for L in grid:
-        try:
-            configs.append(SolverConfig(n=n, alpha=alpha, L=L, newton_tol=tol, max_iter=max_iter))
-        except ParameterError as exc:
-            # a loop of solves raises it once the members before it are solved
-            invalid = exc
-            break
+    try:
+        grid = iter(grid)
+    except TypeError:
+        raise ParameterError(f"grid must be an iterable of map scales, got {grid!r:.40}") from None
+    configs = [SolverConfig(n=n, alpha=alpha, L=L, newton_tol=tol, max_iter=max_iter) for L in grid]
     solutions = _lockstep_newton_solve(problem, configs)
-    if invalid is not None:
-        raise invalid
     tails = [_tail_magnitude(s.b) for s in solutions]
     converged = [i for i, s in enumerate(solutions) if s.converged]
     best = min(converged, key=tails.__getitem__, default=None)

@@ -260,6 +260,21 @@ class TestExitCodes:
                      "--eval", "-1.0"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command,option", [("scan-L", ["--L-grid", "0.5:4:15"]),
+                                                ("solve", ["--L", "2"])])
+    def test_numerical_error_exit(self, command, option, tmp_path, capsys):
+        # the solve at L = 2 meets a singular Jacobian, and so does the scan
+        # that holds it
+        out = tmp_path / "run.json"
+        status = main([command, "--m", "0.1428706620038983", "--n", "9",
+                       "--alpha", "2.9521810169907963", *option, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert status == EXIT_NOT_CONVERGED
+        assert captured.err == "emden: error: singular Jacobian: pivot below 1e-14 of the largest\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_scan_reaching_envelope_edge(self, capsys):
         assert main(["first-zero", "--m", "5", "--n", "12", "--L", "0.052"]) == EXIT_NO_ZERO
         capsys.readouterr()

@@ -26,7 +26,14 @@ from emden.reference import (
     method_reference_profile,
     shooting_oracle,
 )
-from emden.solver import LaneEmdenProblem, SolverConfig, newton_solve, pow_signed, pow_signed_scalar
+from emden.solver import (
+    LaneEmdenProblem,
+    SolverConfig,
+    newton_solve,
+    pow_signed,
+    pow_signed_deriv,
+    pow_signed_scalar,
+)
 from emden.validation import check_real
 from conftest import BAD_POINTS, STALLED
 
@@ -72,6 +79,10 @@ class TestClosedForm:
     def test_rejects_points_that_are_not_finite_numbers(self, m, x):
         with pytest.raises(ParameterError):
             closed_form(m, x)
+        # the public forms of the power law read their points the same way
+        for power_law in (pow_signed, pow_signed_deriv):
+            with pytest.raises(ParameterError):
+                power_law(x, m)
 
 
 class TestShootingOracle:
@@ -650,6 +661,16 @@ class TestProfilesAndComparison:
         for values in (prof.xs, prof.ys):
             assert values.dtype == float and not values.flags.writeable
         assert prof.first_zero() == 0.5
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_sample_with_derivatives(self):
+        # Hermite needs two samples; one takes the np.interp path of a
+        # one-sample profile without yps
+        prof = ReferenceProfile(m=3, xs=[0.0], ys=[1.0], yps=[0.0], source="shooting")
+        plain = ReferenceProfile(m=3, xs=[0.0], ys=[1.0], source="shooting")
+        assert prof.interpolant()(0.0) == plain.interpolant()(0.0) == 1.0
+        report = compare_profiles(prof, lambda x: np.ones_like(x))
+        assert report.max_abs == 0.0 and report.abs_errors.shape == (1,)
 
     def test_interpolant_hits_samples(self):
         prof = horedt_reference(3.0)

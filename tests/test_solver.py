@@ -482,32 +482,28 @@ class TestNewtonSolve:
     def test_singular_system_raises(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning ahead of the typed error fails
-            x, failure = _stacked_lu_solve(np.zeros((1, 3, 3)), np.ones((1, 3)))
-        assert failure.startswith("singular Jacobian")
-        assert x.shape == (0, 3)
+            with pytest.raises(NumericalError, match="^singular Jacobian"):
+                _stacked_lu_solve(np.zeros((1, 3, 3)), np.ones((1, 3)))
 
     def test_non_finite_system_raises(self):
         jac = np.eye(3)
         jac[2, 0] = np.nan
-        x, failure = _stacked_lu_solve(jac[None], np.ones((1, 3)))
-        assert failure.startswith("Jacobian factorization failed")
-        assert x.shape == (0, 3)
+        with pytest.raises(NumericalError, match="^Jacobian factorization failed"):
+            _stacked_lu_solve(jac[None], np.ones((1, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_right_hand_side_raises(self, bad):
         rhs = np.ones(3)
         rhs[1] = bad
-        x, failure = _stacked_lu_solve(np.eye(3)[None], rhs[None])
-        assert failure.startswith("linear solve failed: right-hand side")
-        assert x.shape == (0, 3)
+        with pytest.raises(NumericalError, match="^linear solve failed: right-hand side"):
+            _stacked_lu_solve(np.eye(3)[None], rhs[None])
 
     def test_solve_equals_scipy_lu_solve(self):
         rng = np.random.default_rng(17)
         for n in list(range(2, 32)) * 3:
             jac = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0, n)
             rhs = rng.standard_normal(n)
-            x, failure = _stacked_lu_solve(jac[None], rhs[None])
-            assert failure is None
+            x = _stacked_lu_solve(jac[None], rhs[None])
             assert bits(x[0]) == bits(lu_solve(lu_factor(jac), rhs))
             assert not np.shares_memory(x, rhs)
 
@@ -663,44 +659,56 @@ class TestScanLReports:
         assert str(serial.value).startswith("singular Jacobian")
         assert str(scan.value) == str(serial.value)
 
-    def test_the_first_failing_member_in_order_decides_the_error(self):
-        # L = 0.5 fails at its first iteration with a non-finite Jacobian,
-        # L = 2.5 later with a singular one; a loop of solves meets 2.5 first
+    def test_the_member_that_fails_first_decides_the_error(self, monkeypatch):
+        # L = 0.5 takes one step, then fails with a non-finite Jacobian at
+        # its second LU solve; L = 2.5 fails with a singular one at its 28th.
+        # The scan raises at that second solve, from L = 0.5, though L = 2.5
+        # comes first in the grid
         m, n, alpha, _ = FAILING_SCAN
         problem = LaneEmdenProblem(
             m,
             _g=lambda y: np.sign(y) * np.abs(y) ** m,
             _g_prime=lambda y: np.where(y < -1.0, np.inf, m * np.abs(y) ** (m - 1.0)))
         configs = [SolverConfig(n=n, alpha=alpha, L=L) for L in (2.5, 0.5)]
-        with np.errstate(divide="ignore"):
-            with pytest.raises(NumericalError, match="factorization failed"):
-                reference_newton_solve(problem, configs[1])
-            with pytest.raises(NumericalError) as serial:
-                for config in configs:
-                    reference_newton_solve(problem, config)
-            with pytest.raises(NumericalError) as scan:
-                _lockstep_newton_solve(problem, configs)
-        assert str(serial.value).startswith("singular Jacobian")
-        assert str(scan.value) == str(serial.value)
+        stacks = []
 
-    def test_an_invalid_L_after_a_failing_member_is_not_reached(self):
+        def counted(jac, rhs):
+            stacks.append(len(jac))
+            return stacked_lu_solve(jac, rhs)
+
+        stacked_lu_solve = emden.solver._stacked_lu_solve
+        monkeypatch.setattr(emden.solver, "_stacked_lu_solve", counted)
+        with np.errstate(divide="ignore"):
+            with pytest.raises(NumericalError, match="^singular Jacobian"):
+                reference_newton_solve(problem, configs[0])
+            assert reference_newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=0.5,
+                                                                max_iter=1)).iterations == 1
+            with pytest.raises(NumericalError, match="^Jacobian factorization failed"):
+                reference_newton_solve(problem, configs[1])
+            with pytest.raises(NumericalError, match="^Jacobian factorization failed"):
+                _lockstep_newton_solve(problem, configs)
+        assert stacks == [2, 2]
+
+    def test_an_invalid_grid_is_rejected_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(emden.solver, "_lockstep_newton_solve",
+                            lambda problem, configs: calls.append(configs))
         m, n, alpha, grid = FAILING_SCAN
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(NumericalError, match="singular Jacobian"):
-                scan_L_reports(m, n, alpha, list(grid) + [-1.0])
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^L must be"):
+            scan_L_reports(m, n, alpha, list(grid) + [-1.0])
+        with pytest.raises(ParameterError, match="^L must be"):
             scan_L_reports(3.0, 7, 1.0, [1.0, -1.0])
+        with pytest.raises(ParameterError, match="^grid must be an iterable"):
+            scan_L_reports(3, 7, 1.0, 1.0)
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [None, "a", "1.0", [1.0], True, float("nan")])
     def test_a_grid_entry_that_is_not_a_map_scale(self, bad):
         with pytest.raises(ParameterError, match="^L must be"):
             scan_L_reports(3.0, 7, 1.0, [1.0, bad])
         m, n, alpha, grid = FAILING_SCAN
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(NumericalError, match="singular Jacobian"):
-                scan_L_reports(m, n, alpha, list(grid) + [bad])
+        with pytest.raises(ParameterError, match="^L must be"):
+            scan_L_reports(m, n, alpha, list(grid) + [bad])
 
     def test_report_L_is_the_solved_float(self):
         reports = scan_L_reports(3.0, 7, 1.0, [1, np.float32(0.5), np.int64(2)])
@@ -731,17 +739,16 @@ class TestStackedLuSolve:
     def test_a_system_failing_several_checks_reports_the_first(self, jac, rhs, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, failure = _stacked_lu_solve(np.array([np.eye(2), jac]), np.array([[1.0, 2.0], rhs]))
-        assert failure.startswith(message)
-        assert bits(x) == bits([[1.0, 2.0]])
+            with pytest.raises(NumericalError, match=f"^{message}"):
+                _stacked_lu_solve(np.array([np.eye(2), jac]), np.array([[1.0, 2.0], rhs]))
         with pytest.raises(NumericalError, match=f"^{message}"):
             reference_lu_solve_checked(np.array(jac), np.array(rhs))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_equals_a_loop_of_checked_solves(self, seed):
         # members may carry a NaN or inf Jacobian, an exactly singular one or
-        # a non-finite right-hand side; the stack stops at the first member
-        # that a loop of the reference checked solve raises for, with its message
+        # a non-finite right-hand side; the stack raises the message that a
+        # loop of the reference checked solve raises, or equals its solutions
         rng = np.random.default_rng(seed)
         k, size = int(rng.integers(1, 8)), int(rng.integers(2, 18))
         jac = rng.standard_normal((k, size, size)) * rng.uniform(0.1, 10.0, (k, 1, size))
@@ -754,7 +761,6 @@ class TestStackedLuSolve:
                 jac[i, :, rng.integers(size)] = 0.0
             elif kind == 2:
                 rhs[i, rng.integers(size)] = rng.choice([np.nan, -np.inf])
-        x, failure = _stacked_lu_solve(jac, rhs)
         expected, message = [], None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -764,9 +770,12 @@ class TestStackedLuSolve:
                 except NumericalError as exc:
                     message = str(exc)
                     break
-        assert failure == message
-        assert x.shape == (len(expected), size)
-        assert bits(x) == bits(np.reshape(expected, (len(expected), size)))
+            if message is None:
+                assert bits(_stacked_lu_solve(jac, rhs)) == bits(expected)
+            else:
+                with pytest.raises(NumericalError) as failure:
+                    _stacked_lu_solve(jac, rhs)
+                assert str(failure.value) == message
 
 
 class TestConfigValidation:
