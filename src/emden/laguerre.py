@@ -86,7 +86,10 @@ class RadauNodeSet:
 
     eta[0] is exactly 0. dLn_at_eta[j] holds (d/dx)L_n^alpha(eta[j]); entry 0 is
     unused by the matrix formulas (the boundary column uses Ln_at_zero instead)
-    but stored for diagnostics. Immutable, safe to share between threads.
+    but stored for diagnostics. Both come from the last recurrence sweep of the
+    zero polish, which evaluates the zeros and the point 0 together; they equal
+    ``eval_laguerre_deriv(n, alpha, eta)`` and ``eval_laguerre(n, alpha, 0.0)``
+    bit for bit. Immutable, safe to share between threads.
     """
 
     eta: np.ndarray
@@ -137,39 +140,60 @@ def eval_laguerre_deriv(n, alpha, x):
     return float(values) if values.ndim == 0 else values
 
 
+def _polished_points(n, alpha):
+    """Polish [0, Jacobi eigenvalues...] by Newton, one recurrence sweep per step.
+
+    n and alpha arrive checked. The point 0 counts as done from the start and
+    is never stepped. The last sweep, where every zero meets the target, also
+    gives L_n' at every point (the summed lower-degree values, as
+    ``eval_laguerre_deriv`` forms them) and L_n(0). Returns (eta, dLn_at_eta,
+    Ln_at_zero), eta being 0 followed by the ascending zeros. Raises
+    NumericalError if a zero fails to polish within the iteration cap; its
+    index counts among the zeros.
+    """
+    k = np.arange(n, dtype=float)
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    z = eigh_tridiagonal(diag, off, eigvals_only=True) if n > 1 else diag.copy()
+    points = np.concatenate(([0.0], z))
+    for _ in range(_POLISH_MAX_ITER):
+        values = eval_laguerre_all(n, alpha, points)
+        val, der = values[-1], -np.sum(values[:-1], axis=0)  # as eval_laguerre_deriv
+        target = POLISH_TOL * np.maximum(1.0, np.abs(points)) * np.abs(der)
+        done = np.abs(val) <= target
+        done[0] = True
+        if np.all(done):
+            order = np.concatenate(([0], 1 + np.argsort(points[1:])))  # 0 stays first
+            return points[order], der[order], float(val[0])
+        points = np.where(done, points, points - val / der)
+    bad = int(np.argmax(np.abs(val[1:]) > target[1:]))
+    raise NumericalError(f"zero polish failed to converge at index {bad} (n={n}, alpha={alpha})")
+
+
 def laguerre_zeros(n, alpha):
     """The n simple positive zeros of L_n^alpha, ascending.
 
     Eigenvalues of the symmetric tridiagonal Jacobi matrix (diagonal 2k+alpha+1,
     off-diagonal sqrt(k(k+alpha))) give the zeros to near machine accuracy;
-    Newton polish with the analytic derivative then pins each one down to the
-    documented residual target.
+    Newton polish with the analytic derivative, the summed lower-degree values
+    of the same recurrence sweep, then pins each one down to the documented
+    residual target. ``radau_nodes`` runs the same polish, so both give the
+    same zeros bit for bit.
 
     Raises NumericalError if any zero fails to polish within the iteration cap.
     """
     n = _check_degree(check_integer("n", n, minimum=1))
     alpha = _check_alpha(alpha)
-    k = np.arange(n, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    z = eigh_tridiagonal(diag, off, eigvals_only=True) if n > 1 else diag.copy()
-    for _ in range(_POLISH_MAX_ITER):
-        values = eval_laguerre_all(n, alpha, z)
-        val, der = values[-1], -np.sum(values[:-1], axis=0)  # as eval_laguerre_deriv
-        target = POLISH_TOL * np.maximum(1.0, np.abs(z)) * np.abs(der)
-        done = np.abs(val) <= target
-        if np.all(done):
-            return np.sort(z)
-        z = np.where(done, z, z - val / der)
-    bad = int(np.argmax(np.abs(val) > target))
-    raise NumericalError(f"zero polish failed to converge at index {bad} (n={n}, alpha={alpha})")
+    return _polished_points(n, alpha)[0][1:]
 
 
 def radau_nodes(params: BasisParams) -> RadauNodeSet:
-    """Assemble the node set {0} U zeros(L_n^alpha) with cached L_n' values and L_n(0)."""
-    eta = np.concatenate(([0.0], laguerre_zeros(params.n, params.alpha)))
-    dln = eval_laguerre_deriv(params.n, params.alpha, eta)
-    ln0 = eval_laguerre(params.n, params.alpha, 0.0)
+    """Assemble the node set {0} U zeros(L_n^alpha) with L_n' at every node and L_n(0).
+
+    L_n' and L_n(0) come from the polish's last recurrence sweep, which runs over
+    the zeros and the point 0 together; no sweep follows the polish.
+    """
+    eta, dln, ln0 = _polished_points(params.n, params.alpha)
     return RadauNodeSet(eta=eta, dLn_at_eta=dln, Ln_at_zero=ln0)
 
 

@@ -267,32 +267,41 @@ def assemble_jacobian(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.nd
     return _add_g_prime(linear, problem, ops.mapped_nodes, b)
 
 
+class _SystemFailure(NumericalError):
+    """The NumericalError of system ``index`` of a stacked LU solve."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
 def _stacked_lu_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Checked dense LU solves of a stack of systems.
 
     Returns x, row i bit for bit what scipy's lu_factor and lu_solve give for
-    system i, or raises NumericalError for the first system in stack order
-    that fails a check. The checks run in this order: finite Jacobian, no LU
-    pivot below 1e-14 of the largest (without lu_factor's LinAlgWarning on an
-    exactly singular one), finite right-hand side, getrs success.
+    system i, or raises _SystemFailure, a NumericalError that carries the stack
+    index, for the first system in stack order that fails a check. The checks
+    run in this order: finite Jacobian, no LU pivot below 1e-14 of the largest
+    (without lu_factor's LinAlgWarning on an exactly singular one), finite
+    right-hand side, getrs success.
     """
     finite_jac = np.isfinite(jac).all(axis=(1, 2)).tolist()
     finite_rhs = np.isfinite(rhs).all(axis=1).tolist()
     x = np.empty(rhs.shape)
     for i, a in enumerate(jac):
         if not finite_jac[i]:
-            raise NumericalError("Jacobian factorization failed: array must not contain infs or NaNs")
+            raise _SystemFailure("Jacobian factorization failed: array must not contain infs or NaNs", i)
         lu, piv, _ = dgetrf(a)
         pivots = np.abs(lu.diagonal())
         scale = pivots.max()
         # false for a NaN or infinite scale as well
         if not (0.0 < scale < math.inf and pivots.min() >= 1e-14 * scale):
-            raise NumericalError("singular Jacobian: pivot below 1e-14 of the largest")
+            raise _SystemFailure("singular Jacobian: pivot below 1e-14 of the largest", i)
         if not finite_rhs[i]:
-            raise NumericalError("linear solve failed: right-hand side must not contain infs or NaNs")
+            raise _SystemFailure("linear solve failed: right-hand side must not contain infs or NaNs", i)
         x[i], info = dgetrs(lu, piv, rhs[i])
         if info != 0:
-            raise NumericalError(f"linear solve failed: illegal value in argument {-info} of getrs")
+            raise _SystemFailure(f"linear solve failed: illegal value in argument {-info} of getrs", i)
     return x
 
 
@@ -306,8 +315,9 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
     member's bits. Each iteration evaluates every rung of the damping ladder
     of every member in one residual call; a member takes the first rung that
     reduces its residual, or stalls. A member that fails a check of its LU
-    solve raises NumericalError at once; among members failing at the same
-    iteration, the first in configs decides.
+    solve raises NumericalError at once, its message ending in the member's
+    map scale and iteration, e.g. "(L=2.0, iteration 1)"; among members
+    failing at the same iteration, the first in configs decides.
     """
     if not configs:
         return []
@@ -327,7 +337,11 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
         iteration += 1
         # a slice while every member iterates, which copies no stack
         rows = slice(None) if len(live) == len(configs) else live
-        delta = _stacked_lu_solve(_add_g_prime(linear[rows], problem, xm[rows], b[rows]), -res[rows])
+        try:
+            delta = _stacked_lu_solve(_add_g_prime(linear[rows], problem, xm[rows], b[rows]), -res[rows])
+        except _SystemFailure as exc:
+            L = configs[live[exc.index]].L
+            raise NumericalError(f"{exc} (L={L}, iteration {iteration})") from None
         # the boundary row is e_0 with zero residual, so delta[0] = 0 exactly;
         # clamping removes LU roundoff and keeps b[0] = 1 bit-exact on every rung
         delta[:, 0] = 0.0
@@ -372,8 +386,8 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
     decreases the residual infinity-norm. The b-independent part of J is
     assembled once per solve. A stalled line search or an exhausted iteration
     budget returns a non-converged result rather than raising; a non-finite
-    or singular Jacobian raises NumericalError. This is the one-member case
-    of the loop scan_L_reports runs.
+    or singular Jacobian raises NumericalError that names L and the
+    iteration. This is the one-member case of the loop scan_L_reports runs.
     """
     return _lockstep_newton_solve(problem, [config])[0]
 
@@ -404,8 +418,9 @@ def scan_L_reports(m, n, alpha, grid, tol=SolverConfig.newton_tol,
     systems; each result is bitwise what newton_solve gives for that L alone.
     A grid that is not iterable, or an entry of it that is not a valid map
     scale, raises ParameterError before any solve. A member whose LU solve
-    fails a check raises NumericalError at the iteration it fails; of members
-    failing at the same iteration, the one earlier in the grid decides.
+    fails a check raises NumericalError, naming its L and iteration, at the
+    iteration it fails; of members failing at the same iteration, the one
+    earlier in the grid decides.
     """
     problem = LaneEmdenProblem(m)
     try:

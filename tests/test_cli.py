@@ -264,14 +264,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,option", [("scan-L", ["--L-grid", "0.5:4:15"]),
                                                 ("solve", ["--L", "2"])])
     def test_numerical_error_exit(self, command, option, tmp_path, capsys):
-        # the solve at L = 2 meets a singular Jacobian, and so does the scan
-        # that holds it
+        # the solve at L = 2 meets a singular Jacobian; in the scan that holds
+        # it, the member at L = 3.5 meets one first
+        where = {"scan-L": "L=3.5, iteration 22", "solve": "L=2.0, iteration 33"}[command]
         out = tmp_path / "run.json"
         status = main([command, "--m", "0.1428706620038983", "--n", "9",
                        "--alpha", "2.9521810169907963", *option, "--out", str(out)])
         captured = capsys.readouterr()
         assert status == EXIT_NOT_CONVERGED
-        assert captured.err == "emden: error: singular Jacobian: pivot below 1e-14 of the largest\n"
+        assert captured.err == f"emden: error: singular Jacobian: pivot below 1e-14 of the largest ({where})\n"
         assert captured.out == ""
         assert not out.exists()
 

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre
 
-from emden.errors import ParameterError, RangeError
+from emden import laguerre
+from emden.errors import NumericalError, ParameterError, RangeError
 from emden.laguerre import (
     MAX_ARGUMENT,
     MAX_DEGREE,
@@ -23,6 +24,30 @@ from emden.laguerre import (
 from conftest import BAD_POINTS
 
 ALPHAS = [0.0, 1.0, 2.5]
+
+
+def reference_radau_nodes(n, alpha):
+    """The node set built with three recurrence sweeps, as before they were
+    shared: the zero polish over the eigenvalues alone, then L_n' at the nodes
+    and L_n(0) each from a sweep of their own. Returns the node set and the
+    number of polish steps."""
+    k = np.arange(n, dtype=float)
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    z = laguerre.eigh_tridiagonal(diag, off, eigvals_only=True) if n > 1 else diag.copy()
+    for step in range(1, laguerre._POLISH_MAX_ITER + 1):
+        values = eval_laguerre_all(n, alpha, z)
+        val, der = values[-1], -np.sum(values[:-1], axis=0)
+        done = np.abs(val) <= POLISH_TOL * np.maximum(1.0, np.abs(z)) * np.abs(der)
+        if np.all(done):
+            break
+        z = np.where(done, z, z - val / der)
+    else:
+        raise AssertionError("reference polish did not converge")
+    eta = np.concatenate(([0.0], np.sort(z)))
+    nodes = laguerre.RadauNodeSet(eta=eta, dLn_at_eta=eval_laguerre_deriv(n, alpha, eta),
+                                  Ln_at_zero=eval_laguerre(n, alpha, 0.0))
+    return nodes, step
 
 
 class TestEvalLaguerre:
@@ -148,6 +173,51 @@ class TestLaguerreZeros:
 
 
 class TestRadauNodes:
+    @pytest.mark.parametrize("n", range(1, MAX_DEGREE + 1))
+    def test_equals_the_three_sweep_reference(self, n):
+        for alpha in np.linspace(-0.95, 5.0, 24).tolist():
+            nodes = radau_nodes(BasisParams(n=n, alpha=alpha))
+            ref, _ = reference_radau_nodes(n, alpha)
+            assert nodes.eta.tobytes() == ref.eta.tobytes()
+            assert nodes.dLn_at_eta.tobytes() == ref.dLn_at_eta.tobytes()
+            assert type(nodes.Ln_at_zero) is float
+            assert np.float64(nodes.Ln_at_zero).tobytes() == np.float64(ref.Ln_at_zero).tobytes()
+            assert laguerre_zeros(n, alpha).tobytes() == ref.eta[1:].tobytes()
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-9])
+    def test_one_recurrence_sweep_per_polish_step(self, shift, monkeypatch):
+        # shift moves the eigenvalues off the zeros, so the polish takes steps
+        eigh_tridiagonal = laguerre.eigh_tridiagonal
+        monkeypatch.setattr(laguerre, "eigh_tridiagonal",
+                            lambda *args, **kwargs: eigh_tridiagonal(*args, **kwargs) * (1.0 + shift))
+        ref, steps = reference_radau_nodes(12, 1.0)
+        calls = []
+        sweep = laguerre.eval_laguerre_all
+
+        def counted(*args):
+            calls.append(args[:2])
+            return sweep(*args)
+
+        def forbidden(*args):
+            raise AssertionError("radau_nodes sweeps after the polish")
+
+        monkeypatch.setattr(laguerre, "eval_laguerre_all", counted)
+        monkeypatch.setattr(laguerre, "eval_laguerre_deriv", forbidden)
+        monkeypatch.setattr(laguerre, "eval_laguerre", forbidden)
+        nodes = radau_nodes(BasisParams(n=12, alpha=1.0))
+        assert calls == [(12, 1.0)] * steps
+        assert (steps == 1) if shift == 0.0 else (steps > 1)
+        assert nodes.eta.tobytes() == ref.eta.tobytes()
+        assert nodes.dLn_at_eta.tobytes() == ref.dLn_at_eta.tobytes()
+
+    def test_polish_failure_names_the_zero(self, monkeypatch):
+        monkeypatch.setattr(laguerre, "POLISH_TOL", -1.0)
+        message = r"^zero polish failed to converge at index 0 \(n=5, alpha=1\.0\)$"
+        with pytest.raises(NumericalError, match=message):
+            laguerre_zeros(5, 1.0)
+        with pytest.raises(NumericalError, match=message):
+            radau_nodes(BasisParams(n=5))
+
     def test_structure(self):
         nodes = radau_nodes(BasisParams(n=7, alpha=1.0, L=1.0))
         assert nodes.n == 7

@@ -103,7 +103,8 @@ def reference_lu_solve_checked(jac, rhs):
 def reference_newton_solve(problem, config):
     """The Newton loop that rebuilds the Jacobian every iteration and halves
     its step one residual at a time, kept as the reference newton_solve and
-    every scan member must equal bit for bit, on an uncached build."""
+    every scan member must equal bit for bit, on an uncached build. A failed
+    check of the LU solve names L and the iteration, as the solver's does."""
     ops = uncached_build_operators(config.basis_params())
     xm = ops.mapped_nodes
     b = (1.0 + xm**2 / 3.0) ** -0.5
@@ -114,9 +115,12 @@ def reference_newton_solve(problem, config):
     iterations = 0
     while norm > config.newton_tol and iterations < config.max_iter:
         jac = reference_jacobian(problem, ops, b)
-        delta = reference_lu_solve_checked(jac, -res)
-        delta[0] = 0.0
         iterations += 1
+        try:
+            delta = reference_lu_solve_checked(jac, -res)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} (L={config.L}, iteration {iterations})") from None
+        delta[0] = 0.0
         step = 1.0
         accepted = False
         while step >= 1.0 / 64.0:
@@ -200,7 +204,7 @@ SCAN_SAMPLE = (
 )
 
 # a scan whose member at L = 2.0 has a singular Jacobian; the six before it
-# converge or stall
+# converge or stall, and seven of the eight after it fail too, L = 3.5 first
 FAILING_SCAN = (0.1428706620038983, 9, 2.9521810169907963, linspace(0.5, 4.0, 15))
 
 
@@ -645,19 +649,24 @@ class TestScanLReports:
         assert scan_L_reports(3.0, 7, 1.0, []) == []
 
     def test_failing_scan_raises_what_a_loop_of_solves_raises(self):
+        # each L solved alone by the reference loop; the scan raises the
+        # failure at the earliest iteration, the earlier L on a tie
         m, n, alpha, grid = FAILING_SCAN
         problem = LaneEmdenProblem(m)
+        failures = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            for L in grid[:6]:
-                reference_newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=L))
-            with pytest.raises(NumericalError) as serial:
-                for L in grid:
+            for L in grid:
+                try:
                     reference_newton_solve(problem, SolverConfig(n=n, alpha=alpha, L=L))
+                except NumericalError as exc:
+                    failures.append((int(str(exc).split("iteration ")[1].rstrip(")")), str(exc)))
             with pytest.raises(NumericalError) as scan:
                 scan_L_reports(m, n, alpha, np.array(grid))
-        assert str(serial.value).startswith("singular Jacobian")
-        assert str(scan.value) == str(serial.value)
+        first = min(failures, key=lambda failure: failure[0])[1]
+        assert len(failures) == 8
+        assert first == "singular Jacobian: pivot below 1e-14 of the largest (L=3.5, iteration 22)"
+        assert str(scan.value) == first
 
     def test_the_member_that_fails_first_decides_the_error(self, monkeypatch):
         # L = 0.5 takes one step, then fails with a non-finite Jacobian at
