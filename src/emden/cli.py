@@ -4,11 +4,13 @@ Subcommands: solve, first-zero, scan-L, reproduce-tables. Output is JSON
 (default) or CSV, written to stdout or --out, formatted deterministically.
 
 Each runner builds its tabular payload once, as a _Table whose column spec
-is the one place output formats live: profile values at 6 decimals, zero
+gives every table column its format: profile values at 6 decimals, zero
 locations at 8, deltas and coefficient magnitudes in scientific notation
 with 3 digits. Both outputs are rendered from that table: a CSV field is the
 cell in its column's format and the JSON value is that text read back, so
-the two formats agree by construction.
+the two formats agree by construction. Two JSON-only values are formatted
+outside it: the solution block (coefficients at .12g, the residual norm at
+.3e) and the first-zero bracket (.8f).
 
 Exit codes: 0 success, 1 usage or parameter error, 2 solver non-convergence,
 3 no zero found, 4 reproduce-tables deltas exceeded tolerance.

@@ -11,7 +11,6 @@ raised rather than silently losing accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -206,9 +205,3 @@ def eval_mgl(params: BasisParams, n_index, x):
     t = as_points(x) / params.L
     values = np.exp(-t / 2.0) * eval_laguerre_all(n_index, params.alpha, t)[-1]
     return float(values) if values.ndim == 0 else values
-
-
-def mgl_norm_constant(params: BasisParams, n_index: int) -> float:
-    """Diagonal value of the weighted inner product at L=1: Gamma(n+alpha+1)/n!."""
-    n_index = _check_degree(n_index)
-    return gamma(n_index + params.alpha + 1.0) / gamma(n_index + 1.0)

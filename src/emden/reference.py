@@ -5,9 +5,10 @@ The shooting integrator is the package's independent oracle. It never touches
 the collocation machinery: series start near the singular origin, classical
 RK4 with step doubling, derivative samples kept for Hermite interpolation.
 
-Only ReferenceProfile.interpolant() and ReferenceProfile.first_zero() use
-scipy.interpolate and scipy.optimize; they import them on first use, so that
-importing the package (and every CLI subcommand) loads only scipy.linalg.
+Every zero search here bisects by one rule, _bisection. Only
+ReferenceProfile.interpolant() uses scipy.interpolate; it imports it on first
+use, so that importing the package (and every CLI subcommand) loads only
+scipy.linalg.
 """
 from __future__ import annotations
 
@@ -121,19 +122,16 @@ class ReferenceProfile:
         return lambda x: np.interp(x, self.xs, self.ys)
 
     def first_zero(self) -> float:
-        """Smallest root of the interpolant inside the sampled range."""
-        from scipy.optimize import brentq
-
+        """Smallest root of the interpolant inside the sampled range, refined
+        from the first sample interval with a sign change as first_zero_of's."""
         signs = np.sign(self.ys)
-        flips = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
-        flips = flips[signs[flips] != 0] if flips.size else flips
+        flips = np.flatnonzero((signs[:-1] * signs[1:] <= 0) & (signs[:-1] != 0))
         if not flips.size:
             raise NoZeroFound(f"no sign change in the sampled range of the {self.source} profile")
         k = int(flips[0])
         if self.ys[k + 1] == 0.0:
             return float(self.xs[k + 1])
-        spline = self.interpolant()
-        return float(brentq(spline, self.xs[k], self.xs[k + 1], xtol=1e-13))
+        return _refine(self.interpolant(), self.xs[k:k + 2].tolist(), self.ys[k:k + 2].tolist())[0]
 
 
 @dataclass(frozen=True)
@@ -250,30 +248,47 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
     return ReferenceProfile(m=m, xs=xs, ys=ys, source="shooting", yps=yps)
 
 
+def _bisection(lo, hi, side, budget):
+    """Bisect [lo, hi] by the one rule of every zero search here.
+
+    Each step asks side(mid, lo, hi, left) about mid = 0.5*(lo+hi), left being
+    the steps still allowed with this one: > 0 moves lo to mid, < 0 moves hi,
+    0 (a zero at mid) stops with lo = hi = mid. The search also stops at width
+    1e-13, after `budget` steps, or at a midpoint equal to an end (only at
+    x >= 512, where neighbouring doubles lie more than 1e-13 apart). Returns
+    (lo, hi, steps).
+    """
+    steps = 0
+    while hi - lo > _BISECT_INTERVAL and steps < budget:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        found = side(mid, lo, hi, budget - steps)
+        steps += 1
+        if found == 0:
+            return mid, mid, steps
+        lo, hi = (mid, hi) if found > 0 else (lo, mid)
+    return lo, hi, steps
+
+
 def _predicted_path(lo, y_lo, hi, y_hi, budget):
     """Midpoints bisection visits from [lo, hi] if every sign agrees with the
     regula falsi estimate of the root from the ends and their values.
 
-    The path takes at most `budget` steps and stops where bisection stops:
-    width 1e-13, a midpoint equal to an end, or a midpoint on the estimate
-    itself, which predicts an exact zero. An estimate that is not finite or
-    falls outside [lo, hi] is replaced by the midpoint.
+    It stops where _bisection stops, or at a midpoint on the estimate, which
+    predicts an exact zero. An estimate that is not finite or falls outside
+    [lo, hi] is replaced by the midpoint.
     """
     root = lo - y_lo * (hi - lo) / (y_hi - y_lo)
     if not lo <= root <= hi:  # NaN fails the test as well
         root = 0.5 * (lo + hi)
     path = []
-    while hi - lo > _BISECT_INTERVAL and len(path) < budget:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+
+    def side(mid, *_):
         path.append(mid)
-        if mid < root:
-            lo = mid
-        elif mid > root:
-            hi = mid
-        else:
-            break
+        return (root > mid) - (root < mid)
+
+    _bisection(lo, hi, side, budget)
     return path
 
 
@@ -290,29 +305,40 @@ def _values(f, xs):
     return ys
 
 
+def _refine(f, ends, end_values):
+    """Bisect a sign change of f between two ends, the lower one's value
+    nonzero; returns (the final bracket's midpoint, steps). Each sign is read
+    from values keyed by x, and a midpoint without one calls f on the
+    predicted path from the current bracket."""
+    values = dict(zip(ends, end_values))
+    positive_lo = end_values[0] > 0.0  # lo only moves to midpoints of its sign
+
+    def side(mid, lo, hi, left):
+        if mid not in values:
+            path = _predicted_path(lo, values[lo], hi, values[hi], left)
+            values.update(zip(path, _values(f, np.array(path)).tolist()))
+        y = values[mid]
+        if y != y:
+            raise _nan_error(mid)
+        return 0 if y == 0.0 else (1 if (y > 0.0) == positive_lo else -1)
+
+    lo, hi, steps = _bisection(*ends, side, _BISECT_MAX_ITER)
+    return 0.5 * (lo + hi), steps
+
+
 def first_zero_of(f, scan_step=0.05, x_max=_SCAN_END) -> FirstZeroResult:
     """First sign change of a callable on [0, x_max]: scan, then bisect.
 
     f is always called with a 1-d array. The scan calls it with blocks of up
     to _SCAN_BLOCK points min(k*scan_step, x_max), neighbouring blocks sharing
     an end point, and stops at the first block with a sign change. Bisection
-    then refines the first bracketing interval to width <= 1e-13, leaving the
-    function value at the root below 1e-12 for any slope of practical size.
-    Each call of f evaluates the midpoints bisection would visit if every
-    sign agreed with the regula falsi estimate of the root from the current
-    bracket ends; the walk takes them one at a time with the sign test
-    against the lower end, stopping at an exact zero, at width 1e-13, after
-    200 steps, or when the midpoint equals an end, and at the first midpoint
-    whose sign disagrees with the prediction the next call starts from the
-    narrowed bracket. The steps and their signs are those of a bisection that
-    calls f once per step. The stop at a midpoint equal to an end happens
-    only at x >= 512, where neighbouring doubles lie more than 1e-13 apart:
-    the bracket ends as two neighbouring doubles with x_star their rounded
-    midpoint, and the steps up to the cap of 200 that could not move it are
-    not taken or counted.
+    (_bisection) then refines the first bracketing interval to width <= 1e-13,
+    leaving the function value at the root below 1e-12 for any slope of
+    practical size. Its steps and signs are those of a bisection that calls f
+    once per step, though one call evaluates several predicted steps.
 
     A NaN that the search acts on, at a scan point up to the first sign
-    change or at a midpoint the walk visits, raises NumericalError; ±inf
+    change or at a midpoint the bisection visits, raises NumericalError; ±inf
     count with their sign. A call of f that returns anything other than one
     value per point raises ParameterError.
     """
@@ -334,36 +360,9 @@ def first_zero_of(f, scan_step=0.05, x_max=_SCAN_END) -> FirstZeroResult:
     for x, y in ((xs[k], ys[k]), (xs[k + 1], ys[k + 1])):
         if np.isnan(y):
             raise _nan_error(float(x))
-    bracket = (float(xs[k]), float(xs[k + 1]))
-    lo, hi = bracket
-    y_lo, y_hi = float(ys[k]), float(ys[k + 1])
-    positive_lo = y_lo > 0.0  # lo only moves to midpoints of its sign; y_lo != 0
-    iterations = 0
-    node, path = 0, []
-    while hi - lo > _BISECT_INTERVAL and iterations < _BISECT_MAX_ITER:
-        if node >= len(path):
-            path = _predicted_path(lo, y_lo, hi, y_hi, _BISECT_MAX_ITER - iterations)
-            if not path:  # no midpoint strictly inside [lo, hi]
-                break
-            values = _values(f, np.array(path)).tolist()
-            node = 0
-        mid, y = path[node], values[node]
-        iterations += 1
-        if y != y:
-            raise _nan_error(mid)
-        if y == 0.0:
-            lo = hi = mid
-            break
-        moved_lo = (y > 0.0) == positive_lo
-        if moved_lo:
-            lo, y_lo = mid, y
-        else:
-            hi, y_hi = mid, y
-        # the path goes on above mid where it predicted lo to move there; past
-        # a misprediction it holds the midpoints of another bracket
-        predicted_lo = node + 1 < len(path) and path[node + 1] > mid
-        node = node + 1 if moved_lo == predicted_lo else len(path)
-    return FirstZeroResult(x_star=0.5 * (lo + hi), bracket=bracket, refinement_iterations=iterations)
+    bracket = tuple(xs[k:k + 2].tolist())
+    x_star, iterations = _refine(f, bracket, ys[k:k + 2].tolist())
+    return FirstZeroResult(x_star=x_star, bracket=bracket, refinement_iterations=iterations)
 
 
 def first_zero(solution: SpectralSolution) -> FirstZeroResult:

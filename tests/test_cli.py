@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -235,6 +236,23 @@ class TestReproduceTablesCommand:
         assert len(set(calls)) == len(calls)
         assert {call[3] for call in calls} == {tol}
 
+    def test_unconverged_profile_solve(self, capsys):
+        # no solve meets a tolerance of 1e-300, so the m=3 profile solve ends the run
+        status, doc = run_json(capsys, ["reproduce-tables", "--tol", "1e-300"])
+        assert status == EXIT_NOT_CONVERGED
+        assert doc == {"config": {"command": "reproduce-tables"}, "profile_table": None,
+                       "zero_table": None, "all_within_tolerance": False}
+        status, out = run_text(capsys, ["reproduce-tables", "--tol", "1e-300", "--format", "csv"])
+        assert status == EXIT_NOT_CONVERGED
+        assert out == "x,present,reference,abs_delta\n"
+
+    def test_scan_without_a_recommendation_is_partial(self, monkeypatch, capsys):
+        monkeypatch.setattr(emden.cli, "_scanned_solution", lambda m, tol: None)
+        status, doc = run_json(capsys, ["reproduce-tables"])
+        assert status == EXIT_NOT_CONVERGED
+        assert doc["all_within_tolerance"] is False
+        assert [row["m"] for row in doc["zero_table"]["rows"]] == [3.0]
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):
@@ -259,6 +277,13 @@ class TestExitCodes:
         assert main(["solve", "--m", "3", "--n", "7",
                      "--eval", "-1.0"]) == EXIT_USAGE
         capsys.readouterr()
+        assert main(["solve", "--m", "3", "--n", "7", "--eval", ","]) == EXIT_USAGE
+        assert "empty evaluation list" in capsys.readouterr().err
+        for spec, message in (("1:2:x", "grid must look like lo:hi:count"),
+                              ("2:1:3", "grid upper bound must be >= lower bound"),
+                              ("1:2:0", "grid count must be >= 1")):
+            assert main(["scan-L", "--m", "3", "--n", "7", "--L-grid", spec]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command,option", [("scan-L", ["--L-grid", "0.5:4:15"]),
@@ -402,7 +427,8 @@ class TestModuleEntryPoint:
     def test_subcommands_load_only_scipy_linalg(self, tmp_path):
         # Every subcommand, run in one fresh interpreter, must leave
         # scipy.linalg the only public scipy subpackage loaded; the reference
-        # profile's spline and root finder load theirs on first use.
+        # profile's spline loads scipy.interpolate on first use, which loads
+        # scipy.optimize itself.
         script = """
 import json, sys
 import emden.cli
@@ -435,6 +461,29 @@ print(json.dumps({"status": status, "before": before, "x_star": x_star,
         assert doc["before"] == ["scipy.linalg"]
         assert round(doc["x_star"], 8) == 6.89684842
         assert {"scipy.interpolate", "scipy.optimize"} <= set(doc["after"])
+
+    def test_scipy_imports_in_the_package(self):
+        # scipy.interpolate imports scipy.optimize itself, so only the source
+        # shows which scipy modules the package imports, and where
+        def imports(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from imports(child, scope + (child.name,))
+                    continue
+                if isinstance(child, ast.Import):
+                    yield from ((".".join(scope), alias.name) for alias in child.names)
+                elif isinstance(child, ast.ImportFrom) and not child.level:
+                    yield ".".join(scope), child.module
+                yield from imports(child, scope)
+
+        package = Path(emden.cli.__file__).resolve().parent
+        found = {(path.name, scope, module)
+                 for path in package.glob("*.py")
+                 for scope, module in imports(ast.parse(path.read_text()), ())
+                 if module.split(".")[0] == "scipy"}
+        assert found == {("laguerre.py", "", "scipy.linalg"),
+                         ("solver.py", "", "scipy.linalg.lapack"),
+                         ("reference.py", "ReferenceProfile.interpolant", "scipy.interpolate")}
 
     def test_subprocess_usage_error(self):
         proc = subprocess.run(

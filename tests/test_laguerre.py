@@ -18,7 +18,6 @@ from emden.laguerre import (
     eval_laguerre_deriv,
     eval_mgl,
     laguerre_zeros,
-    mgl_norm_constant,
     radau_nodes,
 )
 from conftest import BAD_POINTS
@@ -269,11 +268,13 @@ class TestMglOrthogonality:
     def test_gram_matrix_diagonal(self, L):
         # 24-point Gauss quadrature integrates products up to degree 47
         # exactly, far beyond the 8x8 block checked here.
-        t, w = roots_genlaguerre(24, 1.0)
-        vals = eval_laguerre_all(8, 1.0, t)
+        alpha = 1.0
+        t, w = roots_genlaguerre(24, alpha)
+        vals = eval_laguerre_all(8, alpha, t)
         gram = L * np.einsum("q,iq,jq->ij", w, vals, vals)
         for i in range(9):
-            expected = L * mgl_norm_constant(BasisParams(n=8, alpha=1.0, L=L), i)
+            # the weighted norm at L = 1 is Gamma(i + alpha + 1) / i!
+            expected = L * math.gamma(i + alpha + 1.0) / math.factorial(i)
             assert gram[i, i] == pytest.approx(expected, rel=1e-12)
             if L == 1.0:
                 assert gram[i, i] == pytest.approx(L * (i + 1), rel=1e-12)

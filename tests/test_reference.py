@@ -626,6 +626,53 @@ class TestSpectralFirstZero:
             first_zero(sol)
 
 
+class TestProfileFirstZero:
+    """ReferenceProfile.first_zero refines its first sign change by the
+    bisection that first_zero_of runs."""
+
+    # earlier: what scipy's brentq gave at xtol 1e-13, the root finder this
+    # bisection replaced
+    @pytest.mark.parametrize("profile, earlier", [
+        pytest.param(lambda: shooting_oracle(2.0, 6.0), 4.352874596049754, id="shooting-m2"),
+        pytest.param(lambda: shooting_oracle(3.0, 8.0), 6.89684842416675, id="shooting-m3"),
+        pytest.param(lambda: shooting_oracle(4.0, 16.0), 14.971545692524717, id="shooting-m4"),
+        pytest.param(lambda: shooting_oracle(4.9, 250.0), 171.4334037871151, id="shooting-m4.9"),
+        pytest.param(lambda: closed_form_profile(1, np.linspace(0.0, 4.0, 41)),
+                     3.1415927773538472, id="sine-ratio-spline"),
+    ])
+    def test_zero_within_1e_13_of_the_earlier_root_finder(self, profile, earlier):
+        assert abs(profile().first_zero() - earlier) <= 1e-13
+
+    def test_interpolant_called_only_with_1d_arrays(self, monkeypatch):
+        prof = shooting_oracle(3.0, 8.0)
+        expected = prof.first_zero()
+        calls = []
+        spline = ReferenceProfile.interpolant
+        monkeypatch.setattr(ReferenceProfile, "interpolant",
+                            lambda self: array_only(spline(self), calls))
+        assert prof.first_zero() == expected
+        # each call evaluates a predicted path, several bisection steps
+        assert 0 < len(calls) < sum(map(len, calls))
+
+    @pytest.mark.parametrize("profile", [
+        pytest.param(lambda: shooting_oracle(3.0, 5.0), id="shooting-before-the-zero"),
+        pytest.param(lambda: closed_form_profile(5.0, np.linspace(0.0, 10.0, 11)), id="m5"),
+    ])
+    def test_no_sign_change_raises(self, profile):
+        with pytest.raises(NoZeroFound, match="no sign change in the sampled range"):
+            profile().first_zero()
+
+    def test_zero_sample_after_the_flip_is_returned_exactly(self, monkeypatch):
+        prof = ReferenceProfile(m=3.0, xs=[0.0, 1.0, 2.7, 3.0], ys=[1.0, 0.4, 0.0, -0.2],
+                                source="closed-form")
+
+        def refuse(self):
+            raise AssertionError("interpolant built for a zero sample")
+
+        monkeypatch.setattr(ReferenceProfile, "interpolant", refuse)
+        assert prof.first_zero() == 2.7
+
+
 class TestProfilesAndComparison:
     def test_closed_form_profile(self):
         prof = closed_form_profile(5.0, np.linspace(0.0, 4.0, 9))

@@ -312,6 +312,14 @@ class TestProblem:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("assemble", [assemble_residual, assemble_jacobian])
+    @pytest.mark.parametrize("b", [[1.0, 0.8, 0.5, 0.2], [1.0, 0.8, 0.5, 0.2, 0.05, 0.0],
+                                   [[1.0, 0.8, 0.5, 0.2, 0.05]]], ids=["short", "long", "2-d"])
+    def test_coefficients_not_one_per_node_raise(self, assemble, b):
+        ops = build_operators(BasisParams(n=4))
+        with pytest.raises(ParameterError, match="b must have length 5"):
+            assemble(LaneEmdenProblem(3.0), ops, b)
+
     def test_boundary_rows(self):
         ops = build_operators(BasisParams(n=4))
         b = np.array([1.0, 0.8, 0.5, 0.2, 0.05])
