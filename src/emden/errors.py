@@ -20,7 +20,7 @@ class ParameterError(EmdenError, ValueError):
 
 
 class RangeError(ParameterError):
-    """Input outside the double-precision evaluation envelope (n <= 30, x <= 200)."""
+    """Input outside the double-precision evaluation envelope (n <= 30, x <= 200*L)."""
 
 
 class NumericalError(EmdenError, ArithmeticError):

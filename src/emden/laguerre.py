@@ -4,9 +4,9 @@ Everything in this module lives on the unscaled half line. The map parameter L
 enters only through ``eval_mgl`` (which evaluates the decaying basis function
 exp(-x/(2L)) * L_n^alpha(x/L)) and through consumers in the operator module.
 
-Evaluation is restricted to the envelope n <= 30, x <= 200 where the forward
-recurrence stays inside double-precision range; outside it a RangeError is
-raised rather than silently losing accuracy.
+Evaluation is restricted to the envelope n <= 30, x <= 200 (x <= 200*L for
+``eval_mgl``) where the forward recurrence stays inside double-precision range;
+outside it a RangeError is raised rather than silently losing accuracy.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError, ParameterError, RangeError
-from .validation import as_points, check_integer, check_real
+from .validation import as_points, as_reals, check_integer, check_real
 
 __all__ = [
     "MAX_DEGREE",
@@ -55,14 +55,19 @@ def _check_alpha(alpha):
 
 
 def _check_argument(x):
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ParameterError("argument must be finite")
-    if arr.size and (np.any(arr > MAX_ARGUMENT) or np.any(arr < -1.0)):
+    arr = as_reals(x, "argument")
+    if np.any(arr > MAX_ARGUMENT) or np.any(arr < -1.0):
         raise RangeError(
             f"argument outside the evaluation envelope [-1, {MAX_ARGUMENT:g}]"
         )
     return arr
+
+
+def _unscaled(x, L):
+    """x/L for checked points x >= 0. Any x <= MAX_ARGUMENT*L maps into the
+    envelope, even where x/L rounds one ulp past MAX_ARGUMENT."""
+    t = x / L
+    return np.where(x <= MAX_ARGUMENT * L, np.minimum(t, MAX_ARGUMENT), t)
 
 
 @dataclass(frozen=True)
@@ -200,8 +205,9 @@ def eval_mgl(params: BasisParams, n_index, x):
     """Decaying basis function exp(-x/(2L)) * L_k^alpha(x/L) for k = n_index.
 
     Defined for x >= 0 only (the half-line weight); x may be scalar or array.
+    Any x <= MAX_ARGUMENT*L evaluates, even where x/L rounds past MAX_ARGUMENT.
     """
     n_index = _check_degree(n_index)
-    t = as_points(x) / params.L
+    t = _unscaled(as_points(x), params.L)
     values = np.exp(-t / 2.0) * eval_laguerre_all(n_index, params.alpha, t)[-1]
     return float(values) if values.ndim == 0 else values

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .laguerre import MAX_ARGUMENT, BasisParams, RadauNodeSet, eval_laguerre_all, radau_nodes
-from .validation import as_points, check_real
+from .laguerre import (BasisParams, RadauNodeSet, _check_alpha, _unscaled, eval_laguerre_all,
+                       radau_nodes)
+from .validation import as_points, as_reals, check_real
 
 __all__ = [
     "DiffOperators",
@@ -85,6 +86,7 @@ def build_poly_d1(nodes: RadauNodeSet, alpha: float) -> np.ndarray:
     Five closed-form cases: interior off-diagonal, interior diagonal, boundary
     column j=0, boundary row i=0, and the corner i=j=0.
     """
+    alpha = _check_alpha(alpha)
     eta, lp, l0 = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero
     n = nodes.n
     d = np.empty((n + 1, n + 1))
@@ -107,6 +109,7 @@ def build_poly_d2(nodes: RadauNodeSet, alpha: float) -> np.ndarray:
     to roundoff; built directly from closed forms so the identity stays a
     testable property rather than a construction.
     """
+    alpha = _check_alpha(alpha)
     eta, lp, l0 = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero
     n = nodes.n
     d = np.empty((n + 1, n + 1))
@@ -193,6 +196,14 @@ def build_operators(params: BasisParams) -> DiffOperators:
     return _scaled_operators([params])[0][0]
 
 
+def _coefficients(ops: DiffOperators, b) -> np.ndarray:
+    """b as a float array of one finite entry per node of ops."""
+    b = as_reals(b, "b")
+    if b.shape != (ops.n + 1,):
+        raise ParameterError(f"b must have length {ops.n + 1}")
+    return b
+
+
 def _hat_cardinals(nodes: RadauNodeSet, alpha: float, t: np.ndarray) -> np.ndarray:
     """Weighted cardinal functions at the unscaled points t: one row per point."""
     eta = nodes.eta
@@ -219,14 +230,9 @@ def eval_hat_interpolant(ops: DiffOperators, b, x):
     (the removable-singularity branch) and b_0 = y(0) at the origin. Any
     x <= MAX_ARGUMENT*L evaluates, even where x/L rounds past MAX_ARGUMENT.
     """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (ops.n + 1,):
-        raise ParameterError(f"coefficient vector must have length {ops.n + 1}")
+    b = _coefficients(ops, b)
     arr = as_points(x)
-    pts = arr.reshape(-1)
-    t = pts / ops.params.L
-    # x/L can round past the edge by one ulp
-    t = np.where(pts <= MAX_ARGUMENT * ops.params.L, np.minimum(t, MAX_ARGUMENT), t)
+    t = _unscaled(arr.reshape(-1), ops.params.L)
     card = _hat_cardinals(ops.nodes, ops.params.alpha, t)
     # a row sum, not card @ b: it keeps a point's value independent of the batch
     values = np.sum(card * b, axis=1).reshape(arr.shape)

@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
-from .operators import DiffOperators, _scaled_operators
+from .operators import DiffOperators, _coefficients, _scaled_operators
 from .validation import as_reals, check_integer, check_real
 
 __all__ = [
@@ -218,13 +218,6 @@ def _stacked_residual(problem: LaneEmdenProblem, d1, d2, xm, b) -> np.ndarray:
         + xm[..., 1:n] * problem.g(b[..., 1:n])
     )
     return out
-
-
-def _coefficients(ops: DiffOperators, b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.shape != (ops.n + 1,):
-        raise ParameterError(f"b must have length {ops.n + 1}")
-    return b
 
 
 def assemble_residual(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:

@@ -485,6 +485,16 @@ print(json.dumps({"status": status, "before": before, "x_star": x_star,
                          ("solver.py", "", "scipy.linalg.lapack"),
                          ("reference.py", "ReferenceProfile.interpolant", "scipy.interpolate")}
 
+    def test_package_republishes_each_module_list_once(self):
+        from emden import errors, estimator, laguerre, operators, reference, solver
+        modules = (errors, estimator, laguerre, operators, reference, solver)
+        declared = [name for module in modules for name in module.__all__]
+        assert len(set(declared)) == len(declared)
+        assert sorted(emden.__all__) == sorted(declared + ["__version__"])
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(emden, name) is getattr(module, name), name
+
     def test_subprocess_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "emden", "solve"],

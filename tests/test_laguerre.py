@@ -291,6 +291,14 @@ class TestValidation:
         with pytest.raises(RangeError):
             eval_laguerre(MAX_DEGREE + 1, 1.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", BAD_POINTS)
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("evaluate", [eval_laguerre_all, eval_laguerre, eval_laguerre_deriv])
+    def test_rejects_arguments_that_are_not_finite_numbers(self, evaluate, n, x):
+        with pytest.raises(ParameterError):
+            evaluate(n, 1.0, x)
+
     def test_argument_envelope(self):
         with pytest.raises(RangeError):
             eval_laguerre(3, 1.0, MAX_ARGUMENT + 1.0)

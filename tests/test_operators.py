@@ -110,6 +110,12 @@ class TestPolyOperators:
         np.testing.assert_allclose(ops.D1_poly.sum(axis=1), 0.0, atol=1e-9)
         np.testing.assert_allclose(ops.D2_poly.sum(axis=1), 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("alpha", [-1.0, "abc"])
+    @pytest.mark.parametrize("build", [build_poly_d1, build_poly_d2])
+    def test_rejects_alpha_outside_its_domain(self, build, alpha):
+        with pytest.raises(ParameterError, match="alpha must be"):
+            build(ops_for(4).nodes, alpha)
+
     @pytest.mark.parametrize("n", [4, 8, 10])
     def test_d2_is_d1_squared(self, n):
         ops = ops_for(n)
@@ -318,10 +324,15 @@ class TestHatInterpolant:
                 assert eval_hat_interpolant(ops, b, float(x)) == v
             assert eval_hat_interpolant(ops, b, np.array([])).shape == (0,)
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_input(self):
         ops = ops_for(4)
-        with pytest.raises(ParameterError):
-            eval_hat_interpolant(ops, np.zeros(3), 1.0)  # wrong length
+        for b, message in [(np.zeros(3), "b must have length 5"),
+                           ("abc", "b must be real numbers"),
+                           ([1.0, [0.8, 0.5], 0.2, 0.05, 0.0], "b must be real numbers"),
+                           ([1.0, 0.8, float("nan"), 0.2, 0.05], "b must be finite")]:
+            with pytest.raises(ParameterError, match=message):
+                eval_hat_interpolant(ops, b, 1.0)
         with pytest.raises(ParameterError):
             eval_hat_interpolant(ops, np.zeros(5), -0.5)
 
@@ -341,6 +352,12 @@ class TestHatInterpolant:
             eval_hat_interpolant(ops_for(7), b, MAX_ARGUMENT)
         with pytest.raises(RangeError):
             eval_hat_interpolant(ops_for(7, L=L), b, np.nextafter(edge, np.inf))
+        # eval_mgl maps the edge the same way
+        for k in (0, 3, 7):
+            assert eval_mgl(BasisParams(n=7, L=L), k, edge) == \
+                eval_mgl(BasisParams(n=7), k, MAX_ARGUMENT)
+            with pytest.raises(RangeError):
+                eval_mgl(BasisParams(n=7, L=L), k, np.nextafter(edge, np.inf))
 
 
 class TestUnscaledBuildCache:

@@ -313,11 +313,17 @@ class TestProblem:
 
 class TestAssembly:
     @pytest.mark.parametrize("assemble", [assemble_residual, assemble_jacobian])
-    @pytest.mark.parametrize("b", [[1.0, 0.8, 0.5, 0.2], [1.0, 0.8, 0.5, 0.2, 0.05, 0.0],
-                                   [[1.0, 0.8, 0.5, 0.2, 0.05]]], ids=["short", "long", "2-d"])
-    def test_coefficients_not_one_per_node_raise(self, assemble, b):
+    @pytest.mark.parametrize("b, message", [
+        ([1.0, 0.8, 0.5, 0.2], "b must have length 5"),
+        ([1.0, 0.8, 0.5, 0.2, 0.05, 0.0], "b must have length 5"),
+        ([[1.0, 0.8, 0.5, 0.2, 0.05]], "b must have length 5"),
+        ("abc", "b must be real numbers"),
+        ([1.0, [0.8, 0.5], 0.2, 0.05, 0.0], "b must be real numbers"),
+        ([1.0, 0.8, float("nan"), 0.2, 0.05], "b must be finite"),
+    ], ids=["short", "long", "2-d", "text", "ragged", "nan"])
+    def test_coefficients_not_one_per_node_raise(self, assemble, b, message):
         ops = build_operators(BasisParams(n=4))
-        with pytest.raises(ParameterError, match="b must have length 5"):
+        with pytest.raises(ParameterError, match=message):
             assemble(LaneEmdenProblem(3.0), ops, b)
 
     def test_boundary_rows(self):
