@@ -93,12 +93,15 @@ class RadauNodeSet:
     but stored for diagnostics. Both come from the last recurrence sweep of the
     zero polish, which evaluates the zeros and the point 0 together; they equal
     ``eval_laguerre_deriv(n, alpha, eta)`` and ``eval_laguerre(n, alpha, 0.0)``
-    bit for bit. Immutable, safe to share between threads.
+    bit for bit. alpha is the one record of the alpha the set was built for;
+    the matrix builders and the interpolant read it here. Immutable, safe to
+    share between threads.
     """
 
     eta: np.ndarray
     dLn_at_eta: np.ndarray
     Ln_at_zero: float
+    alpha: float
 
     def __post_init__(self):
         self.eta.setflags(write=False)
@@ -135,12 +138,8 @@ def eval_laguerre(n, alpha, x):
 def eval_laguerre_deriv(n, alpha, x):
     """(d/dx)L_n^alpha(x) via the summed lower-degree values; 0 for n = 0."""
     n = _check_degree(n)
-    if n == 0:
-        alpha = _check_alpha(alpha)
-        x = _check_argument(x)
-        zeros = np.zeros(x.shape)
-        return 0.0 if zeros.ndim == 0 else zeros
-    values = -np.sum(eval_laguerre_all(n - 1, alpha, x), axis=0)
+    sweep = eval_laguerre_all(max(n - 1, 0), alpha, x)  # checks alpha and x
+    values = -np.sum(sweep, axis=0) if n else np.zeros(sweep.shape[1:])
     return float(values) if values.ndim == 0 else values
 
 
@@ -195,10 +194,13 @@ def radau_nodes(params: BasisParams) -> RadauNodeSet:
     """Assemble the node set {0} U zeros(L_n^alpha) with L_n' at every node and L_n(0).
 
     L_n' and L_n(0) come from the polish's last recurrence sweep, which runs over
-    the zeros and the point 0 together; no sweep follows the polish.
+    the zeros and the point 0 together; no sweep follows the polish. params
+    other than a BasisParams raise ParameterError.
     """
+    if not isinstance(params, BasisParams):
+        raise ParameterError(f"params must be a BasisParams, got {params!r:.40}")
     eta, dln, ln0 = _polished_points(params.n, params.alpha)
-    return RadauNodeSet(eta=eta, dLn_at_eta=dln, Ln_at_zero=ln0)
+    return RadauNodeSet(eta=eta, dLn_at_eta=dln, Ln_at_zero=ln0, alpha=params.alpha)
 
 
 def eval_mgl(params: BasisParams, n_index, x):

@@ -12,11 +12,11 @@ Two families of dense (n+1) x (n+1) operators are built from the node set:
 Scaling by the map parameter L gives D1_scaled = D1_mgl/L, D2_scaled =
 D2_mgl/L**2 acting on values at the mapped nodes L*eta.
 
-All entries come from closed forms; nothing here differentiates numerically.
-The node set and the four unscaled matrices depend only on (n, alpha) and are
-built once per pair; build_operators applies the scale L to that shared
-build. The interpolant is evaluated through one (points x nodes) cardinal
-matrix.
+All entries come from closed forms, at the alpha the node set records;
+nothing here differentiates numerically. The node set and the four unscaled
+matrices depend only on (n, alpha) and are built once per pair;
+_scaled_operators applies the scale L, for every bundle. The interpolant is
+evaluated through one (points x nodes) cardinal matrix.
 """
 from __future__ import annotations
 
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .laguerre import (BasisParams, RadauNodeSet, _check_alpha, _unscaled, eval_laguerre_all,
-                       radau_nodes)
-from .validation import as_points, as_reals, check_real
+from .laguerre import BasisParams, RadauNodeSet, _unscaled, eval_laguerre_all, radau_nodes
+from .validation import as_points, as_reals
 
 __all__ = [
     "DiffOperators",
@@ -36,7 +35,6 @@ __all__ = [
     "build_poly_d2",
     "build_mgl_d1",
     "build_mgl_d2",
-    "scale_operators",
     "build_operators",
     "eval_hat_interpolant",
 ]
@@ -80,14 +78,13 @@ class DiffOperators:
         return self.nodes.n
 
 
-def build_poly_d1(nodes: RadauNodeSet, alpha: float) -> np.ndarray:
-    """First-derivative matrix of the polynomial nodal basis.
+def build_poly_d1(nodes: RadauNodeSet) -> np.ndarray:
+    """First-derivative matrix of the polynomial nodal basis, at the node set's alpha.
 
     Five closed-form cases: interior off-diagonal, interior diagonal, boundary
     column j=0, boundary row i=0, and the corner i=j=0.
     """
-    alpha = _check_alpha(alpha)
-    eta, lp, l0 = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero
+    eta, lp, l0, alpha = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero, nodes.alpha
     n = nodes.n
     d = np.empty((n + 1, n + 1))
     ei, ej = eta[1:, None], eta[None, 1:]
@@ -102,15 +99,14 @@ def build_poly_d1(nodes: RadauNodeSet, alpha: float) -> np.ndarray:
     return d
 
 
-def build_poly_d2(nodes: RadauNodeSet, alpha: float) -> np.ndarray:
-    """Second-derivative matrix of the polynomial nodal basis.
+def build_poly_d2(nodes: RadauNodeSet) -> np.ndarray:
+    """Second-derivative matrix of the polynomial nodal basis, at the node set's alpha.
 
     Same five-case structure as build_poly_d1. Equals build_poly_d1 squared up
     to roundoff; built directly from closed forms so the identity stays a
     testable property rather than a construction.
     """
-    alpha = _check_alpha(alpha)
-    eta, lp, l0 = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero
+    eta, lp, l0, alpha = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero, nodes.alpha
     n = nodes.n
     d = np.empty((n + 1, n + 1))
     ei, ej = eta[1:, None], eta[None, 1:]
@@ -146,18 +142,12 @@ def build_mgl_d2(d1_poly: np.ndarray, d2_poly: np.ndarray, nodes: RadauNodeSet) 
     return core * _exp_ratio(nodes.eta)
 
 
-def scale_operators(d1_mgl, d2_mgl, nodes: RadauNodeSet, L):
-    """Apply the map parameter: returns (D1_mgl/L, D2_mgl/L**2, L*eta)."""
-    L = check_real("L", L, minimum=0.0, exclusive=True)
-    return d1_mgl / L, d2_mgl / (L * L), L * nodes.eta
-
-
 @functools.lru_cache(maxsize=_UNSCALED_CACHE_SIZE)
 def _unscaled_operators(n: int, alpha: float):
     """(nodes, D1_poly, D2_poly, D1_mgl, D2_mgl) for one (n, alpha), read-only."""
     nodes = radau_nodes(BasisParams(n=n, alpha=alpha))
-    d1p = build_poly_d1(nodes, alpha)
-    d2p = build_poly_d2(nodes, alpha)
+    d1p = build_poly_d1(nodes)
+    d2p = build_poly_d2(nodes)
     d1m = build_mgl_d1(d1p, nodes)
     d2m = build_mgl_d2(d1p, d2p, nodes)
     for matrix in (d1p, d2p, d1m, d2m):
@@ -168,11 +158,11 @@ def _unscaled_operators(n: int, alpha: float):
 def _scaled_operators(params):
     """Bundles for BasisParams that differ only in L, scaled in one pass, and
     the read-only stacks of their D1_scaled, D2_scaled and mapped_nodes, of
-    which each bundle holds slices."""
+    which each bundle holds slices: D1_mgl/L, D2_mgl/(L*L) and L*eta, the
+    one scaling by L of every bundle."""
     first = params[0]
     nodes, d1p, d2p, d1m, d2m = _unscaled_operators(first.n, first.alpha)
     scales = np.array([p.L for p in params])[:, None, None]
-    # the elementwise products and quotients scale_operators forms per L
     d1 = d1m / scales
     d2 = d2m / (scales * scales)
     xm = scales[:, :, 0] * nodes.eta
@@ -204,11 +194,11 @@ def _coefficients(ops: DiffOperators, b) -> np.ndarray:
     return b
 
 
-def _hat_cardinals(nodes: RadauNodeSet, alpha: float, t: np.ndarray) -> np.ndarray:
+def _hat_cardinals(nodes: RadauNodeSet, t: np.ndarray) -> np.ndarray:
     """Weighted cardinal functions at the unscaled points t: one row per point."""
     eta = nodes.eta
     tc = t[:, None]
-    ln = eval_laguerre_all(nodes.n, alpha, t)[-1][:, None]
+    ln = eval_laguerre_all(nodes.n, nodes.alpha, t)[-1][:, None]
     w = np.exp((eta - tc) / 2.0)
     card = np.empty(w.shape)
     card[:, :1] = np.exp(-tc / 2.0) * ln / nodes.Ln_at_zero
@@ -233,7 +223,7 @@ def eval_hat_interpolant(ops: DiffOperators, b, x):
     b = _coefficients(ops, b)
     arr = as_points(x)
     t = _unscaled(arr.reshape(-1), ops.params.L)
-    card = _hat_cardinals(ops.nodes, ops.params.alpha, t)
+    card = _hat_cardinals(ops.nodes, t)
     # a row sum, not card @ b: it keeps a point's value independent of the batch
     values = np.sum(card * b, axis=1).reshape(arr.shape)
     return float(values) if arr.ndim == 0 else values

@@ -297,8 +297,13 @@ def _nan_error(x):
 
 
 def _values(f, xs):
-    """f(xs) as a float array, checked to hold one value per point of xs."""
-    ys = np.asarray(f(xs), dtype=float)
+    """f(xs) as a float array, checked to hold one real value per point of
+    xs; NaN and +-inf pass, for the caller to read."""
+    ys = f(xs)
+    try:
+        ys = np.asarray(ys, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"function must return real numbers, got {ys!r:.40}") from None
     if ys.shape != xs.shape:
         raise ParameterError(
             f"function must return one value per point: got shape {ys.shape} for {xs.size} points")

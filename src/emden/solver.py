@@ -381,7 +381,12 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
     budget returns a non-converged result rather than raising; a non-finite
     or singular Jacobian raises NumericalError that names L and the
     iteration. This is the one-member case of the loop scan_L_reports runs.
+    A problem or config of another type raises ParameterError.
     """
+    for name, value, kind in (("problem", problem, LaneEmdenProblem),
+                              ("config", config, SolverConfig)):
+        if not isinstance(value, kind):
+            raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r:.40}")
     return _lockstep_newton_solve(problem, [config])[0]
 
 

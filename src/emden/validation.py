@@ -10,10 +10,10 @@ from .errors import ParameterError
 __all__ = ["check_real", "check_integer", "as_reals", "as_points", "as_float_grid"]
 
 
-def check_real(name, value, minimum=None, exclusive=False, maximum=None):
+def check_real(name, value, minimum=None, exclusive=False):
     """Validate a real scalar, returning it as float.
 
-    minimum/maximum bound the value; exclusive makes the lower bound strict.
+    minimum bounds the value from below; exclusive makes the bound strict.
     """
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
@@ -25,20 +25,16 @@ def check_real(name, value, minimum=None, exclusive=False, maximum=None):
             raise ParameterError(f"{name} must be > {minimum}, got {value}")
         if not exclusive and value < minimum:
             raise ParameterError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ParameterError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
-def check_integer(name, value, minimum=None, maximum=None):
+def check_integer(name, value, minimum=None):
     """Validate an integer scalar, returning it as int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if minimum is not None and value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ParameterError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 

@@ -501,3 +501,30 @@ print(json.dumps({"status": status, "before": before, "x_star": x_star,
             capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer (bench/tracing.py) wraps the package by name:
+    each module's __all__, cli.scan_L_reports and LaneEmdenSolver.fit and
+    predict. A rename or removal of one of them fails here."""
+
+    def test_wraps_a_solve_and_a_cli_run_and_unwraps(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import emden
+        import tracing
+
+        tracer = tracing.Tracer(emden)
+        patches = tracer.patches
+        assert all(getattr(owner, attr) is original for owner, attr, original, _ in patches)
+        tracer.install()
+        try:
+            assert all(getattr(owner, attr) is wrapper for owner, attr, _, wrapper in patches)
+            sol = emden.newton_solve(emden.LaneEmdenProblem(3.0), SolverConfig(n=7))
+            out = tmp_path / "solve.json"
+            status = emden.cli.main(["solve", "--m", "3", "--n", "7", "--out", str(out)])
+        finally:
+            tracer.uninstall()
+        assert sol.converged and status == EXIT_OK and json.loads(out.read_text())
+        names = {span[2] for span in tracer.spans}
+        assert {"solver.newton_solve", "cli.main", "operators.eval_hat_interpolant"} <= names
+        assert all(getattr(owner, attr) is original for owner, attr, original, _ in patches)

@@ -45,7 +45,7 @@ def reference_radau_nodes(n, alpha):
         raise AssertionError("reference polish did not converge")
     eta = np.concatenate(([0.0], np.sort(z)))
     nodes = laguerre.RadauNodeSet(eta=eta, dLn_at_eta=eval_laguerre_deriv(n, alpha, eta),
-                                  Ln_at_zero=eval_laguerre(n, alpha, 0.0))
+                                  Ln_at_zero=eval_laguerre(n, alpha, 0.0), alpha=alpha)
     return nodes, step
 
 
@@ -179,6 +179,7 @@ class TestRadauNodes:
             ref, _ = reference_radau_nodes(n, alpha)
             assert nodes.eta.tobytes() == ref.eta.tobytes()
             assert nodes.dLn_at_eta.tobytes() == ref.dLn_at_eta.tobytes()
+            assert nodes.alpha == ref.alpha
             assert type(nodes.Ln_at_zero) is float
             assert np.float64(nodes.Ln_at_zero).tobytes() == np.float64(ref.Ln_at_zero).tobytes()
             assert laguerre_zeros(n, alpha).tobytes() == ref.eta[1:].tobytes()
@@ -235,6 +236,11 @@ class TestRadauNodes:
         nodes = radau_nodes(BasisParams(n=3))
         with pytest.raises(ValueError):
             nodes.eta[0] = 1.0
+
+    @pytest.mark.parametrize("params", [3, None, (3, 1.0, 1.0)])
+    def test_params_that_are_not_a_basis_params(self, params):
+        with pytest.raises(ParameterError, match="params must be a BasisParams"):
+            radau_nodes(params)
 
 
 class TestEvalMgl:

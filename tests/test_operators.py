@@ -15,7 +15,6 @@ from emden.operators import (
     build_poly_d1,
     build_poly_d2,
     eval_hat_interpolant,
-    scale_operators,
 )
 from conftest import BAD_POINTS
 
@@ -28,13 +27,14 @@ def uncached_build_operators(params):
     """Reference build: every piece made afresh from the public builders, as
     build_operators made it before it shared one build per (n, alpha)."""
     nodes = radau_nodes(params)
-    d1p = build_poly_d1(nodes, params.alpha)
-    d2p = build_poly_d2(nodes, params.alpha)
+    d1p = build_poly_d1(nodes)
+    d2p = build_poly_d2(nodes)
     d1m = build_mgl_d1(d1p, nodes)
     d2m = build_mgl_d2(d1p, d2p, nodes)
-    d1s, d2s, mapped = scale_operators(d1m, d2m, nodes, params.L)
-    return DiffOperators(params=params, nodes=nodes, mapped_nodes=mapped, D1_poly=d1p,
-                         D2_poly=d2p, D1_mgl=d1m, D2_mgl=d2m, D1_scaled=d1s, D2_scaled=d2s)
+    L = params.L
+    return DiffOperators(params=params, nodes=nodes, mapped_nodes=L * nodes.eta, D1_poly=d1p,
+                         D2_poly=d2p, D1_mgl=d1m, D2_mgl=d2m, D1_scaled=d1m / L,
+                         D2_scaled=d2m / (L * L))
 
 
 def bundle_arrays(ops):
@@ -84,25 +84,41 @@ class TestHandDerivedCase:
         np.testing.assert_allclose(ops.D2_mgl, expected, atol=1e-12)
 
 
+# alphas of the polynomial-operator tests: the default 1 and both sides of it
+POLY_ALPHAS = [-0.5, 0.0, 0.5, 1.0, 2.0, 3.7]
+
+
+def monomial_scale(matrix, exact):
+    """Tolerance unit of D @ eta**k: the largest exact value, at least 1, or
+    the roundoff of a product with entries of D, which reach 4e7 at n = 12
+    as alpha nears -1 (below 1 for every n here at alpha >= 1)."""
+    return max(1.0, np.max(np.abs(exact)), 5e-7 * np.max(np.abs(matrix)))
+
+
 class TestPolyOperators:
+    @pytest.mark.parametrize("alpha", POLY_ALPHAS)
     @pytest.mark.parametrize("n", [3, 7, 12])
-    def test_d1_differentiates_monomials(self, n):
-        ops = ops_for(n)
+    def test_d1_differentiates_monomials(self, n, alpha):
+        # k = 0 and 1 are the row sums and D1_poly @ eta = 1, at the alpha
+        # the node set records (the builders take no other)
+        ops = ops_for(n, alpha=alpha)
+        assert radau_nodes(ops.params).alpha == ops.nodes.alpha == ops.params.alpha
         eta = ops.nodes.eta
         for k in range(n + 1):
             vals = eta**k
             exact = k * eta ** (k - 1) if k > 0 else np.zeros_like(eta)
-            scale = max(1.0, np.max(np.abs(exact)))
+            scale = monomial_scale(ops.D1_poly, exact)
             np.testing.assert_allclose(ops.D1_poly @ vals, exact, atol=1e-8 * scale)
 
+    @pytest.mark.parametrize("alpha", POLY_ALPHAS)
     @pytest.mark.parametrize("n", [3, 7, 12])
-    def test_d2_differentiates_monomials(self, n):
-        ops = ops_for(n)
+    def test_d2_differentiates_monomials(self, n, alpha):
+        ops = ops_for(n, alpha=alpha)
         eta = ops.nodes.eta
         for k in range(n + 1):
             vals = eta**k
             exact = k * (k - 1) * eta ** (k - 2) if k > 1 else np.zeros_like(eta)
-            scale = max(1.0, np.max(np.abs(exact)))
+            scale = monomial_scale(ops.D2_poly, exact)
             np.testing.assert_allclose(ops.D2_poly @ vals, exact, atol=1e-8 * scale)
 
     def test_rows_annihilate_constants(self):
@@ -110,15 +126,10 @@ class TestPolyOperators:
         np.testing.assert_allclose(ops.D1_poly.sum(axis=1), 0.0, atol=1e-9)
         np.testing.assert_allclose(ops.D2_poly.sum(axis=1), 0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("alpha", [-1.0, "abc"])
-    @pytest.mark.parametrize("build", [build_poly_d1, build_poly_d2])
-    def test_rejects_alpha_outside_its_domain(self, build, alpha):
-        with pytest.raises(ParameterError, match="alpha must be"):
-            build(ops_for(4).nodes, alpha)
-
+    @pytest.mark.parametrize("alpha", POLY_ALPHAS)
     @pytest.mark.parametrize("n", [4, 8, 10])
-    def test_d2_is_d1_squared(self, n):
-        ops = ops_for(n)
+    def test_d2_is_d1_squared(self, n, alpha):
+        ops = ops_for(n, alpha=alpha)
         norm = np.max(np.abs(ops.D2_poly))
         assert np.max(np.abs(ops.D1_poly @ ops.D1_poly - ops.D2_poly)) <= 1e-7 * norm
 
@@ -162,22 +173,18 @@ class TestMglOperators:
 
 class TestScaleOperators:
     def test_hand_scaled_case(self):
-        params = BasisParams(n=1, alpha=1.0, L=3.0)
-        nodes = radau_nodes(params)
-        d1 = build_mgl_d1(build_poly_d1(nodes, 1.0), nodes)
-        d2 = build_mgl_d2(build_poly_d1(nodes, 1.0), build_poly_d2(nodes, 1.0), nodes)
-        d1s, d2s, mapped = scale_operators(d1, d2, nodes, 3.0)
-        np.testing.assert_allclose(mapped, [0.0, 6.0], atol=1e-13)
-        np.testing.assert_allclose(d1s, d1 / 3.0, atol=1e-14)
-        np.testing.assert_allclose(d2s, d2 / 9.0, atol=1e-14)
+        ops = build_operators(BasisParams(n=1, alpha=1.0, L=3.0))
+        e = math.e
+        d1 = np.array([[-1.0, 0.5 * e], [-0.5 / e, 0.0]])
+        d2 = np.array([[0.75, -0.5 * e], [0.5 / e, -0.25]])
+        np.testing.assert_allclose(ops.mapped_nodes, [0.0, 6.0], atol=1e-13)
+        np.testing.assert_allclose(ops.D1_scaled, d1 / 3.0, atol=1e-14)
+        np.testing.assert_allclose(ops.D2_scaled, d2 / 9.0, atol=1e-14)
 
-    def test_bad_scale_rejected(self):
-        params = BasisParams(n=2)
-        nodes = radau_nodes(params)
-        d1 = build_mgl_d1(build_poly_d1(nodes, 1.0), nodes)
-        d2 = build_mgl_d2(build_poly_d1(nodes, 1.0), build_poly_d2(nodes, 1.0), nodes)
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.inf, "abc"])
+    def test_bad_scale_rejected(self, L):
         with pytest.raises(ParameterError):
-            scale_operators(d1, d2, nodes, 0.0)
+            build_operators(BasisParams(n=2, L=L))
 
     def test_bundle_consistency(self):
         ops = ops_for(6, L=2.0)

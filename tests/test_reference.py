@@ -589,6 +589,18 @@ class TestFirstZeroOf:
         with pytest.raises(ParameterError, match="one value per point"):
             first_zero_of(f)
 
+    @pytest.mark.parametrize("text", [lambda x: "abc", lambda x: np.full(x.shape, "abc"),
+                                      lambda x: ["abc"] * x.size],
+                             ids=["str", "str-array", "str-list"])
+    @pytest.mark.parametrize("where", ["scan", "walk"])
+    def test_text_values_raise(self, text, where):
+        # the scan's first block holds 257 points, every walk path at most 200
+        def f(x):
+            return text(x) if where == "scan" or x.size <= 200 else np.cos(x)
+
+        with pytest.raises(ParameterError, match="function must return real numbers"):
+            first_zero_of(f)
+
 
 class TestSpectralFirstZero:
     def test_canonical_regression(self):
@@ -768,6 +780,14 @@ class TestProfilesAndComparison:
     def test_compare_rejects_values_not_one_per_point(self, evaluator, xs):
         prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
         with pytest.raises(ParameterError, match="one value per point"):
+            compare_profiles(prof, evaluator, xs)
+
+    @pytest.mark.parametrize("xs", [None, [0.5, 1.0, 1.5]])
+    @pytest.mark.parametrize("evaluator", [lambda x: "abc", lambda x: np.full(np.shape(x), "abc")],
+                             ids=["str", "str-array"])
+    def test_compare_rejects_text_values(self, evaluator, xs):
+        prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
+        with pytest.raises(ParameterError, match="function must return real numbers"):
             compare_profiles(prof, evaluator, xs)
 
 

@@ -432,6 +432,16 @@ class TestNewtonSolve:
         assert np.all(np.diff(hist) <= 0)
         assert hist[-1] == sol.residual_norm
 
+    @pytest.mark.parametrize("args, name", [
+        ((None, None), "problem"),
+        ((3.0, SolverConfig(n=7)), "problem"),
+        ((LaneEmdenProblem(3.0), 7), "config"),
+        ((LaneEmdenProblem(3.0), BasisParams(n=7)), "config"),
+    ], ids=["none", "bare-m", "bare-n", "basis-params"])
+    def test_records_of_another_type_raise(self, args, name):
+        with pytest.raises(ParameterError, match=f"{name} must be a"):
+            newton_solve(*args)
+
     def test_solution_record_fields(self):
         sol = solve(3.0, 7, 1.0)
         assert sol.config_echo.n == 7
