@@ -438,8 +438,10 @@ def main(argv=None) -> int:
     except EmdenError as exc:
         print(f"emden: error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    if config.fmt == "json":
-        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
-    else:
-        _write(csv_text, config.out)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n" if config.fmt == "json" else csv_text
+    try:
+        _write(text, config.out)
+    except OSError as exc:
+        print(f"emden: error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return status

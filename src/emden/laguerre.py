@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError, ParameterError, RangeError
-from .validation import as_points, as_reals, check_integer, check_real
+from .validation import as_points, as_reals, check_integer, check_real, check_type
 
 __all__ = [
     "MAX_DEGREE",
@@ -143,17 +143,27 @@ def eval_laguerre_deriv(n, alpha, x):
     return float(values) if values.ndim == 0 else values
 
 
-def _polished_points(n, alpha):
-    """Polish [0, Jacobi eigenvalues...] by Newton, one recurrence sweep per step.
+def laguerre_zeros(n, alpha):
+    """The n simple positive zeros of L_n^alpha, ascending: the nodes of
+    ``radau_nodes`` after the point 0, bit for bit, with its NumericalError;
+    n and alpha are checked as a BasisParams checks them."""
+    return radau_nodes(BasisParams(n=n, alpha=alpha)).eta[1:]
 
-    n and alpha arrive checked. The point 0 counts as done from the start and
-    is never stepped. The last sweep, where every zero meets the target, also
-    gives L_n' at every point (the summed lower-degree values, as
-    ``eval_laguerre_deriv`` forms them) and L_n(0). Returns (eta, dLn_at_eta,
-    Ln_at_zero), eta being 0 followed by the ascending zeros. Raises
-    NumericalError if a zero fails to polish within the iteration cap; its
-    index counts among the zeros.
+
+def radau_nodes(params: BasisParams) -> RadauNodeSet:
+    """Assemble the node set {0} U zeros(L_n^alpha) with L_n' at every node and L_n(0).
+
+    Eigenvalues of the symmetric tridiagonal Jacobi matrix (diagonal 2k+alpha+1,
+    off-diagonal sqrt(k(k+alpha))) give the zeros to near machine accuracy;
+    Newton polish with the analytic derivative, the summed lower-degree values
+    of the same recurrence sweep, then pins each one down to the documented
+    residual target; the point 0 is never stepped. The last sweep also gives
+    L_n' at every node and L_n(0); no sweep follows it. A zero that fails to
+    polish within the iteration cap raises NumericalError naming its index
+    among the zeros. params other than a BasisParams raise ParameterError.
     """
+    check_type("params", params, BasisParams)
+    n, alpha = params.n, params.alpha
     k = np.arange(n, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))
@@ -167,40 +177,11 @@ def _polished_points(n, alpha):
         done[0] = True
         if np.all(done):
             order = np.concatenate(([0], 1 + np.argsort(points[1:])))  # 0 stays first
-            return points[order], der[order], float(val[0])
+            return RadauNodeSet(eta=points[order], dLn_at_eta=der[order],
+                                Ln_at_zero=float(val[0]), alpha=alpha)
         points = np.where(done, points, points - val / der)
     bad = int(np.argmax(np.abs(val[1:]) > target[1:]))
     raise NumericalError(f"zero polish failed to converge at index {bad} (n={n}, alpha={alpha})")
-
-
-def laguerre_zeros(n, alpha):
-    """The n simple positive zeros of L_n^alpha, ascending.
-
-    Eigenvalues of the symmetric tridiagonal Jacobi matrix (diagonal 2k+alpha+1,
-    off-diagonal sqrt(k(k+alpha))) give the zeros to near machine accuracy;
-    Newton polish with the analytic derivative, the summed lower-degree values
-    of the same recurrence sweep, then pins each one down to the documented
-    residual target. ``radau_nodes`` runs the same polish, so both give the
-    same zeros bit for bit.
-
-    Raises NumericalError if any zero fails to polish within the iteration cap.
-    """
-    n = _check_degree(check_integer("n", n, minimum=1))
-    alpha = _check_alpha(alpha)
-    return _polished_points(n, alpha)[0][1:]
-
-
-def radau_nodes(params: BasisParams) -> RadauNodeSet:
-    """Assemble the node set {0} U zeros(L_n^alpha) with L_n' at every node and L_n(0).
-
-    L_n' and L_n(0) come from the polish's last recurrence sweep, which runs over
-    the zeros and the point 0 together; no sweep follows the polish. params
-    other than a BasisParams raise ParameterError.
-    """
-    if not isinstance(params, BasisParams):
-        raise ParameterError(f"params must be a BasisParams, got {params!r:.40}")
-    eta, dln, ln0 = _polished_points(params.n, params.alpha)
-    return RadauNodeSet(eta=eta, dLn_at_eta=dln, Ln_at_zero=ln0, alpha=params.alpha)
 
 
 def eval_mgl(params: BasisParams, n_index, x):
@@ -209,7 +190,7 @@ def eval_mgl(params: BasisParams, n_index, x):
     Defined for x >= 0 only (the half-line weight); x may be scalar or array.
     Any x <= MAX_ARGUMENT*L evaluates, even where x/L rounds past MAX_ARGUMENT.
     """
-    n_index = _check_degree(n_index)
+    check_type("params", params, BasisParams)
     t = _unscaled(as_points(x), params.L)
     values = np.exp(-t / 2.0) * eval_laguerre_all(n_index, params.alpha, t)[-1]
     return float(values) if values.ndim == 0 else values

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .laguerre import BasisParams, RadauNodeSet, _unscaled, eval_laguerre_all, radau_nodes
-from .validation import as_points, as_reals
+from .validation import as_points, as_reals, check_type
 
 __all__ = [
     "DiffOperators",
@@ -84,8 +84,8 @@ def build_poly_d1(nodes: RadauNodeSet) -> np.ndarray:
     Five closed-form cases: interior off-diagonal, interior diagonal, boundary
     column j=0, boundary row i=0, and the corner i=j=0.
     """
+    n = check_type("nodes", nodes, RadauNodeSet).n
     eta, lp, l0, alpha = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero, nodes.alpha
-    n = nodes.n
     d = np.empty((n + 1, n + 1))
     ei, ej = eta[1:, None], eta[None, 1:]
     lpi, lpj = lp[1:, None], lp[None, 1:]
@@ -106,8 +106,8 @@ def build_poly_d2(nodes: RadauNodeSet) -> np.ndarray:
     to roundoff; built directly from closed forms so the identity stays a
     testable property rather than a construction.
     """
+    n = check_type("nodes", nodes, RadauNodeSet).n
     eta, lp, l0, alpha = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero, nodes.alpha
-    n = nodes.n
     d = np.empty((n + 1, n + 1))
     ei, ej = eta[1:, None], eta[None, 1:]
     lpi, lpj = lp[1:, None], lp[None, 1:]
@@ -132,14 +132,16 @@ def _exp_ratio(eta: np.ndarray) -> np.ndarray:
 
 def build_mgl_d1(d1_poly: np.ndarray, nodes: RadauNodeSet) -> np.ndarray:
     """Weighted first-derivative matrix: (D1 - I/2) conjugated by the decay weight."""
-    shift = d1_poly - 0.5 * np.eye(len(nodes.eta))
-    return shift * _exp_ratio(nodes.eta)
+    eta = check_type("nodes", nodes, RadauNodeSet).eta
+    shift = d1_poly - 0.5 * np.eye(len(eta))
+    return shift * _exp_ratio(eta)
 
 
 def build_mgl_d2(d1_poly: np.ndarray, d2_poly: np.ndarray, nodes: RadauNodeSet) -> np.ndarray:
     """Weighted second-derivative matrix: (D2 - D1 + I/4) conjugated by the decay weight."""
-    core = d2_poly - d1_poly + 0.25 * np.eye(len(nodes.eta))
-    return core * _exp_ratio(nodes.eta)
+    eta = check_type("nodes", nodes, RadauNodeSet).eta
+    core = d2_poly - d1_poly + 0.25 * np.eye(len(eta))
+    return core * _exp_ratio(eta)
 
 
 @functools.lru_cache(maxsize=_UNSCALED_CACHE_SIZE)
@@ -183,11 +185,12 @@ def build_operators(params: BasisParams) -> DiffOperators:
     shared, read-only, by every bundle with that pair; only the scaling by L
     is done per call, by the code that scales the operators of every solve.
     """
-    return _scaled_operators([params])[0][0]
+    return _scaled_operators([check_type("params", params, BasisParams)])[0][0]
 
 
 def _coefficients(ops: DiffOperators, b) -> np.ndarray:
-    """b as a float array of one finite entry per node of ops."""
+    """b as a float array of one finite entry per node of ops, a DiffOperators."""
+    check_type("ops", ops, DiffOperators)
     b = as_reals(b, "b")
     if b.shape != (ops.n + 1,):
         raise ParameterError(f"b must have length {ops.n + 1}")

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import NoZeroFound, NumericalError, ParameterError
 from .laguerre import MAX_ARGUMENT
 from .operators import eval_hat_interpolant
-from .solver import SpectralSolution, pow_signed_scalar
-from .validation import as_float_grid, as_points, as_reals, check_real
+from .solver import SpectralSolution, _pow_signed_scalar
+from .validation import as_float_grid, as_floats, as_points, as_reals, check_real, check_type
 
 __all__ = [
     "ReferenceProfile",
@@ -41,7 +41,7 @@ __all__ = [
 
 # Published half-line polytrope values (Horedt's tables), stored digit-for-digit
 # as printed; single source of truth for the m=3 reference column.
-_HOREDT_M3 = (
+_HOREDT = {3.0: (
     (0.0, 1.000000),
     (0.1, 0.998336),
     (0.5, 0.959839),
@@ -50,11 +50,11 @@ _HOREDT_M3 = (
     (6.0, 0.043738),
     (6.8, 0.004168),
     (6.896, 0.000036),
-)
+)}
 
 # Published values for this collocation method at the same grid (m=3, n=7, L=1);
 # the reproduction targets for the m=3 profile.
-_METHOD_M3 = (
+_METHOD = {3.0: (
     (0.0, 1.000000),
     (0.1, 0.998323),
     (0.5, 0.959821),
@@ -63,7 +63,7 @@ _METHOD_M3 = (
     (6.0, 0.043718),
     (6.8, 0.004165),
     (6.896, 0.000035),
-)
+)}
 
 # First zeros: high-accuracy values, and the published method results with the
 # degree used for each.
@@ -122,15 +122,17 @@ class ReferenceProfile:
         return lambda x: np.interp(x, self.xs, self.ys)
 
     def first_zero(self) -> float:
-        """Smallest root of the interpolant inside the sampled range, refined
-        from the first sample interval with a sign change as first_zero_of's."""
+        """Smallest root of the interpolant inside the sampled range. A zero
+        sample met before any sign change is returned as it is, the way
+        first_zero_of returns 0 when f(0) == 0; otherwise the first sample
+        interval with a sign change is refined as first_zero_of refines it."""
         signs = np.sign(self.ys)
-        flips = np.flatnonzero((signs[:-1] * signs[1:] <= 0) & (signs[:-1] != 0))
-        if not flips.size:
+        stops = np.flatnonzero((signs == 0) | (signs * np.append(signs[1:], 0) < 0))
+        if not stops.size:
             raise NoZeroFound(f"no sign change in the sampled range of the {self.source} profile")
-        k = int(flips[0])
-        if self.ys[k + 1] == 0.0:
-            return float(self.xs[k + 1])
+        k = int(stops[0])
+        if signs[k] == 0:
+            return float(self.xs[k])
         return _refine(self.interpolant(), self.xs[k:k + 2].tolist(), self.ys[k:k + 2].tolist())[0]
 
 
@@ -203,7 +205,7 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
     combination. Integration stops at x_end or just past the first crossing
     into y <= 0, whichever comes first.
 
-    The state y, y' is two Python floats and y^m is pow_signed_scalar(m), so
+    The state y, y' is two Python floats and y^m is _pow_signed_scalar(m), so
     every sample is bit for bit what the same steps on numpy 2-vectors with
     pow_signed give. The step error is the larger of the two components' and
     NaN when either is NaN, so a NaN stage rejects the step.
@@ -218,7 +220,7 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
     tol = check_real("tol", tol, minimum=0.0, exclusive=True)
     if h_max is not None:
         h_max = check_real("h_max", h_max, minimum=0.0, exclusive=True)
-    g = pow_signed_scalar(m)
+    g = _pow_signed_scalar(m)
 
     x = h_series
     y, yp = 1.0 - x**2 / 6.0 + m * x**4 / 120.0, -x / 3.0 + m * x**3 / 30.0
@@ -299,11 +301,7 @@ def _nan_error(x):
 def _values(f, xs):
     """f(xs) as a float array, checked to hold one real value per point of
     xs; NaN and +-inf pass, for the caller to read."""
-    ys = f(xs)
-    try:
-        ys = np.asarray(ys, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(f"function must return real numbers, got {ys!r:.40}") from None
+    ys = as_floats(f(xs), "function values")
     if ys.shape != xs.shape:
         raise ParameterError(
             f"function must return one value per point: got shape {ys.shape} for {xs.size} points")
@@ -378,7 +376,7 @@ def first_zero(solution: SpectralSolution) -> FirstZeroResult:
     envelope 200*L. Raises NoZeroFound when the profile never changes sign
     (the m=5 situation).
     """
-    if not solution.converged:
+    if not check_type("solution", solution, SpectralSolution).converged:
         raise ParameterError("first_zero requires a converged solution")
     ops = solution.operators
     return first_zero_of(lambda x: eval_hat_interpolant(ops, solution.b, x),
@@ -392,6 +390,7 @@ def compare_profiles(profile: ReferenceProfile, evaluator, xs=None) -> ErrorRepo
     non-empty and stay inside it. The evaluator is called once, with the
     whole grid, and must return one value per point.
     """
+    check_type("profile", profile, ReferenceProfile)
     if xs is None:
         grid = profile.xs
     else:
@@ -406,33 +405,31 @@ def compare_profiles(profile: ReferenceProfile, evaluator, xs=None) -> ErrorRepo
     return ErrorReport(xs=np.array(grid), abs_errors=errs, max_abs=float(errs.max()))
 
 
+def _embedded(table, m, what):
+    """The entry of an embedded table, keyed by m as a float, for index m."""
+    key = check_real("m", m)
+    if key not in table:
+        raise ParameterError(f"no {what} for m={m}; the embedded values hold m in {sorted(table)}")
+    return table[key]
+
+
 def horedt_reference(m) -> ReferenceProfile:
     """The embedded published profile (Horedt's tables); only m=3 is excerpted."""
-    if check_real("m", m) != 3.0:
-        raise ParameterError(f"no embedded table profile for m={m}; only m=3 is available")
-    xs, ys = (np.array(column) for column in zip(*_HOREDT_M3))
+    xs, ys = (np.array(column) for column in zip(*_embedded(_HOREDT, m, "embedded table profile")))
     return ReferenceProfile(m=3.0, xs=xs, ys=ys, source="horedt-table")
 
 
 def first_zero_reference(m) -> float:
     """High-accuracy first zero for m in {2, 3, 4}."""
-    key = check_real("m", m)
-    if key not in _FIRST_ZERO_EXACT:
-        raise ParameterError(f"no reference first zero for m={m}; supported m are 2, 3, 4")
-    return _FIRST_ZERO_EXACT[key]
+    return _embedded(_FIRST_ZERO_EXACT, m, "reference first zero")
 
 
 def method_reference_profile(m) -> ReferenceProfile:
     """Published values of this collocation method for the m=3 profile (n=7, L=1)."""
-    if check_real("m", m) != 3.0:
-        raise ParameterError(f"no published method profile for m={m}; only m=3 is available")
-    xs, ys = (np.array(column) for column in zip(*_METHOD_M3))
+    xs, ys = (np.array(column) for column in zip(*_embedded(_METHOD, m, "published method profile")))
     return ReferenceProfile(m=3.0, xs=xs, ys=ys, source="method-table")
 
 
 def method_reference_first_zero(m):
     """Published method first zero for m in {2, 3, 4}: returns (degree, value)."""
-    key = check_real("m", m)
-    if key not in _METHOD_FIRST_ZERO:
-        raise ParameterError(f"no published method first zero for m={m}; supported m are 2, 3, 4")
-    return _METHOD_FIRST_ZERO[key]
+    return _embedded(_METHOD_FIRST_ZERO, m, "published method first zero")

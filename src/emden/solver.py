@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
 from .operators import DiffOperators, _coefficients, _scaled_operators
-from .validation import as_reals, check_integer, check_real
+from .validation import as_reals, check_integer, check_real, check_type
 
 __all__ = [
     "LaneEmdenProblem",
@@ -66,7 +66,7 @@ def _pow_signed(y, m):
     return float(out) if out.ndim == 0 else out
 
 
-def pow_signed_scalar(m):
+def _pow_signed_scalar(m):
     """pow_signed for one index m as a function of one float, bit for bit.
 
     m is validated here once, not on every call. The power is taken on
@@ -222,8 +222,9 @@ def _stacked_residual(problem: LaneEmdenProblem, d1, d2, xm, b) -> np.ndarray:
 
 def assemble_residual(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:
     """Residual of the collocation system at coefficients b."""
-    return _stacked_residual(problem, ops.D1_scaled, ops.D2_scaled, ops.mapped_nodes,
-                             _coefficients(ops, b))
+    check_type("problem", problem, LaneEmdenProblem)
+    b = _coefficients(ops, b)
+    return _stacked_residual(problem, ops.D1_scaled, ops.D2_scaled, ops.mapped_nodes, b)
 
 
 def _linear_jacobian(d1, d2, xm) -> np.ndarray:
@@ -255,6 +256,7 @@ def _add_g_prime(linear: np.ndarray, problem: LaneEmdenProblem, xm, b) -> np.nda
 
 def assemble_jacobian(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.ndarray:
     """Analytic Jacobian of assemble_residual with respect to b."""
+    check_type("problem", problem, LaneEmdenProblem)
     b = _coefficients(ops, b)
     linear = _linear_jacobian(ops.D1_scaled, ops.D2_scaled, ops.mapped_nodes)
     return _add_g_prime(linear, problem, ops.mapped_nodes, b)
@@ -383,10 +385,8 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
     iteration. This is the one-member case of the loop scan_L_reports runs.
     A problem or config of another type raises ParameterError.
     """
-    for name, value, kind in (("problem", problem, LaneEmdenProblem),
-                              ("config", config, SolverConfig)):
-        if not isinstance(value, kind):
-            raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r:.40}")
+    check_type("problem", problem, LaneEmdenProblem)
+    check_type("config", config, SolverConfig)
     return _lockstep_newton_solve(problem, [config])[0]
 
 

@@ -1,4 +1,5 @@
-"""Small input-checking helpers used by the public entry points."""
+"""Input checks, each written once: records, real and integer scalars, and
+arrays of numbers, which reject text and booleans wherever a number is read."""
 from __future__ import annotations
 
 import numbers
@@ -7,7 +8,18 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["check_real", "check_integer", "as_reals", "as_points", "as_float_grid"]
+__all__ = ["check_type", "check_real", "check_integer", "as_floats", "as_reals", "as_points", "as_float_grid"]
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_type(name, value, kind):
+    """value, checked to be a kind (one of the package's records)."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r:.40}")
+    return value
 
 
 def check_real(name, value, minimum=None, exclusive=False):
@@ -15,7 +27,7 @@ def check_real(name, value, minimum=None, exclusive=False):
 
     minimum bounds the value from below; exclusive makes the bound strict.
     """
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    if not _is_real(value):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not np.isfinite(value):
@@ -38,12 +50,22 @@ def check_integer(name, value, minimum=None):
     return value
 
 
-def as_reals(x, name="x"):
-    """x as a float array of its own shape; reject non-numeric, NaN and inf entries."""
+def as_floats(x, name="x"):
+    """x as a float array of its own shape; NaN and inf pass. Text, booleans,
+    ragged nesting and other non-numbers raise ParameterError."""
     try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be real numbers, got {x!r:.40}") from None
+        arr = np.asarray(x)
+        # integers past int64 and other Python numbers arrive as objects
+        if arr.dtype.kind in "iuf" or arr.dtype == object and all(map(_is_real, arr.flat)):
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{name} must be real numbers, got {x!r:.40}")
+
+
+def as_reals(x, name="x"):
+    """as_floats with NaN and inf entries rejected too."""
+    arr = as_floats(x, name)
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} must be finite")
     return arr

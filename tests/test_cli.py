@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 import emden.cli
 import emden.solver
+from emden import errors, estimator, laguerre, operators, reference, solver, validation
 from emden.cli import (
     EXIT_MISMATCH,
     EXIT_NO_ZERO,
@@ -23,8 +26,11 @@ from emden.cli import (
     run_scan_L,
     run_solve,
 )
+from emden.errors import ParameterError
 from emden.estimator import LaneEmdenSolver
-from emden.solver import SolverConfig, _lockstep_newton_solve, scan_L_reports
+from emden.laguerre import BasisParams
+from emden.reference import closed_form_profile
+from emden.solver import LaneEmdenProblem, SolverConfig, _lockstep_newton_solve, scan_L_reports
 from conftest import STALLED_ARGV
 
 
@@ -301,6 +307,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_out_is_a_usage_error(self, where, tmp_path, capsys):
+        out = tmp_path / "missing" / "run.json" if where == "missing-directory" else tmp_path
+        status = main(["solve", "--m", "3", "--n", "7", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert status == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("emden: error: cannot write the output: ")
+        assert captured.err.count("\n") == 1 and str(out) in captured.err
+        assert not (tmp_path / "missing").exists()
+
     def test_scan_reaching_envelope_edge(self, capsys):
         assert main(["first-zero", "--m", "5", "--n", "12", "--L", "0.052"]) == EXIT_NO_ZERO
         capsys.readouterr()
@@ -485,8 +502,17 @@ print(json.dumps({"status": status, "before": before, "x_star": x_star,
                          ("solver.py", "", "scipy.linalg.lapack"),
                          ("reference.py", "ReferenceProfile.interpolant", "scipy.interpolate")}
 
+    @pytest.mark.parametrize("module", [errors, estimator, laguerre, operators, reference, solver,
+                                        validation, emden.cli], ids=lambda module: module.__name__)
+    def test_every_public_definition_is_declared(self, module):
+        # a function or class defined here without a leading underscore is
+        # part of the module's declared surface
+        defined = {name for name, value in vars(module).items()
+                   if callable(value) and getattr(value, "__module__", None) == module.__name__
+                   and not name.startswith("_")}
+        assert sorted(defined - set(module.__all__)) == []
+
     def test_package_republishes_each_module_list_once(self):
-        from emden import errors, estimator, laguerre, operators, reference, solver
         modules = (errors, estimator, laguerre, operators, reference, solver)
         declared = [name for module in modules for name in module.__all__]
         assert len(set(declared)) == len(declared)
@@ -501,6 +527,92 @@ print(json.dumps({"status": status, "before": before, "x_star": x_star,
             capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+
+# Every (function, argument) of the republished modules that takes one of
+# the package's records, with the record class it must be
+RECORD_ARGUMENTS = [
+    ("radau_nodes", "params", "BasisParams"),
+    ("eval_mgl", "params", "BasisParams"),
+    ("build_operators", "params", "BasisParams"),
+    ("build_poly_d1", "nodes", "RadauNodeSet"),
+    ("build_poly_d2", "nodes", "RadauNodeSet"),
+    ("build_mgl_d1", "nodes", "RadauNodeSet"),
+    ("build_mgl_d2", "nodes", "RadauNodeSet"),
+    ("eval_hat_interpolant", "ops", "DiffOperators"),
+    ("assemble_residual", "problem", "LaneEmdenProblem"),
+    ("assemble_residual", "ops", "DiffOperators"),
+    ("assemble_jacobian", "problem", "LaneEmdenProblem"),
+    ("assemble_jacobian", "ops", "DiffOperators"),
+    ("newton_solve", "problem", "LaneEmdenProblem"),
+    ("newton_solve", "config", "SolverConfig"),
+    ("first_zero", "solution", "SpectralSolution"),
+    ("compare_profiles", "profile", "ReferenceProfile"),
+]
+REPUBLISHED = (errors, estimator, laguerre, operators, reference, solver)
+
+
+@pytest.fixture(scope="module")
+def valid_calls():
+    """Keyword arguments of valid calls, one or more per function name."""
+    params = BasisParams(n=4)
+    ops = operators.build_operators(params)
+    problem = LaneEmdenProblem(0.0)
+    b = np.linspace(1.0, 0.0, 5)
+    profile = closed_form_profile(0.0, np.linspace(0.0, 2.0, 5))
+    evaluator = lambda x: 1.0 - x**2 / 6.0
+    return {
+        "radau_nodes": [dict(params=params)],
+        "eval_mgl": [dict(params=params, n_index=0, x=1.0)],
+        "build_operators": [dict(params=params)],
+        "build_poly_d1": [dict(nodes=ops.nodes)],
+        "build_poly_d2": [dict(nodes=ops.nodes)],
+        "build_mgl_d1": [dict(d1_poly=ops.D1_poly, nodes=ops.nodes)],
+        "build_mgl_d2": [dict(d1_poly=ops.D1_poly, d2_poly=ops.D2_poly, nodes=ops.nodes)],
+        "eval_hat_interpolant": [dict(ops=ops, b=b, x=1.0)],
+        "assemble_residual": [dict(problem=problem, ops=ops, b=b)],
+        "assemble_jacobian": [dict(problem=problem, ops=ops, b=b)],
+        "newton_solve": [dict(problem=problem, config=SolverConfig(n=4))],
+        "first_zero": [dict(solution=solver.newton_solve(LaneEmdenProblem(0.0), SolverConfig(n=4)))],
+        # the profile is checked before either grid branch
+        "compare_profiles": [dict(profile=profile, evaluator=evaluator),
+                             dict(profile=profile, evaluator=evaluator, xs=[0.5, 1.0])],
+    }
+
+
+def public_function(name):
+    return next(getattr(module, name) for module in REPUBLISHED if name in module.__all__)
+
+
+class TestRecordArguments:
+    def test_every_record_argument_is_listed(self):
+        # read from the annotations of the public functions
+        records = {cls for module in REPUBLISHED for cls in vars(module).values()
+                   if dataclasses.is_dataclass(cls) and isinstance(cls, type)}
+        found = set()
+        for module in REPUBLISHED:
+            for name in module.__all__:
+                value = getattr(module, name)
+                if inspect.isfunction(value):
+                    found |= {(name, arg, hint.__name__)
+                              for arg, hint in typing.get_type_hints(value).items()
+                              if arg != "return" and hint in records}
+        assert found == set(RECORD_ARGUMENTS)
+
+    @pytest.mark.parametrize("name, arg, kind", RECORD_ARGUMENTS,
+                             ids=[f"{name}-{arg}" for name, arg, _ in RECORD_ARGUMENTS])
+    def test_valid_calls_run(self, valid_calls, name, arg, kind):
+        for kwargs in valid_calls[name]:
+            public_function(name)(**kwargs)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [3, None, (3, 1.0)], ids=["int", "None", "tuple"])
+    @pytest.mark.parametrize("name, arg, kind", RECORD_ARGUMENTS,
+                             ids=[f"{name}-{arg}" for name, arg, _ in RECORD_ARGUMENTS])
+    def test_other_objects_raise_naming_the_argument(self, valid_calls, name, arg, kind, bad):
+        for kwargs in valid_calls[name]:
+            with pytest.raises(ParameterError, match=f"^{arg} must be a {kind}, got "):
+                public_function(name)(**{**kwargs, arg: bad})
 
 
 class TestBenchmarkTracer:

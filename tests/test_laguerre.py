@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -304,6 +305,20 @@ class TestValidation:
     def test_rejects_arguments_that_are_not_finite_numbers(self, evaluate, n, x):
         with pytest.raises(ParameterError):
             evaluate(n, 1.0, x)
+
+    @pytest.mark.filterwarnings("error")
+    def test_real_numbers_that_numpy_holds_as_objects(self):
+        # a Fraction or an integer past int64 is a real number, as check_real
+        # reads one; a boolean or text among them is not
+        assert eval_laguerre(3, 1.0, Fraction(1, 2)) == eval_laguerre(3, 1.0, 0.5)
+        np.testing.assert_array_equal(eval_laguerre(3, 1.0, [Fraction(1, 2), 2]),
+                                      eval_laguerre(3, 1.0, [0.5, 2.0]))
+        for x in (10**30, [10**400]):  # past the envelope; the second past any float
+            with pytest.raises(ParameterError):
+                eval_laguerre(3, 1.0, x)
+        for x in ([Fraction(1, 2), True], [10**30, "2"]):
+            with pytest.raises(ParameterError, match="argument must be real numbers"):
+                eval_laguerre(3, 1.0, x)
 
     def test_argument_envelope(self):
         with pytest.raises(RangeError):

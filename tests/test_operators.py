@@ -337,6 +337,8 @@ class TestHatInterpolant:
         for b, message in [(np.zeros(3), "b must have length 5"),
                            ("abc", "b must be real numbers"),
                            ([1.0, [0.8, 0.5], 0.2, 0.05, 0.0], "b must be real numbers"),
+                           (["1", "0", "0", "0", "0"], "b must be real numbers"),
+                           ([True, False, False, False, False], "b must be real numbers"),
                            ([1.0, 0.8, float("nan"), 0.2, 0.05], "b must be finite")]:
             with pytest.raises(ParameterError, match=message):
                 eval_hat_interpolant(ops, b, 1.0)

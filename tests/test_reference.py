@@ -32,7 +32,7 @@ from emden.solver import (
     newton_solve,
     pow_signed,
     pow_signed_deriv,
-    pow_signed_scalar,
+    _pow_signed_scalar,
 )
 from emden.validation import check_real
 from conftest import BAD_POINTS, STALLED
@@ -238,7 +238,7 @@ class TestShootingMatchesVectorReference:
 
     @pytest.mark.parametrize("m", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.5, 1.5, 2.75, 4.1201, 7.3])
     def test_scalar_power_pinned_to_pow_signed(self, m):
-        power = pow_signed_scalar(m)
+        power = _pow_signed_scalar(m)
         ys = [-2.5, -1.0, -0.3, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 0.3, 1.0, 2.5]
         ys += [float(y) for y in np.random.default_rng(0).uniform(-2.0, 2.0, 200)]
         for y in ys:
@@ -275,7 +275,7 @@ class TestShootingMatchesVectorReference:
 
         monkeypatch.setitem(globals(), "pow_signed", nan_at(pow_signed))
         expected = vector_shooting_oracle(m, 1.0)
-        monkeypatch.setattr(reference, "pow_signed_scalar", lambda m: nan_at(pow_signed_scalar(m)))
+        monkeypatch.setattr(reference, "_pow_signed_scalar", lambda m: nan_at(_pow_signed_scalar(m)))
         assert_same_profile(shooting_oracle(m, 1.0), expected)
         assert np.all(np.isfinite(expected.ys)) and np.all(np.isfinite(expected.yps))
 
@@ -590,15 +590,22 @@ class TestFirstZeroOf:
             first_zero_of(f)
 
     @pytest.mark.parametrize("text", [lambda x: "abc", lambda x: np.full(x.shape, "abc"),
-                                      lambda x: ["abc"] * x.size],
-                             ids=["str", "str-array", "str-list"])
+                                      lambda x: ["abc"] * x.size, lambda x: np.cos(x).astype(str)],
+                             ids=["str", "str-array", "str-list", "numeric-str-array"])
     @pytest.mark.parametrize("where", ["scan", "walk"])
     def test_text_values_raise(self, text, where):
         # the scan's first block holds 257 points, every walk path at most 200
         def f(x):
             return text(x) if where == "scan" or x.size <= 200 else np.cos(x)
 
-        with pytest.raises(ParameterError, match="function must return real numbers"):
+        with pytest.raises(ParameterError, match="function values must be real numbers"):
+            first_zero_of(f)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f", [lambda x: x > 1.0, lambda x: [bool(v < 1.0) for v in x]],
+                             ids=["bool-array", "bool-list"])
+    def test_boolean_values_raise(self, f):
+        with pytest.raises(ParameterError, match="function values must be real numbers"):
             first_zero_of(f)
 
 
@@ -683,6 +690,18 @@ class TestProfileFirstZero:
 
         monkeypatch.setattr(ReferenceProfile, "interpolant", refuse)
         assert prof.first_zero() == 2.7
+
+    @pytest.mark.parametrize("ys", [[0.0, -1.0, -2.0], [0.0, 1.0, -2.0]],
+                             ids=["then-negative", "then-a-sign-change"])
+    def test_zero_first_sample_is_returned_exactly(self, ys, monkeypatch):
+        # the way first_zero_of returns 0 when f(0) == 0
+        prof = ReferenceProfile(m=3.0, xs=[1.0, 2.0, 3.0], ys=ys, source="closed-form")
+
+        def refuse(self):
+            raise AssertionError("interpolant built for a zero sample")
+
+        monkeypatch.setattr(ReferenceProfile, "interpolant", refuse)
+        assert prof.first_zero() == 1.0
 
 
 class TestProfilesAndComparison:
@@ -783,11 +802,12 @@ class TestProfilesAndComparison:
             compare_profiles(prof, evaluator, xs)
 
     @pytest.mark.parametrize("xs", [None, [0.5, 1.0, 1.5]])
-    @pytest.mark.parametrize("evaluator", [lambda x: "abc", lambda x: np.full(np.shape(x), "abc")],
-                             ids=["str", "str-array"])
+    @pytest.mark.parametrize("evaluator", [lambda x: "abc", lambda x: np.full(np.shape(x), "abc"),
+                                           lambda x: np.cos(x).astype(str), lambda x: x < 1.0],
+                             ids=["str", "str-array", "numeric-str-array", "bool-array"])
     def test_compare_rejects_text_values(self, evaluator, xs):
         prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
-        with pytest.raises(ParameterError, match="function must return real numbers"):
+        with pytest.raises(ParameterError, match="function values must be real numbers"):
             compare_profiles(prof, evaluator, xs)
 
 

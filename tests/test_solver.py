@@ -319,8 +319,10 @@ class TestAssembly:
         ([[1.0, 0.8, 0.5, 0.2, 0.05]], "b must have length 5"),
         ("abc", "b must be real numbers"),
         ([1.0, [0.8, 0.5], 0.2, 0.05, 0.0], "b must be real numbers"),
+        (["1.0", "0.8", "0.5", "0.2", "0.05"], "b must be real numbers"),
+        ([True, False, False, False, False], "b must be real numbers"),
         ([1.0, 0.8, float("nan"), 0.2, 0.05], "b must be finite"),
-    ], ids=["short", "long", "2-d", "text", "ragged", "nan"])
+    ], ids=["short", "long", "2-d", "text", "ragged", "numeric-text", "bools", "nan"])
     def test_coefficients_not_one_per_node_raise(self, assemble, b, message):
         ops = build_operators(BasisParams(n=4))
         with pytest.raises(ParameterError, match=message):
