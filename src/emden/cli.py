@@ -34,6 +34,7 @@ from .laguerre import MAX_ARGUMENT
 from .operators import eval_hat_interpolant
 from .reference import first_zero, first_zero_reference, horedt_reference
 from .solver import LaneEmdenProblem, SolverConfig, newton_solve, scan_L_reports
+from .validation import as_float_grid
 
 __all__ = [
     "RunConfig",
@@ -196,7 +197,7 @@ def run_solve(config: RunConfig):
     csv_text)."""
     solution = newton_solve(LaneEmdenProblem(config.m), _solver_config(config))
     if config.eval_points is not None:
-        grid = np.asarray(config.eval_points, dtype=float)
+        grid = as_float_grid(config.eval_points, "eval_points")
     else:
         grid = _default_eval_grid(solution)
     values = eval_hat_interpolant(solution.operators, solution.b, grid)

@@ -130,17 +130,35 @@ def _exp_ratio(eta: np.ndarray) -> np.ndarray:
     return np.exp((eta[None, :] - eta[:, None]) / 2.0)
 
 
+def _node_matrix(name, matrix, nodes: RadauNodeSet) -> np.ndarray:
+    """matrix as a finite float array of shape (n+1, n+1) for the node set."""
+    matrix = as_reals(matrix, name)
+    if matrix.shape != (nodes.n + 1, nodes.n + 1):
+        raise ParameterError(f"{name} must have shape ({nodes.n + 1}, {nodes.n + 1}), got {matrix.shape}")
+    return matrix
+
+
 def build_mgl_d1(d1_poly: np.ndarray, nodes: RadauNodeSet) -> np.ndarray:
-    """Weighted first-derivative matrix: (D1 - I/2) conjugated by the decay weight."""
+    """Weighted first-derivative matrix: (D1 - I/2) conjugated by the decay weight.
+
+    d1_poly must be build_poly_d1 of the same node set. One that is not a
+    finite (n+1) x (n+1) matrix raises ParameterError; one of that shape
+    built from another node set is not detected.
+    """
     eta = check_type("nodes", nodes, RadauNodeSet).eta
-    shift = d1_poly - 0.5 * np.eye(len(eta))
+    shift = _node_matrix("d1_poly", d1_poly, nodes) - 0.5 * np.eye(len(eta))
     return shift * _exp_ratio(eta)
 
 
 def build_mgl_d2(d1_poly: np.ndarray, d2_poly: np.ndarray, nodes: RadauNodeSet) -> np.ndarray:
-    """Weighted second-derivative matrix: (D2 - D1 + I/4) conjugated by the decay weight."""
+    """Weighted second-derivative matrix: (D2 - D1 + I/4) conjugated by the decay weight.
+
+    d1_poly and d2_poly must be build_poly_d1 and build_poly_d2 of the same
+    node set, and are checked as build_mgl_d1 checks d1_poly.
+    """
     eta = check_type("nodes", nodes, RadauNodeSet).eta
-    core = d2_poly - d1_poly + 0.25 * np.eye(len(eta))
+    d1_poly = _node_matrix("d1_poly", d1_poly, nodes)
+    core = _node_matrix("d2_poly", d2_poly, nodes) - d1_poly + 0.25 * np.eye(len(eta))
     return core * _exp_ratio(eta)
 
 

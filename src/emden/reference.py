@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NoZeroFound, NumericalError, ParameterError
 from .laguerre import MAX_ARGUMENT
 from .operators import eval_hat_interpolant
-from .solver import SpectralSolution, _pow_signed_scalar
+from .solver import LaneEmdenProblem, SpectralSolution, _pow_signed_scalar
 from .validation import as_float_grid, as_floats, as_points, as_reals, check_real, check_type
 
 __all__ = [
@@ -96,7 +96,7 @@ class ReferenceProfile:
     yps: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "m", check_real("m", self.m, minimum=0.0))
+        object.__setattr__(self, "m", LaneEmdenProblem(self.m).m)
         xs = as_points(self.xs, "xs")
         samples = {"xs": xs, "ys": as_reals(self.ys, "ys")}
         if self.yps is not None:
@@ -214,7 +214,7 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
     interpolation); None means no cap, otherwise it must be finite and > 0.
     Raises NumericalError if the step underflows.
     """
-    m = check_real("m", m, minimum=0.0)
+    m = LaneEmdenProblem(m).m
     h_series = check_real("h_series", h_series, minimum=0.0, exclusive=True)
     x_end = check_real("x_end", x_end, minimum=h_series, exclusive=True)
     tol = check_real("tol", tol, minimum=0.0, exclusive=True)
@@ -399,7 +399,7 @@ def compare_profiles(profile: ReferenceProfile, evaluator, xs=None) -> ErrorRepo
             raise ParameterError("comparison grid must not be empty")
         if grid.min() < profile.xs[0] - 1e-12 or grid.max() > profile.xs[-1] + 1e-12:
             raise ParameterError("comparison grid extends beyond the profile's range")
-    ref_vals = np.asarray(profile.interpolant()(grid), dtype=float)
+    ref_vals = as_floats(profile.interpolant()(grid), "interpolant values")
     vals = _values(evaluator, grid)
     errs = np.abs(vals - ref_vals)
     return ErrorReport(xs=np.array(grid), abs_errors=errs, max_abs=float(errs.max()))

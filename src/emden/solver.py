@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
 from .operators import DiffOperators, _coefficients, _scaled_operators
-from .validation import as_reals, check_integer, check_real, check_type
+from .validation import as_floats, as_reals, check_integer, check_real, check_type
 
 __all__ = [
     "LaneEmdenProblem",
@@ -56,26 +56,19 @@ def pow_signed(y, m):
     would cut it off at its zero and stall the linear problem's Newton solve.
     0**0 evaluates to 1. Non-finite or non-numeric y raises ParameterError.
     """
-    return _pow_signed(as_reals(y, "y"), check_real("m", m, minimum=0.0))
-
-
-def _pow_signed(y, m):
-    # pow_signed for an m already validated as a float >= 0
-    arr = np.asarray(y, dtype=float)
-    out = np.ones(arr.shape) if m == 0 else np.sign(arr) * np.abs(arr) ** m
-    return float(out) if out.ndim == 0 else out
+    y = as_reals(y, "y")
+    return LaneEmdenProblem(m).g(y)
 
 
 def _pow_signed_scalar(m):
     """pow_signed for one index m as a function of one float, bit for bit.
 
-    m is validated here once, not on every call. The power is taken on
+    m is an index LaneEmdenProblem has validated. The power is taken on
     Python floats, with the sign as np.sign gives it (0 at -0.0, so the
     result is +0.0 there as well). Where |y|**m would overflow, Python
     raises OverflowError and numpy returns inf; states of the shooting
     oracle, its one caller, stay many orders of magnitude below that.
     """
-    m = check_real("m", m, minimum=0.0)
     if m == 0:
         return lambda y: 1.0
     return lambda y: ((y > 0.0) - (y < 0.0)) * abs(y) ** m
@@ -90,21 +83,22 @@ def pow_signed_deriv(y, m):
     emitted, trusting the damped line search to step off the singularity.
     y is read as pow_signed reads it.
     """
-    return _pow_signed_deriv(as_reals(y, "y"), check_real("m", m, minimum=0.0), stacklevel=3)
+    y = as_reals(y, "y")
+    return _pow_signed_deriv(y, LaneEmdenProblem(m).m, stacklevel=3)
 
 
 def _pow_signed_deriv(y, m, stacklevel=2):
-    # pow_signed_deriv for an m already validated as a float >= 0; the
-    # warning points stacklevel frames up, at the caller of the public entry
-    arr = np.asarray(y, dtype=float)
+    # pow_signed_deriv for a float array y and a validated m; the warning
+    # points stacklevel frames up, at the caller of the public entry
     if m == 0:
-        out = np.zeros(arr.shape)
+        out = np.zeros(y.shape)
     elif m >= 1.0:
-        out = np.abs(arr) ** (m - 1.0)
+        with np.errstate(over="ignore"):
+            out = np.abs(y) ** (m - 1.0)
     else:
         with np.errstate(divide="ignore"):
-            out = np.abs(arr) ** (m - 1.0)
-        singular = arr == 0.0
+            out = np.abs(y) ** (m - 1.0)
+        singular = y == 0.0
         if np.any(singular):
             warnings.warn(
                 "power-law derivative is singular at y=0 for m < 1; entry zeroed",
@@ -118,7 +112,9 @@ def _pow_signed_deriv(y, m, stacklevel=2):
 @dataclass(frozen=True)
 class LaneEmdenProblem:
     """Power-law nonlinearity g(y) = sign(y)|y|^m with index m >= 0, g = 1
-    at m = 0 (see pow_signed), and g'(y) = m|y|^(m-1).
+    at m = 0 (see pow_signed), and g'(y) = m|y|^(m-1), the one owner of both
+    and of the index check. g and g_prime read y with as_floats, so NaN and inf
+    pass for the line search to reject; an overflowing power is inf, unwarned.
 
     The physically interesting range is 0 <= m <= 5 but larger m is accepted.
     The private callback pair replaces g and its derivative wholesale when
@@ -133,13 +129,17 @@ class LaneEmdenProblem:
         object.__setattr__(self, "m", check_real("m", self.m, minimum=0.0))
 
     def g(self, y):
+        y = as_floats(y, "y")
         if self._g is not None:
-            return self._g(np.asarray(y, dtype=float))
-        return _pow_signed(y, self.m)
+            return self._g(y)
+        with np.errstate(over="ignore"):
+            out = np.ones(y.shape) if self.m == 0 else np.sign(y) * np.abs(y) ** self.m
+        return float(out) if out.ndim == 0 else out
 
     def g_prime(self, y):
+        y = as_floats(y, "y")
         if self._g_prime is not None:
-            return self._g_prime(np.asarray(y, dtype=float))
+            return self._g_prime(y)
         return self.m * _pow_signed_deriv(y, self.m)
 
 
@@ -212,11 +212,13 @@ def _stacked_residual(problem: LaneEmdenProblem, d1, d2, xm, b) -> np.ndarray:
     out = np.empty(b.shape)
     out[..., 0] = b[..., 0] - 1.0
     out[..., 1] = (d1[..., :1, :] @ col)[..., 0, 0]
-    out[..., 2:] = (
-        xm[..., 1:n] * (d2[..., 1:n, :] @ col)[..., 0]
-        + 2.0 * (d1[..., 1:n, :] @ col)[..., 0]
-        + xm[..., 1:n] * problem.g(b[..., 1:n])
-    )
+    # g near the float limit may overflow times xm; an inf row is a rejected rung
+    with np.errstate(over="ignore"):
+        out[..., 2:] = (
+            xm[..., 1:n] * (d2[..., 1:n, :] @ col)[..., 0]
+            + 2.0 * (d1[..., 1:n, :] @ col)[..., 0]
+            + xm[..., 1:n] * problem.g(b[..., 1:n])
+        )
     return out
 
 

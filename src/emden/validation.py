@@ -51,12 +51,17 @@ def check_integer(name, value, minimum=None):
 
 
 def as_floats(x, name="x"):
-    """x as a float array of its own shape; NaN and inf pass. Text, booleans,
-    ragged nesting and other non-numbers raise ParameterError."""
+    """x as a float array of its own shape; NaN and inf pass. Text, booleans
+    (a boolean among numbers too), ragged nesting and other non-numbers raise
+    ParameterError."""
     try:
         arr = np.asarray(x)
         # integers past int64 and other Python numbers arrive as objects
-        if arr.dtype.kind in "iuf" or arr.dtype == object and all(map(_is_real, arr.flat)):
+        numeric = arr.dtype.kind in "iuf" or arr.dtype == object and all(map(_is_real, arr.flat))
+        # numpy reads a boolean among numbers as a number; an array's dtype tells
+        if numeric and not isinstance(x, np.ndarray):
+            numeric = not any(isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)
+        if numeric:
             return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -11,9 +11,9 @@ STALLED = (3.0, 6, 4.0)
 STALLED_ARGV = ["--m", "3", "--n", "6", "--L", "4"]
 
 # Points that no evaluation entry point accepts: text, NaN, infinity, an
-# array with a NaN, None, numeric text and booleans
+# array with a NaN, None, numeric text, booleans and a boolean among numbers
 BAD_POINTS = ("abc", float("nan"), float("inf"), [0.5, float("nan")], None,
-              "2.0", ["1.0", "2.0"], True, [True, False])
+              "2.0", ["1.0", "2.0"], True, [True, False], [1.0, True])
 
 # Ordered record of acceptance-criterion outcomes, printed as a summary block
 # so a full run ends with one PASS/FAIL line per criterion.

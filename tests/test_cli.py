@@ -307,6 +307,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_power_overflow_exits_quietly(self, capsys):
+        # at m = 1e6 the power overflows on the way to a stall: exit 2 and
+        # nothing on stderr
+        assert main(["solve", "--m", "1e6", "--n", "7"]) == EXIT_NOT_CONVERGED
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
     def test_unwritable_out_is_a_usage_error(self, where, tmp_path, capsys):
         out = tmp_path / "missing" / "run.json" if where == "missing-directory" else tmp_path
@@ -370,6 +377,16 @@ class TestRunnersDirect:
         assert status == EXIT_OK
         assert csv_text.startswith("x,y\n")
         assert doc["config"]["L"] == 1.0
+
+    @pytest.mark.parametrize("points, message", [
+        (("abc",), "must be real numbers"), (("1.5",), "must be real numbers"),
+        ((True,), "must be real numbers"), ((1.0, True), "must be real numbers"),
+        ((float("nan"),), "must be finite"), ((-1.0,), "must be nonnegative"),
+    ])
+    def test_eval_points_read_as_points(self, points, message):
+        config = RunConfig(command="solve", m=3.0, n=7, eval_points=points)
+        with pytest.raises(ParameterError, match="eval_points " + message):
+            run_solve(config)
 
     def test_solve_formats_each_cell_once(self, monkeypatch):
         # the CSV field and the JSON value of a cell come from one format call
@@ -501,6 +518,24 @@ print(json.dumps({"status": status, "before": before, "x_star": x_star,
         assert found == {("laguerre.py", "", "scipy.linalg"),
                          ("solver.py", "", "scipy.linalg.lapack"),
                          ("reference.py", "ReferenceProfile.interpolant", "scipy.interpolate")}
+
+    def test_numbers_made_float_arrays_only_in_validation(self):
+        # every read of numbers into a float array goes through validation's
+        # functions: no np.asarray or np.array call with dtype float elsewhere
+        def float_arrays(tree):
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("asarray", "array")
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                    dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+                    if any(ast.unparse(d) in ("float", "np.float64") for d in dtypes):
+                        yield node.lineno
+
+        package = Path(emden.cli.__file__).resolve().parent
+        found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+                 if path.name != "validation.py"
+                 for line in float_arrays(ast.parse(path.read_text()))]
+        assert found == []
 
     @pytest.mark.parametrize("module", [errors, estimator, laguerre, operators, reference, solver,
                                         validation, emden.cli], ids=lambda module: module.__name__)

@@ -162,6 +162,32 @@ class TestMglOperators:
         scale = max(1.0, np.max(np.abs(expected)))
         np.testing.assert_allclose(ops.D1_mgl @ f, expected, atol=1e-8 * scale)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("abc", "must be real numbers"),
+        ([[1.0, True], [0.0, 1.0]], "must be real numbers"),
+        (np.full((4, 4), np.nan), "must be finite"),
+        (np.eye(2), r"must have shape \(4, 4\), got \(2, 2\)"),
+        (np.zeros(16), r"must have shape \(4, 4\), got \(16,\)"),
+    ], ids=["text", "bool", "nan", "2x2", "flat"])
+    def test_matrix_arguments_checked(self, bad, message):
+        # each matrix argument is read as finite numbers of the node set's
+        # shape, and the error names it
+        nodes = radau_nodes(BasisParams(n=3))
+        d1p, d2p = build_poly_d1(nodes), build_poly_d2(nodes)
+        with pytest.raises(ParameterError, match="d1_poly " + message):
+            build_mgl_d1(bad, nodes)
+        with pytest.raises(ParameterError, match="d1_poly " + message):
+            build_mgl_d2(bad, d2p, nodes)
+        with pytest.raises(ParameterError, match="d2_poly " + message):
+            build_mgl_d2(d1p, bad, nodes)
+
+    def test_matrix_of_another_alpha_is_not_detected(self):
+        # the shape is all that is checked: a same-shape matrix built at
+        # another alpha builds, so the caller must pass the node set's own
+        nodes = radau_nodes(BasisParams(n=3))
+        other = build_poly_d1(radau_nodes(BasisParams(n=3, alpha=2.0)))
+        assert build_mgl_d1(other, nodes).shape == (4, 4)
+
     def test_exponential_ratio_structure(self):
         # off-diagonal entries carry the weight ratio e^((eta_j - eta_i)/2)
         ops = ops_for(5)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from emden.solver import (
     pow_signed_deriv,
     scan_L_reports,
 )
-from conftest import STALLED
+from conftest import BAD_POINTS, STALLED
 from test_operators import assert_same_bits, uncached_build_operators
 
 # Regression anchors for the canonical m=3, n=7, L=1 solve, recorded from this
@@ -311,6 +312,39 @@ class TestProblem:
             assert bits(problem.g_prime(y)) == bits(g_prime)
 
 
+def holds_a_non_finite_float(x):
+    return any(isinstance(v, float) and not math.isfinite(v) for v in (x if isinstance(x, list) else [x]))
+
+
+class TestPowerLawInput:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("y", BAD_POINTS)
+    def test_every_entry_point_reads_y_one_way(self, y):
+        # the two public functions reject what is not a finite number; the
+        # problem's g and g_prime reject non-numbers and pass NaN and inf,
+        # which the line search has to see in order to reject a rung
+        problem = LaneEmdenProblem(3.0)
+        for power_law in (pow_signed, pow_signed_deriv):
+            with pytest.raises(ParameterError, match="y must be"):
+                power_law(y, 3.0)
+        if not holds_a_non_finite_float(y):
+            for method in (problem.g, problem.g_prime):
+                with pytest.raises(ParameterError, match="y must be real numbers"):
+                    method(y)
+            return
+        arr = np.array(y, dtype=float)
+        np.testing.assert_array_equal(problem.g(y), np.sign(arr) * np.abs(arr) ** 3.0)
+        np.testing.assert_array_equal(problem.g_prime(y), 3.0 * np.abs(arr) ** 2.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_power_is_inf_without_a_warning(self):
+        problem = LaneEmdenProblem(1e6)
+        y = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+        np.testing.assert_array_equal(problem.g(y), [-np.inf, -0.0, 0.0, 0.0, np.inf])
+        np.testing.assert_array_equal(problem.g_prime(y), [np.inf, 0.0, 0.0, 0.0, np.inf])
+        assert pow_signed(3.0, 1e300) == np.inf and pow_signed_deriv(-3.0, 1e300) == np.inf
+
+
 class TestAssembly:
     @pytest.mark.parametrize("assemble", [assemble_residual, assemble_jacobian])
     @pytest.mark.parametrize("b, message", [
@@ -395,6 +429,20 @@ class TestAssembly:
 
 
 class TestNewtonSolve:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m, n, L, converged, iterations", [
+        (1e6, 7, 1.0, False, 7),
+        (1e300, 7, 1.0, False, 7),
+        # the power stays finite here but overflows times the mapped node
+        (1e5, 12, 4.0, True, 13),
+    ])
+    def test_power_overflow_is_a_rejected_rung(self, m, n, L, converged, iterations):
+        # an overflowing power makes a rung's residual inf, which the line
+        # search rejects, with no warning on the way
+        sol = solve(m, n, L)
+        assert (sol.converged, sol.iterations) == (converged, iterations)
+        assert np.all(np.isfinite(sol.b)) and np.all(np.isfinite(sol.residual_history))
+
     def test_linear_problem_converges_immediately(self):
         # m=0 makes the collocation system linear
         sol = solve(0.0, 7, 1.0)
