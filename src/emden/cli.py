@@ -195,10 +195,10 @@ def _default_eval_grid(solution) -> np.ndarray:
 def run_solve(config: RunConfig):
     """Solve one problem and tabulate the profile. Returns (status, json_doc,
     csv_text)."""
-    solution = newton_solve(LaneEmdenProblem(config.m), _solver_config(config))
-    if config.eval_points is not None:
-        grid = as_float_grid(config.eval_points, "eval_points")
-    else:
+    problem, solver_config = LaneEmdenProblem(config.m), _solver_config(config)
+    grid = None if config.eval_points is None else as_float_grid(config.eval_points, "eval_points")
+    solution = newton_solve(problem, solver_config)
+    if grid is None:
         grid = _default_eval_grid(solution)
     values = eval_hat_interpolant(solution.operators, solution.b, grid)
     table = _Table((("x", ".6f"), ("y", ".6f")), list(zip(grid, values)))

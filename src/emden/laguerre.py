@@ -26,7 +26,6 @@ __all__ = [
     "eval_laguerre",
     "eval_laguerre_all",
     "eval_laguerre_deriv",
-    "laguerre_zeros",
     "radau_nodes",
     "eval_mgl",
 ]
@@ -141,13 +140,6 @@ def eval_laguerre_deriv(n, alpha, x):
     sweep = eval_laguerre_all(max(n - 1, 0), alpha, x)  # checks alpha and x
     values = -np.sum(sweep, axis=0) if n else np.zeros(sweep.shape[1:])
     return float(values) if values.ndim == 0 else values
-
-
-def laguerre_zeros(n, alpha):
-    """The n simple positive zeros of L_n^alpha, ascending: the nodes of
-    ``radau_nodes`` after the point 0, bit for bit, with its NumericalError;
-    n and alpha are checked as a BasisParams checks them."""
-    return radau_nodes(BasisParams(n=n, alpha=alpha)).eta[1:]
 
 
 def radau_nodes(params: BasisParams) -> RadauNodeSet:

@@ -1,5 +1,5 @@
-"""Reference solutions and zero finding: closed forms, a shooting integrator,
-embedded published values, and profile comparison.
+"""Reference solutions and zero finding: closed forms, a shooting integrator
+and embedded published values.
 
 The shooting integrator is the package's independent oracle. It never touches
 the collocation machinery: series start near the singular origin, classical
@@ -21,18 +21,15 @@ from .errors import NoZeroFound, NumericalError, ParameterError
 from .laguerre import MAX_ARGUMENT
 from .operators import eval_hat_interpolant
 from .solver import LaneEmdenProblem, SpectralSolution, _pow_signed_scalar
-from .validation import as_float_grid, as_floats, as_points, as_reals, check_real, check_type
+from .validation import as_floats, as_points, as_reals, check_real, check_type
 
 __all__ = [
     "ReferenceProfile",
     "FirstZeroResult",
-    "ErrorReport",
     "closed_form",
-    "closed_form_profile",
     "shooting_oracle",
     "first_zero",
     "first_zero_of",
-    "compare_profiles",
     "horedt_reference",
     "first_zero_reference",
     "method_reference_profile",
@@ -145,15 +142,6 @@ class FirstZeroResult:
     refinement_iterations: int
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Pointwise absolute deviations between a profile and an evaluator."""
-
-    xs: np.ndarray
-    abs_errors: np.ndarray
-    max_abs: float
-
-
 def closed_form(m, x):
     """Exact solutions: m=0 parabola, m=1 sin(x)/x, m=5 inverse square root."""
     m = check_real("m", m)
@@ -167,12 +155,6 @@ def closed_form(m, x):
     else:
         raise ParameterError(f"no closed form for m={m}; supported m are 0, 1, 5")
     return float(out) if out.ndim == 0 else out
-
-
-def closed_form_profile(m, xs) -> ReferenceProfile:
-    """Sample a closed form into a ReferenceProfile."""
-    xs = as_float_grid(xs, "xs")
-    return ReferenceProfile(m=m, xs=xs, ys=closed_form(m, xs), source="closed-form")
 
 
 def _rk4_step(g, x, y, yp, h):
@@ -381,28 +363,6 @@ def first_zero(solution: SpectralSolution) -> FirstZeroResult:
     ops = solution.operators
     return first_zero_of(lambda x: eval_hat_interpolant(ops, solution.b, x),
                          x_max=min(_SCAN_END, MAX_ARGUMENT * ops.params.L))
-
-
-def compare_profiles(profile: ReferenceProfile, evaluator, xs=None) -> ErrorReport:
-    """Absolute deviation of an evaluator from a reference profile on a grid.
-
-    xs defaults to the profile's own sample grid; a grid given must be
-    non-empty and stay inside it. The evaluator is called once, with the
-    whole grid, and must return one value per point.
-    """
-    check_type("profile", profile, ReferenceProfile)
-    if xs is None:
-        grid = profile.xs
-    else:
-        grid = as_float_grid(xs, "xs")
-        if not grid.size:
-            raise ParameterError("comparison grid must not be empty")
-        if grid.min() < profile.xs[0] - 1e-12 or grid.max() > profile.xs[-1] + 1e-12:
-            raise ParameterError("comparison grid extends beyond the profile's range")
-    ref_vals = as_floats(profile.interpolant()(grid), "interpolant values")
-    vals = _values(evaluator, grid)
-    errs = np.abs(vals - ref_vals)
-    return ErrorReport(xs=np.array(grid), abs_errors=errs, max_abs=float(errs.max()))
 
 
 def _embedded(table, m, what):

@@ -15,8 +15,12 @@ newton_solve and scan_L_reports share one damped Newton loop: a scan
 iterates the systems of its map scales side by side on stacks of their
 arrays, and a single solve is the one-member case. assemble_residual and
 assemble_jacobian are the one-system forms of what the loop assembles.
-Input is checked before any work starts, and a check that fails during the
-loop raises NumericalError where it is found.
+Input is checked before any work starts, in one checked layer: the public
+entries read their input through validation once, and each holds its own
+overflow guard. The private loop functions are the trusted core: they work
+on float arrays the package made, without checks, under the one overflow
+guard of the Newton loop. A check that fails during the loop raises
+NumericalError where it is found.
 """
 from __future__ import annotations
 
@@ -84,17 +88,18 @@ def pow_signed_deriv(y, m):
     y is read as pow_signed reads it.
     """
     y = as_reals(y, "y")
-    return _pow_signed_deriv(y, LaneEmdenProblem(m).m, stacklevel=3)
+    m = LaneEmdenProblem(m).m
+    with np.errstate(over="ignore"):
+        return _pow_signed_deriv(y, m, stacklevel=3)
 
 
 def _pow_signed_deriv(y, m, stacklevel=2):
-    # pow_signed_deriv for a float array y and a validated m; the warning
-    # points stacklevel frames up, at the caller of the public entry
+    # pow_signed_deriv for a float array y and a validated m, unguarded; the
+    # warning points stacklevel frames up, at the caller of the public entry
     if m == 0:
         out = np.zeros(y.shape)
     elif m >= 1.0:
-        with np.errstate(over="ignore"):
-            out = np.abs(y) ** (m - 1.0)
+        out = np.abs(y) ** (m - 1.0)
     else:
         with np.errstate(divide="ignore"):
             out = np.abs(y) ** (m - 1.0)
@@ -115,6 +120,8 @@ class LaneEmdenProblem:
     at m = 0 (see pow_signed), and g'(y) = m|y|^(m-1), the one owner of both
     and of the index check. g and g_prime read y with as_floats, so NaN and inf
     pass for the line search to reject; an overflowing power is inf, unwarned.
+    The Newton loop calls _power and _power_prime, the same rules on its own
+    float arrays, unchecked and under the loop's overflow guard.
 
     The physically interesting range is 0 <= m <= 5 but larger m is accepted.
     The private callback pair replaces g and its derivative wholesale when
@@ -130,14 +137,21 @@ class LaneEmdenProblem:
 
     def g(self, y):
         y = as_floats(y, "y")
-        if self._g is not None:
-            return self._g(y)
         with np.errstate(over="ignore"):
-            out = np.ones(y.shape) if self.m == 0 else np.sign(y) * np.abs(y) ** self.m
-        return float(out) if out.ndim == 0 else out
+            return self._power(y)
 
     def g_prime(self, y):
         y = as_floats(y, "y")
+        with np.errstate(over="ignore"):
+            return self._power_prime(y)
+
+    def _power(self, y):
+        if self._g is not None:
+            return self._g(y)
+        out = np.ones(y.shape) if self.m == 0 else np.sign(y) * np.abs(y) ** self.m
+        return float(out) if out.ndim == 0 else out
+
+    def _power_prime(self, y):
         if self._g_prime is not None:
             return self._g_prime(y)
         return self.m * _pow_signed_deriv(y, self.m)
@@ -212,13 +226,11 @@ def _stacked_residual(problem: LaneEmdenProblem, d1, d2, xm, b) -> np.ndarray:
     out = np.empty(b.shape)
     out[..., 0] = b[..., 0] - 1.0
     out[..., 1] = (d1[..., :1, :] @ col)[..., 0, 0]
-    # g near the float limit may overflow times xm; an inf row is a rejected rung
-    with np.errstate(over="ignore"):
-        out[..., 2:] = (
-            xm[..., 1:n] * (d2[..., 1:n, :] @ col)[..., 0]
-            + 2.0 * (d1[..., 1:n, :] @ col)[..., 0]
-            + xm[..., 1:n] * problem.g(b[..., 1:n])
-        )
+    out[..., 2:] = (
+        xm[..., 1:n] * (d2[..., 1:n, :] @ col)[..., 0]
+        + 2.0 * (d1[..., 1:n, :] @ col)[..., 0]
+        + xm[..., 1:n] * problem._power(b[..., 1:n])
+    )
     return out
 
 
@@ -226,7 +238,8 @@ def assemble_residual(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.nd
     """Residual of the collocation system at coefficients b."""
     check_type("problem", problem, LaneEmdenProblem)
     b = _coefficients(ops, b)
-    return _stacked_residual(problem, ops.D1_scaled, ops.D2_scaled, ops.mapped_nodes, b)
+    with np.errstate(over="ignore"):
+        return _stacked_residual(problem, ops.D1_scaled, ops.D2_scaled, ops.mapped_nodes, b)
 
 
 def _linear_jacobian(d1, d2, xm) -> np.ndarray:
@@ -252,7 +265,7 @@ def _add_g_prime(linear: np.ndarray, problem: LaneEmdenProblem, xm, b) -> np.nda
     # entries (i + 1, i) for i = 1..n-1: every (n + 2)-th of a flattened
     # matrix, from (2, 1) on; a strided view, so += writes into jac
     diagonal = jac.reshape(*jac.shape[:-2], -1)[..., 2 * n + 3::n + 2]
-    diagonal += xm[..., 1:n] * problem.g_prime(b[..., 1:n])
+    diagonal += xm[..., 1:n] * problem._power_prime(b[..., 1:n])
     return jac
 
 
@@ -261,7 +274,8 @@ def assemble_jacobian(problem: LaneEmdenProblem, ops: DiffOperators, b) -> np.nd
     check_type("problem", problem, LaneEmdenProblem)
     b = _coefficients(ops, b)
     linear = _linear_jacobian(ops.D1_scaled, ops.D2_scaled, ops.mapped_nodes)
-    return _add_g_prime(linear, problem, ops.mapped_nodes, b)
+    with np.errstate(over="ignore"):
+        return _add_g_prime(linear, problem, ops.mapped_nodes, b)
 
 
 class _SystemFailure(NumericalError):
@@ -324,41 +338,44 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
     linear = _linear_jacobian(d1, d2, xm)
     b = (1.0 + xm**2 / 3.0) ** -0.5
     b[:, 0] = 1.0
-    res = _stacked_residual(problem, d1, d2, xm, b)
-    norm = np.abs(res).max(axis=1).tolist()
-    histories = [[v] for v in norm]
-    iterations = [0] * len(configs)
-    live = [i for i, v in enumerate(norm) if v > tol]
-    iteration = 0
-    while live and iteration < first.max_iter:
-        iteration += 1
-        # a slice while every member iterates, which copies no stack
-        rows = slice(None) if len(live) == len(configs) else live
-        try:
-            delta = _stacked_lu_solve(_add_g_prime(linear[rows], problem, xm[rows], b[rows]), -res[rows])
-        except _SystemFailure as exc:
-            L = configs[live[exc.index]].L
-            raise NumericalError(f"{exc} (L={L}, iteration {iteration})") from None
-        # the boundary row is e_0 with zero residual, so delta[0] = 0 exactly;
-        # clamping removes LU roundoff and keeps b[0] = 1 bit-exact on every rung
-        delta[:, 0] = 0.0
-        # cand[j, r] is member live[j] stepped by rung r
-        cand = b[rows, None] + _DAMPING_LADDER * delta[:, None]
-        cand_res = _stacked_residual(problem, d1[rows, None], d2[rows, None], xm[rows, None], cand)
-        still = []
-        for j, (i, cand_norms) in enumerate(zip(live, np.abs(cand_res).max(axis=2).tolist())):
-            iterations[i] = iteration
-            # the first rung that reduces the residual; a NaN or inf never does
-            for r, v in enumerate(cand_norms):
-                if v < norm[i]:
-                    break
-            else:
-                continue  # stalled: no rung down to 1/64 reduces the residual
-            b[i], res[i], norm[i] = cand[j, r], cand_res[j, r], v
-            histories[i].append(norm[i])
-            if norm[i] > tol:
-                still.append(i)
-        live = still
+    # one guard for the loop: an overflow to inf is a rejected rung; the
+    # operators and the starting guess above still warn at extreme L
+    with np.errstate(over="ignore"):
+        res = _stacked_residual(problem, d1, d2, xm, b)
+        norm = np.abs(res).max(axis=1).tolist()
+        histories = [[v] for v in norm]
+        iterations = [0] * len(configs)
+        live = [i for i, v in enumerate(norm) if v > tol]
+        iteration = 0
+        while live and iteration < first.max_iter:
+            iteration += 1
+            # a slice while every member iterates, which copies no stack
+            rows = slice(None) if len(live) == len(configs) else live
+            try:
+                delta = _stacked_lu_solve(_add_g_prime(linear[rows], problem, xm[rows], b[rows]), -res[rows])
+            except _SystemFailure as exc:
+                L = configs[live[exc.index]].L
+                raise NumericalError(f"{exc} (L={L}, iteration {iteration})") from None
+            # the boundary row is e_0 with zero residual, so delta[0] = 0 exactly;
+            # clamping removes LU roundoff and keeps b[0] = 1 bit-exact on every rung
+            delta[:, 0] = 0.0
+            # cand[j, r] is member live[j] stepped by rung r
+            cand = b[rows, None] + _DAMPING_LADDER * delta[:, None]
+            cand_res = _stacked_residual(problem, d1[rows, None], d2[rows, None], xm[rows, None], cand)
+            still = []
+            for j, (i, cand_norms) in enumerate(zip(live, np.abs(cand_res).max(axis=2).tolist())):
+                iterations[i] = iteration
+                # the first rung that reduces the residual; a NaN or inf never does
+                for r, v in enumerate(cand_norms):
+                    if v < norm[i]:
+                        break
+                else:
+                    continue  # stalled: no rung down to 1/64 reduces the residual
+                b[i], res[i], norm[i] = cand[j, r], cand_res[j, r], v
+                histories[i].append(norm[i])
+                if norm[i] > tol:
+                    still.append(i)
+            live = still
     return [
         SpectralSolution(
             b=b[i].copy(),
@@ -385,7 +402,10 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
     budget returns a non-converged result rather than raising; a non-finite
     or singular Jacobian raises NumericalError that names L and the
     iteration. This is the one-member case of the loop scan_L_reports runs.
-    A problem or config of another type raises ParameterError.
+    A problem or config of another type raises ParameterError. The loop takes
+    g and g' from the problem's private _power and _power_prime, unchecked,
+    under one overflow guard that starts after the operators and the starting
+    guess are built, so their warnings at an extreme L reach the caller.
     """
     check_type("problem", problem, LaneEmdenProblem)
     check_type("config", config, SolverConfig)

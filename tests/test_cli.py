@@ -29,7 +29,6 @@ from emden.cli import (
 from emden.errors import ParameterError
 from emden.estimator import LaneEmdenSolver
 from emden.laguerre import BasisParams
-from emden.reference import closed_form_profile
 from emden.solver import LaneEmdenProblem, SolverConfig, _lockstep_newton_solve, scan_L_reports
 from conftest import STALLED_ARGV
 
@@ -388,6 +387,20 @@ class TestRunnersDirect:
         with pytest.raises(ParameterError, match="eval_points " + message):
             run_solve(config)
 
+    @pytest.mark.parametrize("points", [("abc",), (float("nan"),), (-1.0,)])
+    def test_eval_points_read_before_the_solve(self, points, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return newton_solve(*args)
+
+        newton_solve = emden.cli.newton_solve
+        monkeypatch.setattr(emden.cli, "newton_solve", counted)
+        with pytest.raises(ParameterError, match="^eval_points must be"):
+            run_solve(RunConfig(command="solve", m=3.0, n=7, eval_points=points))
+        assert calls == []
+
     def test_solve_formats_each_cell_once(self, monkeypatch):
         # the CSV field and the JSON value of a cell come from one format call
         cells = []
@@ -582,7 +595,6 @@ RECORD_ARGUMENTS = [
     ("newton_solve", "problem", "LaneEmdenProblem"),
     ("newton_solve", "config", "SolverConfig"),
     ("first_zero", "solution", "SpectralSolution"),
-    ("compare_profiles", "profile", "ReferenceProfile"),
 ]
 REPUBLISHED = (errors, estimator, laguerre, operators, reference, solver)
 
@@ -594,8 +606,6 @@ def valid_calls():
     ops = operators.build_operators(params)
     problem = LaneEmdenProblem(0.0)
     b = np.linspace(1.0, 0.0, 5)
-    profile = closed_form_profile(0.0, np.linspace(0.0, 2.0, 5))
-    evaluator = lambda x: 1.0 - x**2 / 6.0
     return {
         "radau_nodes": [dict(params=params)],
         "eval_mgl": [dict(params=params, n_index=0, x=1.0)],
@@ -609,9 +619,6 @@ def valid_calls():
         "assemble_jacobian": [dict(problem=problem, ops=ops, b=b)],
         "newton_solve": [dict(problem=problem, config=SolverConfig(n=4))],
         "first_zero": [dict(solution=solver.newton_solve(LaneEmdenProblem(0.0), SolverConfig(n=4)))],
-        # the profile is checked before either grid branch
-        "compare_profiles": [dict(profile=profile, evaluator=evaluator),
-                             dict(profile=profile, evaluator=evaluator, xs=[0.5, 1.0])],
     }
 
 

@@ -18,7 +18,6 @@ from emden.laguerre import (
     eval_laguerre_all,
     eval_laguerre_deriv,
     eval_mgl,
-    laguerre_zeros,
     radau_nodes,
 )
 from conftest import BAD_POINTS
@@ -128,21 +127,21 @@ class TestEvalLaguerreDeriv:
 
 class TestLaguerreZeros:
     def test_two_zeros_alpha_zero(self):
-        zs = laguerre_zeros(2, 0.0)
+        zs = radau_nodes(BasisParams(n=2, alpha=0.0)).eta[1:]
         np.testing.assert_allclose(zs, [2.0 - math.sqrt(2.0), 2.0 + math.sqrt(2.0)], atol=1e-12)
 
     def test_two_zeros_alpha_one(self):
-        zs = laguerre_zeros(2, 1.0)
+        zs = radau_nodes(BasisParams(n=2, alpha=1.0)).eta[1:]
         np.testing.assert_allclose(zs, [3.0 - math.sqrt(3.0), 3.0 + math.sqrt(3.0)], atol=1e-12)
 
     def test_single_zero(self):
         # L1 = 1 + alpha - x vanishes at 1 + alpha
-        np.testing.assert_allclose(laguerre_zeros(1, 1.5), [2.5], atol=1e-13)
+        np.testing.assert_allclose(radau_nodes(BasisParams(n=1, alpha=1.5)).eta[1:], [2.5], atol=1e-13)
 
     @pytest.mark.parametrize("n", [2, 5, 8, 10, 20, 30])
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_polished_residual(self, n, alpha):
-        zs = laguerre_zeros(n, alpha)
+        zs = radau_nodes(BasisParams(n=n, alpha=alpha)).eta[1:]
         assert zs.shape == (n,)
         assert np.all(np.diff(zs) > 0)
         assert zs[0] > 0
@@ -155,19 +154,19 @@ class TestLaguerreZeros:
     def test_weighted_residual_small(self, n):
         # In the decaying frame the residual stays near machine precision even
         # for degrees where the raw polynomial values are astronomically large.
-        zs = laguerre_zeros(n, 1.0)
+        zs = radau_nodes(BasisParams(n=n, alpha=1.0)).eta[1:]
         weighted = np.exp(-zs / 2.0) * np.abs([eval_laguerre(n, 1.0, z) for z in zs])
         assert np.max(weighted) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 7, 12])
     def test_interlacing(self, n):
-        outer = laguerre_zeros(n, 1.0)
-        inner = laguerre_zeros(n - 1, 1.0)
+        outer = radau_nodes(BasisParams(n=n, alpha=1.0)).eta[1:]
+        inner = radau_nodes(BasisParams(n=n - 1, alpha=1.0)).eta[1:]
         for k in range(n - 1):
             assert outer[k] < inner[k] < outer[k + 1]
 
     def test_agrees_with_scipy_quadrature_nodes(self):
-        zs = laguerre_zeros(8, 1.0)
+        zs = radau_nodes(BasisParams(n=8, alpha=1.0)).eta[1:]
         ref, _ = roots_genlaguerre(8, 1.0)
         np.testing.assert_allclose(zs, np.sort(ref), rtol=1e-12)
 
@@ -183,7 +182,6 @@ class TestRadauNodes:
             assert nodes.alpha == ref.alpha
             assert type(nodes.Ln_at_zero) is float
             assert np.float64(nodes.Ln_at_zero).tobytes() == np.float64(ref.Ln_at_zero).tobytes()
-            assert laguerre_zeros(n, alpha).tobytes() == ref.eta[1:].tobytes()
 
     @pytest.mark.parametrize("shift", [0.0, 1e-9])
     def test_one_recurrence_sweep_per_polish_step(self, shift, monkeypatch):
@@ -214,8 +212,6 @@ class TestRadauNodes:
     def test_polish_failure_names_the_zero(self, monkeypatch):
         monkeypatch.setattr(laguerre, "POLISH_TOL", -1.0)
         message = r"^zero polish failed to converge at index 0 \(n=5, alpha=1\.0\)$"
-        with pytest.raises(NumericalError, match=message):
-            laguerre_zeros(5, 1.0)
         with pytest.raises(NumericalError, match=message):
             radau_nodes(BasisParams(n=5))
 
@@ -294,8 +290,6 @@ class TestValidation:
         with pytest.raises(RangeError):
             BasisParams(n=MAX_DEGREE + 1)
         with pytest.raises(RangeError):
-            laguerre_zeros(MAX_DEGREE + 1, 1.0)
-        with pytest.raises(RangeError):
             eval_laguerre(MAX_DEGREE + 1, 1.0, 1.0)
 
     @pytest.mark.filterwarnings("error")
@@ -332,7 +326,7 @@ class TestValidation:
         with pytest.raises(ParameterError):
             BasisParams(n=3, alpha=-1.0)
         with pytest.raises(ParameterError):
-            laguerre_zeros(3, -1.2)
+            BasisParams(n=3, alpha=-1.2)
 
     def test_bad_degree(self):
         with pytest.raises(ParameterError):

@@ -16,8 +16,6 @@ from emden.reference import (
     FirstZeroResult,
     ReferenceProfile,
     closed_form,
-    closed_form_profile,
-    compare_profiles,
     first_zero,
     first_zero_of,
     first_zero_reference,
@@ -645,6 +643,10 @@ class TestSpectralFirstZero:
             first_zero(sol)
 
 
+def closed_form_samples(m, xs):
+    return ReferenceProfile(m=m, xs=xs, ys=closed_form(m, xs), source="closed-form")
+
+
 class TestProfileFirstZero:
     """ReferenceProfile.first_zero refines its first sign change by the
     bisection that first_zero_of runs."""
@@ -656,7 +658,7 @@ class TestProfileFirstZero:
         pytest.param(lambda: shooting_oracle(3.0, 8.0), 6.89684842416675, id="shooting-m3"),
         pytest.param(lambda: shooting_oracle(4.0, 16.0), 14.971545692524717, id="shooting-m4"),
         pytest.param(lambda: shooting_oracle(4.9, 250.0), 171.4334037871151, id="shooting-m4.9"),
-        pytest.param(lambda: closed_form_profile(1, np.linspace(0.0, 4.0, 41)),
+        pytest.param(lambda: closed_form_samples(1.0, np.linspace(0.0, 4.0, 41)),
                      3.1415927773538472, id="sine-ratio-spline"),
     ])
     def test_zero_within_1e_13_of_the_earlier_root_finder(self, profile, earlier):
@@ -675,7 +677,7 @@ class TestProfileFirstZero:
 
     @pytest.mark.parametrize("profile", [
         pytest.param(lambda: shooting_oracle(3.0, 5.0), id="shooting-before-the-zero"),
-        pytest.param(lambda: closed_form_profile(5.0, np.linspace(0.0, 10.0, 11)), id="m5"),
+        pytest.param(lambda: closed_form_samples(5.0, np.linspace(0.0, 10.0, 11)), id="m5"),
     ])
     def test_no_sign_change_raises(self, profile):
         with pytest.raises(NoZeroFound, match="no sign change in the sampled range"):
@@ -705,11 +707,6 @@ class TestProfileFirstZero:
 
 
 class TestProfilesAndComparison:
-    def test_closed_form_profile(self):
-        prof = closed_form_profile(5.0, np.linspace(0.0, 4.0, 9))
-        assert prof.source == "closed-form"
-        assert prof.ys[0] == 1.0
-
     def test_profile_validation(self):
         with pytest.raises(ParameterError):
             ReferenceProfile(m=3.0, xs=np.array([0.0, 1.0]),
@@ -718,7 +715,7 @@ class TestProfilesAndComparison:
             ReferenceProfile(m=3.0, xs=np.array([1.0, 0.5]),
                              ys=np.array([0.9, 0.8]), source="closed-form")
         with pytest.raises(ParameterError):
-            closed_form_profile(5.0, [])
+            ReferenceProfile(m=5.0, xs=[], ys=[], source="closed-form")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name,value", [
@@ -747,68 +744,11 @@ class TestProfilesAndComparison:
         prof = ReferenceProfile(m=3, xs=[0.0], ys=[1.0], yps=[0.0], source="shooting")
         plain = ReferenceProfile(m=3, xs=[0.0], ys=[1.0], source="shooting")
         assert prof.interpolant()(0.0) == plain.interpolant()(0.0) == 1.0
-        report = compare_profiles(prof, lambda x: np.ones_like(x))
-        assert report.max_abs == 0.0 and report.abs_errors.shape == (1,)
 
     def test_interpolant_hits_samples(self):
         prof = horedt_reference(3.0)
         vals = prof.interpolant()(prof.xs)
         np.testing.assert_allclose(vals, prof.ys, atol=1e-12)
-
-    def test_compare_on_default_grid(self):
-        prof = closed_form_profile(5.0, np.linspace(0.0, 4.0, 21))
-        report = compare_profiles(prof, lambda x: closed_form(5.0, x))
-        assert report.max_abs <= 1e-14
-        assert report.abs_errors.shape == (21,)
-
-    def test_compare_is_symmetric(self):
-        xs = np.linspace(0.0, 3.0, 13)
-        shoot = shooting_oracle(3.0, 3.5)
-        spectral_sol = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=12, L=0.5))
-        ops = build_operators(BasisParams(n=12, L=0.5))
-        forward = compare_profiles(shoot, lambda x: eval_hat_interpolant(ops, spectral_sol.b, x), xs)
-        sampled = ReferenceProfile(
-            m=3.0, xs=xs,
-            ys=eval_hat_interpolant(ops, spectral_sol.b, xs),
-            source="closed-form")
-        backward = compare_profiles(sampled, shoot.interpolant(), xs)
-        assert forward.max_abs == pytest.approx(backward.max_abs, abs=1e-10)
-
-    def test_compare_rejects_out_of_range_grid(self):
-        prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
-        with pytest.raises(ParameterError):
-            compare_profiles(prof, lambda x: 0.0, np.array([0.0, 3.0]))
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("xs", [x for x in BAD_POINTS if x is not None])
-    def test_compare_rejects_points_that_are_not_finite_numbers(self, xs):
-        # xs=None is the profile's own grid
-        prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
-        with pytest.raises(ParameterError):
-            compare_profiles(prof, lambda x: closed_form(0.0, x), xs)
-
-    def test_compare_rejects_an_empty_grid(self):
-        prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
-        with pytest.raises(ParameterError, match="empty"):
-            compare_profiles(prof, lambda x: closed_form(0.0, x), [])
-
-    @pytest.mark.parametrize("xs", [None, [0.5, 1.0, 1.5]])
-    @pytest.mark.parametrize("evaluator", [lambda x: 0.0, lambda x: np.zeros(2),
-                                           lambda x: np.zeros((len(x), 1))],
-                             ids=["scalar", "short", "column"])
-    def test_compare_rejects_values_not_one_per_point(self, evaluator, xs):
-        prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
-        with pytest.raises(ParameterError, match="one value per point"):
-            compare_profiles(prof, evaluator, xs)
-
-    @pytest.mark.parametrize("xs", [None, [0.5, 1.0, 1.5]])
-    @pytest.mark.parametrize("evaluator", [lambda x: "abc", lambda x: np.full(np.shape(x), "abc"),
-                                           lambda x: np.cos(x).astype(str), lambda x: x < 1.0],
-                             ids=["str", "str-array", "numeric-str-array", "bool-array"])
-    def test_compare_rejects_text_values(self, evaluator, xs):
-        prof = closed_form_profile(0.0, np.linspace(0.0, 2.0, 11))
-        with pytest.raises(ParameterError, match="function values must be real numbers"):
-            compare_profiles(prof, evaluator, xs)
 
 
 class TestEmbeddedReferences:
