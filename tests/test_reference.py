@@ -730,6 +730,23 @@ class TestProfilesAndComparison:
         with pytest.raises(ParameterError):
             ReferenceProfile(source="shooting", **samples)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name,value", [
+        (name, value) for name in ("xs", "ys", "yps") for value in BAD_POINTS
+        if not (name == "yps" and value is None)  # a profile without derivatives
+    ])
+    def test_samples_that_are_not_finite_numbers_raise_naming_the_field(self, name, value):
+        samples = dict(m=3.0, xs=[0.0, 1.0], ys=[1.0, 0.8], yps=[0.0, -0.3])
+        samples[name] = value
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            ReferenceProfile(source="shooting", **samples)
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 5.0])
+    def test_closed_form_interpolant_reproduces_its_samples(self, m):
+        xs = np.linspace(0.0, 2.0, 21)
+        prof = closed_form_samples(m, xs)
+        np.testing.assert_allclose(prof.interpolant()(xs), closed_form(m, xs), rtol=0, atol=1e-14)
+
     def test_samples_read_from_sequences(self):
         prof = ReferenceProfile(m=3, xs=[0, 1], ys=[1, -1], source="closed-form")
         assert prof.m == 3.0
