@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._lapack import dstevd
 from .errors import NumericalError, ParameterError, RangeError
 from .validation import as_points, as_reals, check_integer, check_real, check_type
 
@@ -146,9 +146,10 @@ def radau_nodes(params: BasisParams) -> RadauNodeSet:
     """Assemble the node set {0} U zeros(L_n^alpha) with L_n' at every node and L_n(0).
 
     Eigenvalues of the symmetric tridiagonal Jacobi matrix (diagonal 2k+alpha+1,
-    off-diagonal sqrt(k(k+alpha))) give the zeros to near machine accuracy;
-    Newton polish with the analytic derivative, the summed lower-degree values
-    of the same recurrence sweep, then pins each one down to the documented
+    off-diagonal sqrt(k(k+alpha))), from LAPACK dstevd, give the zeros to near
+    machine accuracy (a nonzero dstevd info raises NumericalError naming n and
+    alpha); Newton polish with the analytic derivative, the summed lower-degree
+    values of the same recurrence sweep, then pins each one down to the documented
     residual target; the point 0 is never stepped. The last sweep also gives
     L_n' at every node and L_n(0); no sweep follows it. A zero that fails to
     polish within the iteration cap raises NumericalError naming its index
@@ -159,7 +160,12 @@ def radau_nodes(params: BasisParams) -> RadauNodeSet:
     k = np.arange(n, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))
-    z = eigh_tridiagonal(diag, off, eigvals_only=True) if n > 1 else diag.copy()
+    if n > 1:
+        z, _, info = dstevd(diag, off, compute_v=0)
+        if info != 0:
+            raise NumericalError(f"Jacobi eigenvalues failed: LAPACK dstevd info={info} (n={n}, alpha={alpha})")
+    else:
+        z = diag.copy()
     points = np.concatenate(([0.0], z))
     for _ in range(_POLISH_MAX_ITER):
         values = eval_laguerre_all(n, alpha, points)

@@ -7,8 +7,8 @@ RK4 with step doubling, derivative samples kept for Hermite interpolation.
 
 Every zero search here bisects by one rule, _bisection. Only
 ReferenceProfile.interpolant() uses scipy.interpolate; it imports it on first
-use, so that importing the package (and every CLI subcommand) loads only
-scipy.linalg.
+use, so that importing the package (and every CLI subcommand) loads no public
+scipy subpackage.
 """
 from __future__ import annotations
 

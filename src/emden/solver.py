@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
+from ._lapack import dgetrf, dgetrs
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
 from .operators import DiffOperators, _coefficients, _scaled_operators

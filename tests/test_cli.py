@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib.machinery
 import inspect
 import json
 import os
@@ -471,11 +472,12 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
-    def test_subcommands_load_only_scipy_linalg(self, tmp_path):
-        # Every subcommand, run in one fresh interpreter, must leave
-        # scipy.linalg the only public scipy subpackage loaded; the reference
-        # profile's spline loads scipy.interpolate on first use, which loads
-        # scipy.optimize itself.
+    def test_subcommands_load_no_public_scipy_subpackage(self, tmp_path):
+        # Every subcommand, run in one fresh interpreter, must leave no public
+        # scipy subpackage loaded: the LAPACK routines come from scipy's
+        # extension file without scipy.linalg. The reference profile's spline
+        # loads scipy.interpolate on first use, which loads scipy.optimize
+        # itself.
         script = """
 import json, sys
 import emden.cli
@@ -505,7 +507,7 @@ print(json.dumps({"status": status, "before": before, "x_star": x_star,
         doc = json.loads(proc.stdout)
         assert doc["status"] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_NO_ZERO, EXIT_OK, EXIT_MISMATCH]
         assert all((tmp_path / f"{k}.txt").stat().st_size > 0 for k in range(6))
-        assert doc["before"] == ["scipy.linalg"]
+        assert doc["before"] == []
         assert round(doc["x_star"], 8) == 6.89684842
         assert {"scipy.interpolate", "scipy.optimize"} <= set(doc["after"])
 
@@ -528,9 +530,87 @@ print(json.dumps({"status": status, "before": before, "x_star": x_star,
                  for path in package.glob("*.py")
                  for scope, module in imports(ast.parse(path.read_text()), ())
                  if module.split(".")[0] == "scipy"}
-        assert found == {("laguerre.py", "", "scipy.linalg"),
-                         ("solver.py", "", "scipy.linalg.lapack"),
+        assert found == {("_lapack.py", "", "scipy.linalg.lapack"),
                          ("reference.py", "ReferenceProfile.interpolant", "scipy.interpolate")}
+
+    def test_solve_loads_none_of_the_modules_scipy_linalg_brings(self, tmp_path):
+        # scipy.linalg's array-API shim loads numpy.f2py, numpy.testing and
+        # numpy.ma, most of its import time; a solve needs none of them
+        script = """
+import json, sys
+import emden.cli
+status = emden.cli.main(["solve", "--m", "3", "--n", "12", "--out", sys.argv[1]])
+print(json.dumps({"status": status, "loaded": sorted(
+    name for name in ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
+    if name in sys.modules)}))
+"""
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "solve.json")],
+                              capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"status": EXIT_OK, "loaded": []}
+
+    def test_this_install_loads_lapack_from_the_scipy_file(self):
+        # a scipy that renames or moves linalg/_flapack fails here, where
+        # otherwise only start-up would get slower
+        script = """
+import sys
+from emden import _lapack
+print(_lapack._flapack.__name__, "scipy.linalg" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["emden._flapack", "False"]
+
+    def test_every_lapack_path_gives_the_same_bits(self, tmp_path):
+        # direct: the file loaded under the package's name; reuse: the module
+        # scipy.linalg loaded first; missing and unloadable: the lookup sees a
+        # scipy without the file or with a broken one, and falls back to
+        # scipy.linalg.lapack
+        script = """
+import hashlib, importlib.machinery, importlib.util, json, sys
+mode, root = sys.argv[1:]
+if mode == "reuse":
+    import scipy.linalg
+elif mode != "direct":
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations.append(root)
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, package=None: (
+        fake if name == "scipy" else find_spec(name, package))
+from emden import BasisParams, LaneEmdenProblem, SolverConfig, _lapack, newton_solve, radau_nodes
+digest = hashlib.sha256()
+for n in range(1, 31):
+    for alpha in (-0.95, -0.5, 0.0, 1.0, 2.5, 5.0):
+        nodes = radau_nodes(BasisParams(n=n, alpha=alpha))
+        digest.update(nodes.eta.tobytes() + nodes.dLn_at_eta.tobytes())
+for m in (1.5, 3.0, 4.5):
+    for n in (6, 12, 20):
+        for L in (0.5, 1.5):
+            solution = newton_solve(LaneEmdenProblem(m), SolverConfig(n=n, L=L))
+            digest.update(solution.b.tobytes())
+lapack = sys.modules.get("scipy.linalg.lapack")
+print(json.dumps({"module": getattr(_lapack._flapack, "__name__", None),
+                  "from_lapack": lapack is not None and _lapack.dgetrf is lapack.dgetrf,
+                  "digest": digest.hexdigest()}))
+"""
+        unloadable = tmp_path / "unloadable"
+        (unloadable / "linalg").mkdir(parents=True)
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (unloadable / "linalg" / f"_flapack{suffix}").write_bytes(b"not a shared object")
+        (tmp_path / "missing").mkdir()
+        docs = {}
+        for mode in ("direct", "reuse", "missing", "unloadable"):
+            proc = subprocess.run([sys.executable, "-c", script, mode, str(tmp_path / mode)],
+                                  capture_output=True, text=True, timeout=120, env=child_env())
+            assert proc.returncode == 0, proc.stderr
+            docs[mode] = json.loads(proc.stdout)
+        assert {mode: (doc["module"], doc["from_lapack"]) for mode, doc in docs.items()} == {
+            "direct": ("emden._flapack", False),
+            "reuse": ("scipy.linalg._flapack", True),
+            "missing": (None, True),
+            "unloadable": (None, True)}
+        assert len({doc["digest"] for doc in docs.values()}) == 1
 
     def test_numbers_made_float_arrays_only_in_validation(self):
         # every read of numbers into a float array goes through validation's

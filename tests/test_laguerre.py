@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_genlaguerre
 
 from emden import laguerre
@@ -25,15 +26,16 @@ from conftest import BAD_POINTS
 ALPHAS = [0.0, 1.0, 2.5]
 
 
-def reference_radau_nodes(n, alpha):
+def reference_radau_nodes(n, alpha, shift=0.0):
     """The node set built with three recurrence sweeps, as before they were
     shared: the zero polish over the eigenvalues alone, then L_n' at the nodes
-    and L_n(0) each from a sweep of their own. Returns the node set and the
-    number of polish steps."""
+    and L_n(0) each from a sweep of their own. The eigenvalues come from
+    scipy.linalg's own eigh_tridiagonal, scaled by 1 + shift. Returns the node
+    set and the number of polish steps."""
     k = np.arange(n, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))
-    z = laguerre.eigh_tridiagonal(diag, off, eigvals_only=True) if n > 1 else diag.copy()
+    z = eigh_tridiagonal(diag, off, eigvals_only=True) * (1.0 + shift) if n > 1 else diag.copy()
     for step in range(1, laguerre._POLISH_MAX_ITER + 1):
         values = eval_laguerre_all(n, alpha, z)
         val, der = values[-1], -np.sum(values[:-1], axis=0)
@@ -186,10 +188,14 @@ class TestRadauNodes:
     @pytest.mark.parametrize("shift", [0.0, 1e-9])
     def test_one_recurrence_sweep_per_polish_step(self, shift, monkeypatch):
         # shift moves the eigenvalues off the zeros, so the polish takes steps
-        eigh_tridiagonal = laguerre.eigh_tridiagonal
-        monkeypatch.setattr(laguerre, "eigh_tridiagonal",
-                            lambda *args, **kwargs: eigh_tridiagonal(*args, **kwargs) * (1.0 + shift))
-        ref, steps = reference_radau_nodes(12, 1.0)
+        dstevd = laguerre.dstevd
+
+        def shifted(*args, **kwargs):
+            w, v, info = dstevd(*args, **kwargs)
+            return w * (1.0 + shift), v, info
+
+        monkeypatch.setattr(laguerre, "dstevd", shifted)
+        ref, steps = reference_radau_nodes(12, 1.0, shift)
         calls = []
         sweep = laguerre.eval_laguerre_all
 
@@ -214,6 +220,15 @@ class TestRadauNodes:
         message = r"^zero polish failed to converge at index 0 \(n=5, alpha=1\.0\)$"
         with pytest.raises(NumericalError, match=message):
             radau_nodes(BasisParams(n=5))
+
+    @pytest.mark.parametrize("info", [1, -2])
+    def test_eigensolver_failure_names_n_and_alpha(self, info, monkeypatch):
+        dstevd = laguerre.dstevd
+        monkeypatch.setattr(laguerre, "dstevd",
+                            lambda *args, **kwargs: dstevd(*args, **kwargs)[:2] + (info,))
+        message = rf"^Jacobi eigenvalues failed: LAPACK dstevd info={info} \(n=5, alpha=1\.5\)$"
+        with pytest.raises(NumericalError, match=message):
+            radau_nodes(BasisParams(n=5, alpha=1.5))
 
     def test_structure(self):
         nodes = radau_nodes(BasisParams(n=7, alpha=1.0, L=1.0))
