@@ -12,6 +12,7 @@ scipy subpackage.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -189,8 +190,10 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
 
     The state y, y' is two Python floats and y^m is _pow_signed_scalar(m), so
     every sample is bit for bit what the same steps on numpy 2-vectors with
-    pow_signed give. The step error is the larger of the two components' and
-    NaN when either is NaN, so a NaN stage rejects the step.
+    pow_signed give, an overflowing power included. The step error is the
+    larger of the two components' and NaN when either is NaN, so a NaN stage
+    rejects the step and cuts the next one to a tenth; a state whose power
+    overflows at every stage ends in step underflow.
 
     h_max caps the step size (useful when dense output is wanted for
     interpolation); None means no cap, otherwise it must be finite and > 0.
@@ -226,7 +229,10 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
                 break
         if h < 1e-12:
             raise NumericalError(f"step underflow at x={x:.6g} (m={m})")
-        factor = (tol * scale / err) ** 0.2 if err > 0.0 else 2.0
+        if err > 0.0:
+            factor = (tol * scale / err) ** 0.2
+        else:  # no error grows the step; a NaN one cuts it to the floor
+            factor = 2.0 if err == 0.0 else 0.0
         h *= min(2.0, max(0.1, 0.9 * factor))
     xs, ys, yps = (np.array(column) for column in zip(*pts))
     return ReferenceProfile(m=m, xs=xs, ys=ys, source="shooting", yps=yps)
@@ -325,11 +331,15 @@ def first_zero_of(f, scan_step=0.05, x_max=_SCAN_END) -> FirstZeroResult:
     A NaN that the search acts on, at a scan point up to the first sign
     change or at a midpoint the bisection visits, raises NumericalError; ±inf
     count with their sign. A call of f that returns anything other than one
-    value per point raises ParameterError.
+    value per point, or an x_max / scan_step that overflows, raises
+    ParameterError.
     """
     scan_step = check_real("scan_step", scan_step, minimum=0.0, exclusive=True)
     x_max = check_real("x_max", x_max, minimum=0.0, exclusive=True)
-    steps = int(np.ceil(x_max / scan_step))
+    ratio = x_max / scan_step
+    if not math.isfinite(ratio):
+        raise ParameterError(f"x_max / scan_step must be finite, got x_max={x_max!r}, scan_step={scan_step!r}")
+    steps = int(np.ceil(ratio))
     for start in range(0, steps, _SCAN_BLOCK):
         xs = np.minimum(np.arange(start, min(start + _SCAN_BLOCK, steps) + 1) * scan_step, x_max)
         ys = _values(f, xs)
@@ -357,12 +367,26 @@ def first_zero(solution: SpectralSolution) -> FirstZeroResult:
     generically falls between nodes) up to x = 50, clamped to the evaluation
     envelope 200*L. Raises NoZeroFound when the profile never changes sign
     (the m=5 situation).
+
+    The outcome is kept on the solution, which is immutable: a repeat returns
+    the same FirstZeroResult, or raises NoZeroFound with the same message,
+    without a second search.
     """
     if not check_type("solution", solution, SpectralSolution).converged:
         raise ParameterError("first_zero requires a converged solution")
-    ops = solution.operators
-    return first_zero_of(lambda x: eval_hat_interpolant(ops, solution.b, x),
-                         x_max=min(_SCAN_END, MAX_ARGUMENT * ops.params.L))
+    outcome = vars(solution).get("_first_zero")
+    if outcome is None:
+        ops = solution.operators
+        try:
+            outcome = first_zero_of(lambda x: eval_hat_interpolant(ops, solution.b, x),
+                                    x_max=min(_SCAN_END, MAX_ARGUMENT * ops.params.L))
+        except NoZeroFound as exc:
+            outcome = str(exc)
+        # outside the dataclass fields, so out of equality and repr
+        object.__setattr__(solution, "_first_zero", outcome)
+    if isinstance(outcome, str):
+        raise NoZeroFound(outcome)
+    return outcome
 
 
 def _embedded(table, m, what):

@@ -13,8 +13,10 @@ only the power law is public.
 
 newton_solve and scan_L_reports share one damped Newton loop: a scan
 iterates the systems of its map scales side by side on stacks of their
-arrays, and a single solve is the one-member case. assemble_residual and
-assemble_jacobian are the one-system forms of what the loop assembles.
+arrays, and a single solve is the one-member case. newton_solve keeps its
+most recent results and returns the kept one for a setup it has solved;
+scans keep nothing. assemble_residual and assemble_jacobian are the
+one-system forms of what the loop assembles.
 Input is checked before any work starts, in one checked layer: the public
 entries read their input through validation once, and each holds its own
 overflow guard. The private loop functions are the trusted core: they work
@@ -24,6 +26,7 @@ NumericalError where it is found.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -34,7 +37,7 @@ import numpy as np
 from ._lapack import dgetrf, dgetrs
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
-from .operators import DiffOperators, _coefficients, _scaled_operators
+from .operators import _UNSCALED_CACHE_SIZE, DiffOperators, _coefficients, _scaled_operators
 from .validation import as_floats, as_reals, check_integer, check_real, check_type
 
 __all__ = [
@@ -69,13 +72,20 @@ def _pow_signed_scalar(m):
 
     m is an index LaneEmdenProblem has validated. The power is taken on
     Python floats, with the sign as np.sign gives it (0 at -0.0, so the
-    result is +0.0 there as well). Where |y|**m would overflow, Python
-    raises OverflowError and numpy returns inf; states of the shooting
-    oracle, its one caller, stay many orders of magnitude below that.
+    result is +0.0 there as well). Where |y|**m overflows, Python raises
+    OverflowError; the result is then sign(y)*inf, what numpy returns.
     """
     if m == 0:
         return lambda y: 1.0
-    return lambda y: ((y > 0.0) - (y < 0.0)) * abs(y) ** m
+
+    def power(y):
+        sign = (y > 0.0) - (y < 0.0)
+        try:
+            return sign * abs(y) ** m
+        except OverflowError:  # only for |y| > 1, so sign is +-1
+            return sign * math.inf
+
+    return power
 
 
 def pow_signed_deriv(y, m):
@@ -390,6 +400,18 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
     ]
 
 
+# Solves kept, as many as unscaled operator builds; the least recently used
+# goes first. A kept solution pins its scaled and unscaled operators, about
+# 46 KB at n = 30, so the bound keeps them under 1.5 MB.
+@functools.lru_cache(maxsize=_UNSCALED_CACHE_SIZE)
+def _kept_solve(problem: LaneEmdenProblem, config: SolverConfig, alpha_sign: float) -> SpectralSolution:
+    """The one-member Newton loop for a setup, run once while it stays kept;
+    a solve that raises keeps nothing. alpha_sign tells alpha = -0.0 from
+    0.0, which compare and hash equal, so a kept solution's config_echo is
+    the caller's config, field for field."""
+    return _lockstep_newton_solve(problem, [config])[0]
+
+
 def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSolution:
     """Damped Newton iteration on the collocation system.
 
@@ -406,10 +428,14 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
     g and g' from the problem's private _power and _power_prime, unchecked,
     under one overflow guard that starts after the operators and the starting
     guess are built, so their warnings at an extreme L reach the caller.
+
+    The 32 most recent results are kept: a setup equal to a kept one, in
+    the problem (m and the callback slot) and in every config field, returns
+    the very object the first call returned, without its warnings.
     """
     check_type("problem", problem, LaneEmdenProblem)
     check_type("config", config, SolverConfig)
-    return _lockstep_newton_solve(problem, [config])[0]
+    return _kept_solve(problem, config, math.copysign(1.0, config.alpha))
 
 
 @dataclass(frozen=True)

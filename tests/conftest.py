@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import settings
 
+import emden.solver
+
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
@@ -14,6 +16,15 @@ STALLED_ARGV = ["--m", "3", "--n", "6", "--L", "4"]
 # array with a NaN, None, numeric text, booleans and a boolean among numbers
 BAD_POINTS = ("abc", float("nan"), float("inf"), [0.5, float("nan")], None,
               "2.0", ["1.0", "2.0"], True, [True, False], [1.0, True])
+
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_solves():
+    """Each test starts with no kept solve, so its solve counts and warnings
+    do not depend on the tests run before it."""
+    emden.solver._kept_solve.cache_clear()
+
 
 # Ordered record of acceptance-criterion outcomes, printed as a summary block
 # so a full run ends with one PASS/FAIL line per criterion.

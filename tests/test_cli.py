@@ -242,6 +242,30 @@ class TestReproduceTablesCommand:
         assert len(set(calls)) == len(calls)
         assert {call[3] for call in calls} == {tol}
 
+    def test_a_second_run_solves_only_the_two_scans(self, monkeypatch, capsys):
+        runs, searches = [], []
+
+        def counted(problem, configs):
+            runs.append((problem.m, len(configs)))
+            return _lockstep_newton_solve(problem, configs)
+
+        def counted_search(f, **kw):
+            searches.append(kw)
+            return first_zero_of(f, **kw)
+
+        first_zero_of = reference.first_zero_of
+        monkeypatch.setattr(emden.solver, "_lockstep_newton_solve", counted)
+        monkeypatch.setattr(reference, "first_zero_of", counted_search)
+        outputs = []
+        for _ in range(2):
+            assert main(["reproduce-tables"]) == EXIT_MISMATCH
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        # the m=3 profile solve and its zero are kept; each scan's members
+        # are new solutions, so their zeros are searched again
+        assert runs == [(3.0, 1), (2.0, 15), (4.0, 15), (2.0, 15), (4.0, 15)]
+        assert len(searches) == 5
+
     def test_unconverged_profile_solve(self, capsys):
         # no solve meets a tolerance of 1e-300, so the m=3 profile solve ends the run
         status, doc = run_json(capsys, ["reproduce-tables", "--tol", "1e-300"])

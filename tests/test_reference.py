@@ -200,7 +200,10 @@ def vector_shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Re
                 break
         if h < 1e-12:
             raise NumericalError(f"step underflow at x={x:.6g} (m={m})")
-        factor = (tol * scale / err) ** 0.2 if err > 0.0 else 2.0
+        if err > 0.0:
+            factor = (tol * scale / err) ** 0.2
+        else:
+            factor = 2.0 if err == 0.0 else 0.0
         h *= min(2.0, max(0.1, 0.9 * factor))
     xs, ys, yps = (np.array(column) for column in zip(*pts))
     return ReferenceProfile(m=m, xs=xs, ys=ys, source="shooting", yps=yps)
@@ -243,6 +246,27 @@ class TestShootingMatchesVectorReference:
             got, expected = power(y), pow_signed(y, m)
             assert type(got) is float
             assert struct.pack("<d", got) == struct.pack("<d", expected), y
+
+    @pytest.mark.parametrize("m", [40.0, 1e6, 1e300])
+    def test_an_overflowing_scalar_power_is_signed_inf(self, m):
+        power = _pow_signed_scalar(m)
+        assert (power(-1e200), power(1e200)) == (-math.inf, math.inf)
+        for y in (-1e200, -3.0, -1.5, 1.5, 3.0, 1e200):
+            assert struct.pack("<d", power(y)) == struct.pack("<d", pow_signed(y, m)), y
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1e9, 1e300])
+    def test_a_power_that_overflows_ends_in_step_underflow(self, m, monkeypatch):
+        # y passes 1 on the first step, where y**m is inf at every stage; each
+        # NaN error cuts the step to a tenth until it underflows. The stages
+        # turn inf and NaN, which pow_signed rejects and the problem's g, the
+        # same rule, lets pass
+        monkeypatch.setitem(globals(), "pow_signed", lambda y, m: LaneEmdenProblem(m).g(y))
+        with pytest.raises(NumericalError) as expected:
+            vector_shooting_oracle(m, 5.0)
+        with pytest.raises(NumericalError, match="step underflow at x=0.001") as got:
+            shooting_oracle(m, 5.0)
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("m", [0.0, 2.5, 3.0])
     @pytest.mark.parametrize("tol", [1e-300, 1e-20])
@@ -567,6 +591,14 @@ class TestFirstZeroOf:
         result = first_zero_of(lambda x: x)
         assert result.x_star == 0.0
 
+    @pytest.mark.parametrize("scan_step, x_max", [(1e-300, 1e10), (5e-324, 1.0)])
+    def test_scan_count_past_the_float_range_raises(self, scan_step, x_max):
+        def refuse(x):
+            raise AssertionError("scanned")
+
+        with pytest.raises(ParameterError, match=r"x_max / scan_step must be finite.*x_max=.*scan_step="):
+            first_zero_of(refuse, scan_step=scan_step, x_max=x_max)
+
     @pytest.mark.parametrize("f", [
         lambda x: 1.0,
         lambda x: np.cos(x)[:5],  # the sign change at pi/2 lies past the fifth point
@@ -627,6 +659,35 @@ class TestSpectralFirstZero:
         sol = newton_solve(LaneEmdenProblem(5.0), SolverConfig(n=12, L=0.9))
         with pytest.raises(NoZeroFound):
             first_zero(sol)
+
+    def test_a_repeat_returns_the_kept_result(self, monkeypatch):
+        sol = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7, L=1.0))
+        result = first_zero(sol)
+        monkeypatch.setattr(reference, "first_zero_of", None)  # no second search
+        assert first_zero(sol) is result
+        # the kept outcome is no field: equality and repr are as they were
+        assert "first_zero" not in repr(sol)
+
+    def test_a_repeat_without_a_crossing_raises_the_same_text(self, monkeypatch):
+        sol = newton_solve(LaneEmdenProblem(5.0), SolverConfig(n=12, L=0.9))
+        with pytest.raises(NoZeroFound) as first:
+            first_zero(sol)
+        monkeypatch.setattr(reference, "first_zero_of", None)
+        with pytest.raises(NoZeroFound) as again:
+            first_zero(sol)
+        assert str(again.value) == str(first.value) == "no sign change in [0, 50] at scan step 0.05"
+
+    def test_a_failed_search_is_not_kept(self, monkeypatch):
+        sol = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7, L=1.0))
+
+        def nan_search(f, x_max):
+            raise NumericalError("function value is NaN")
+
+        monkeypatch.setattr(reference, "first_zero_of", nan_search)
+        with pytest.raises(NumericalError):
+            first_zero(sol)
+        monkeypatch.undo()
+        assert first_zero(sol).x_star == pytest.approx(6.7964814974, abs=1e-8)
 
     def test_scan_ceiling_respects_envelope(self):
         # a tiny map scale shrinks the evaluable range; the scan must clamp

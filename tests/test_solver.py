@@ -945,3 +945,109 @@ class TestConfigValidation:
         assert sol.operators.params is config.basis_params()
         for sol, config in zip(_lockstep_newton_solve(LaneEmdenProblem(3.0), configs), configs):
             assert sol.operators.params is config.basis_params()
+
+
+def counted_solves(monkeypatch):
+    """Setups the Newton loop runs from here on, one list per loop run."""
+    runs = []
+
+    def counted(problem, configs):
+        runs.append(list(configs))
+        return _lockstep_newton_solve(problem, configs)
+
+    monkeypatch.setattr(emden.solver, "_lockstep_newton_solve", counted)
+    return runs
+
+
+def cubic(y):
+    return np.sign(y) * np.abs(y) ** 3.0
+
+
+def cubic_prime(y):
+    return 3.0 * y * y
+
+
+class TestKeptSolves:
+    """newton_solve keeps its recent results: an equal setup returns the
+    kept object, and any difference in the setup solves anew."""
+
+    def test_a_repeat_returns_the_kept_object(self, monkeypatch):
+        runs = counted_solves(monkeypatch)
+        first = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7))
+        # equal, not identical, arguments find it
+        assert newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7, alpha=1.0, L=1.0)) is first
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("problem, config", [
+        (LaneEmdenProblem(3.5), SolverConfig(n=7)),
+        (LaneEmdenProblem(3.0, _g=cubic, _g_prime=cubic_prime), SolverConfig(n=7)),
+        (LaneEmdenProblem(3.0), SolverConfig(n=8)),
+        (LaneEmdenProblem(3.0), SolverConfig(n=7, alpha=2.0)),
+        (LaneEmdenProblem(3.0), SolverConfig(n=7, L=1.5)),
+        (LaneEmdenProblem(3.0), SolverConfig(n=7, newton_tol=1e-10)),
+        (LaneEmdenProblem(3.0), SolverConfig(n=7, max_iter=3)),
+    ], ids=["m", "callback", "n", "alpha", "L", "newton_tol", "max_iter"])
+    def test_each_part_of_the_setup_keeps_entries_apart(self, problem, config, monkeypatch):
+        runs = counted_solves(monkeypatch)
+        base = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7))
+        other = newton_solve(problem, config)
+        assert other is not base and other.config_echo == config
+        assert newton_solve(problem, config) is other
+        assert newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7)) is base
+        assert len(runs) == 2
+
+    def test_the_sign_of_a_zero_alpha_keeps_entries_apart(self):
+        # -0.0 and 0.0 compare and hash equal, in the config as in the float
+        configs = [SolverConfig(n=7, alpha=0.0), SolverConfig(n=7, alpha=-0.0)]
+        assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
+        for _ in range(2):
+            for config in configs:
+                echo = newton_solve(LaneEmdenProblem(3.0), config).config_echo
+                assert math.copysign(1.0, echo.alpha) == math.copysign(1.0, config.alpha)
+
+    def test_a_solve_that_raises_is_not_kept(self, monkeypatch):
+        runs = counted_solves(monkeypatch)
+        problem = LaneEmdenProblem(3.0, _g=cubic, _g_prime=lambda y: np.full(y.shape, np.nan))
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="Jacobian factorization failed"):
+                newton_solve(problem, SolverConfig(n=7))
+        assert len(runs) == 2
+
+    def test_an_unconverged_solve_is_kept(self, monkeypatch):
+        runs = counted_solves(monkeypatch)
+        first = solve(*STALLED)
+        assert not first.converged and solve(*STALLED) is first
+        assert len(runs) == 1
+
+    def test_the_33rd_setup_evicts_the_least_recent(self, monkeypatch):
+        runs = counted_solves(monkeypatch)
+        configs = [SolverConfig(n=6, L=0.5 + 0.05 * k) for k in range(33)]
+        solutions = [newton_solve(LaneEmdenProblem(3.0), config) for config in configs]
+        assert len(runs) == 33
+        # the second and the last are still kept; the first was evicted
+        assert newton_solve(LaneEmdenProblem(3.0), configs[1]) is solutions[1]
+        assert newton_solve(LaneEmdenProblem(3.0), configs[32]) is solutions[32]
+        assert len(runs) == 33
+        again = newton_solve(LaneEmdenProblem(3.0), configs[0])
+        assert again is not solutions[0] and bits(again.b) == bits(solutions[0].b)
+        assert len(runs) == 34
+
+    def test_a_kept_solve_does_not_warn_again(self):
+        # the operators of this map scale overflow; the kept solve repeats
+        # no work, so it repeats none of the first call's warnings
+        config = SolverConfig(n=7, L=1e300)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            first = newton_solve(LaneEmdenProblem(3.0), config)
+            assert record
+            del record[:]
+            assert newton_solve(LaneEmdenProblem(3.0), config) is first
+        assert record == []
+
+    def test_scans_keep_nothing(self, monkeypatch):
+        runs = counted_solves(monkeypatch)
+        for _ in range(2):
+            reports = scan_L_reports(3.0, 7, 1.0, [0.5, 1.0])
+        sol = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7, L=1.0))
+        assert sol is not reports[1].solution and bits(sol.b) == bits(reports[1].solution.b)
+        assert [len(run) for run in runs] == [2, 2, 1]
