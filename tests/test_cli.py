@@ -244,6 +244,7 @@ class TestReproduceTablesCommand:
 
     def test_a_second_run_solves_only_the_two_scans(self, monkeypatch, capsys):
         runs, searches = [], []
+        search = reference.first_zero_of
 
         def counted(problem, configs):
             runs.append((problem.m, len(configs)))
@@ -251,9 +252,8 @@ class TestReproduceTablesCommand:
 
         def counted_search(f, **kw):
             searches.append(kw)
-            return first_zero_of(f, **kw)
+            return search(f, **kw)
 
-        first_zero_of = reference.first_zero_of
         monkeypatch.setattr(emden.solver, "_lockstep_newton_solve", counted)
         monkeypatch.setattr(reference, "first_zero_of", counted_search)
         outputs = []
