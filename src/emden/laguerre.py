@@ -7,6 +7,12 @@ exp(-x/(2L)) * L_n^alpha(x/L)) and through consumers in the operator module.
 Evaluation is restricted to the envelope n <= 30, x <= 200 (x <= 200*L for
 ``eval_mgl``) where the forward recurrence stays inside double-precision range;
 outside it a RangeError is raised rather than silently losing accuracy.
+
+The public entries check their input once and call a private kernel: _sweep,
+the recurrence, and _radau_nodes, the node build. The kernels take a degree,
+an alpha and float arrays the package has already checked, and check nothing
+again; the node build checks only what it computes, the Jacobi eigenvalues
+against the envelope, once, before its polish sweeps.
 """
 from __future__ import annotations
 
@@ -54,8 +60,13 @@ def _check_alpha(alpha):
 
 
 def _check_argument(x):
-    arr = as_reals(x, "argument")
-    if np.any(arr > MAX_ARGUMENT) or np.any(arr < -1.0):
+    return _in_envelope(as_reals(x, "argument"))
+
+
+def _in_envelope(arr):
+    """arr, a float array, or RangeError where an entry (NaN included) lies
+    outside [-1, MAX_ARGUMENT]."""
+    if not np.all((arr >= -1.0) & (arr <= MAX_ARGUMENT)):
         raise RangeError(
             f"argument outside the evaluation envelope [-1, {MAX_ARGUMENT:g}]"
         )
@@ -116,9 +127,12 @@ def eval_laguerre_all(n, alpha, x):
 
     x may be a scalar or an ndarray; the result has shape (n+1,) + shape(x).
     """
-    n = _check_degree(n)
-    alpha = _check_alpha(alpha)
-    x = _check_argument(x)
+    return _sweep(_check_degree(n), _check_alpha(alpha), _check_argument(x))
+
+
+def _sweep(n, alpha, x):
+    """eval_laguerre_all for a checked degree n, a checked alpha and a float
+    array x inside the envelope, without a check."""
     out = np.empty((n + 1,) + x.shape, dtype=float)
     out[0] = 1.0
     if n >= 1:
@@ -137,7 +151,7 @@ def eval_laguerre(n, alpha, x):
 def eval_laguerre_deriv(n, alpha, x):
     """(d/dx)L_n^alpha(x) via the summed lower-degree values; 0 for n = 0."""
     n = _check_degree(n)
-    sweep = eval_laguerre_all(max(n - 1, 0), alpha, x)  # checks alpha and x
+    sweep = _sweep(max(n - 1, 0), _check_alpha(alpha), _check_argument(x))
     values = -np.sum(sweep, axis=0) if n else np.zeros(sweep.shape[1:])
     return float(values) if values.ndim == 0 else values
 
@@ -153,10 +167,16 @@ def radau_nodes(params: BasisParams) -> RadauNodeSet:
     residual target; the point 0 is never stepped. The last sweep also gives
     L_n' at every node and L_n(0); no sweep follows it. A zero that fails to
     polish within the iteration cap raises NumericalError naming its index
-    among the zeros. params other than a BasisParams raise ParameterError.
+    among the zeros, and zeros outside the evaluation envelope (a large alpha
+    puts them there) raise RangeError. params other than a BasisParams raise
+    ParameterError.
     """
     check_type("params", params, BasisParams)
-    n, alpha = params.n, params.alpha
+    return _radau_nodes(params.n, params.alpha)
+
+
+def _radau_nodes(n, alpha):
+    """radau_nodes for a degree and an alpha that BasisParams has checked."""
     k = np.arange(n, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))
@@ -166,9 +186,9 @@ def radau_nodes(params: BasisParams) -> RadauNodeSet:
             raise NumericalError(f"Jacobi eigenvalues failed: LAPACK dstevd info={info} (n={n}, alpha={alpha})")
     else:
         z = diag.copy()
-    points = np.concatenate(([0.0], z))
+    points = _in_envelope(np.concatenate(([0.0], z)))
     for _ in range(_POLISH_MAX_ITER):
-        values = eval_laguerre_all(n, alpha, points)
+        values = _sweep(n, alpha, points)
         val, der = values[-1], -np.sum(values[:-1], axis=0)  # as eval_laguerre_deriv
         target = POLISH_TOL * np.maximum(1.0, np.abs(points)) * np.abs(der)
         done = np.abs(val) <= target

@@ -17,16 +17,24 @@ nothing here differentiates numerically. The node set and the four unscaled
 matrices depend only on (n, alpha) and are built once per pair;
 _scaled_operators applies the scale L, for every bundle. The interpolant is
 evaluated through one (points x nodes) cardinal matrix.
+
+The public entries check their input once and call a private kernel:
+_poly_d1, _poly_d2, _mgl_d1 and _mgl_d2 for the matrices, _hat_values for
+the interpolant. The kernels take node sets, matrices and points the package
+has made or checked, and check nothing again. The unscaled build runs on the
+kernels alone, with one exp ratio for both weighted matrices, and the zero
+search reaches the interpolant through _hat_values.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .laguerre import BasisParams, RadauNodeSet, _unscaled, eval_laguerre_all, radau_nodes
+from .laguerre import BasisParams, RadauNodeSet, _check_argument, _radau_nodes, _sweep, _unscaled
 from .validation import as_points, as_reals, check_type
 
 __all__ = [
@@ -84,7 +92,12 @@ def build_poly_d1(nodes: RadauNodeSet) -> np.ndarray:
     Five closed-form cases: interior off-diagonal, interior diagonal, boundary
     column j=0, boundary row i=0, and the corner i=j=0.
     """
-    n = check_type("nodes", nodes, RadauNodeSet).n
+    return _poly_d1(check_type("nodes", nodes, RadauNodeSet))
+
+
+def _poly_d1(nodes):
+    """build_poly_d1 for a node set the package built, without a check."""
+    n = nodes.n
     eta, lp, l0, alpha = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero, nodes.alpha
     d = np.empty((n + 1, n + 1))
     ei, ej = eta[1:, None], eta[None, 1:]
@@ -106,7 +119,12 @@ def build_poly_d2(nodes: RadauNodeSet) -> np.ndarray:
     to roundoff; built directly from closed forms so the identity stays a
     testable property rather than a construction.
     """
-    n = check_type("nodes", nodes, RadauNodeSet).n
+    return _poly_d2(check_type("nodes", nodes, RadauNodeSet))
+
+
+def _poly_d2(nodes):
+    """build_poly_d2 for a node set the package built, without a check."""
+    n = nodes.n
     eta, lp, l0, alpha = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero, nodes.alpha
     d = np.empty((n + 1, n + 1))
     ei, ej = eta[1:, None], eta[None, 1:]
@@ -146,8 +164,12 @@ def build_mgl_d1(d1_poly: np.ndarray, nodes: RadauNodeSet) -> np.ndarray:
     built from another node set is not detected.
     """
     eta = check_type("nodes", nodes, RadauNodeSet).eta
-    shift = _node_matrix("d1_poly", d1_poly, nodes) - 0.5 * np.eye(len(eta))
-    return shift * _exp_ratio(eta)
+    return _mgl_d1(_node_matrix("d1_poly", d1_poly, nodes), _exp_ratio(eta))
+
+
+def _mgl_d1(d1_poly, ratio):
+    """build_mgl_d1 from the package's own D1_poly and _exp_ratio of its nodes."""
+    return (d1_poly - 0.5 * np.eye(len(ratio))) * ratio
 
 
 def build_mgl_d2(d1_poly: np.ndarray, d2_poly: np.ndarray, nodes: RadauNodeSet) -> np.ndarray:
@@ -158,18 +180,25 @@ def build_mgl_d2(d1_poly: np.ndarray, d2_poly: np.ndarray, nodes: RadauNodeSet) 
     """
     eta = check_type("nodes", nodes, RadauNodeSet).eta
     d1_poly = _node_matrix("d1_poly", d1_poly, nodes)
-    core = _node_matrix("d2_poly", d2_poly, nodes) - d1_poly + 0.25 * np.eye(len(eta))
-    return core * _exp_ratio(eta)
+    return _mgl_d2(d1_poly, _node_matrix("d2_poly", d2_poly, nodes), _exp_ratio(eta))
+
+
+def _mgl_d2(d1_poly, d2_poly, ratio):
+    """build_mgl_d2 from the package's own D1_poly, D2_poly and _exp_ratio of its nodes."""
+    return (d2_poly - d1_poly + 0.25 * np.eye(len(ratio))) * ratio
 
 
 @functools.lru_cache(maxsize=_UNSCALED_CACHE_SIZE)
-def _unscaled_operators(n: int, alpha: float):
-    """(nodes, D1_poly, D2_poly, D1_mgl, D2_mgl) for one (n, alpha), read-only."""
-    nodes = radau_nodes(BasisParams(n=n, alpha=alpha))
-    d1p = build_poly_d1(nodes)
-    d2p = build_poly_d2(nodes)
-    d1m = build_mgl_d1(d1p, nodes)
-    d2m = build_mgl_d2(d1p, d2p, nodes)
+def _unscaled_operators(n: int, alpha: float, alpha_sign: float):
+    """(nodes, D1_poly, D2_poly, D1_mgl, D2_mgl) for one (n, alpha), read-only,
+    built by the kernels alone. alpha_sign tells alpha = -0.0 from 0.0, which
+    compare and hash equal, so the node set records the caller's alpha."""
+    nodes = _radau_nodes(n, alpha)
+    d1p = _poly_d1(nodes)
+    d2p = _poly_d2(nodes)
+    ratio = _exp_ratio(nodes.eta)
+    d1m = _mgl_d1(d1p, ratio)
+    d2m = _mgl_d2(d1p, d2p, ratio)
     for matrix in (d1p, d2p, d1m, d2m):
         matrix.setflags(write=False)
     return nodes, d1p, d2p, d1m, d2m
@@ -181,7 +210,7 @@ def _scaled_operators(params):
     which each bundle holds slices: D1_mgl/L, D2_mgl/(L*L) and L*eta, the
     one scaling by L of every bundle."""
     first = params[0]
-    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(first.n, first.alpha)
+    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(first.n, first.alpha, math.copysign(1.0, first.alpha))
     scales = np.array([p.L for p in params])[:, None, None]
     d1 = d1m / scales
     d2 = d2m / (scales * scales)
@@ -219,7 +248,7 @@ def _hat_cardinals(nodes: RadauNodeSet, t: np.ndarray) -> np.ndarray:
     """Weighted cardinal functions at the unscaled points t: one row per point."""
     eta = nodes.eta
     tc = t[:, None]
-    ln = eval_laguerre_all(nodes.n, nodes.alpha, t)[-1][:, None]
+    ln = _sweep(nodes.n, nodes.alpha, t)[-1][:, None]
     w = np.exp((eta - tc) / 2.0)
     card = np.empty(w.shape)
     card[:, :1] = np.exp(-tc / 2.0) * ln / nodes.Ln_at_zero
@@ -243,8 +272,13 @@ def eval_hat_interpolant(ops: DiffOperators, b, x):
     """
     b = _coefficients(ops, b)
     arr = as_points(x)
-    t = _unscaled(arr.reshape(-1), ops.params.L)
-    card = _hat_cardinals(ops.nodes, t)
-    # a row sum, not card @ b: it keeps a point's value independent of the batch
-    values = np.sum(card * b, axis=1).reshape(arr.shape)
+    t = _check_argument(_unscaled(arr.reshape(-1), ops.params.L))
+    values = _hat_values(ops.nodes, b, t).reshape(arr.shape)
     return float(values) if arr.ndim == 0 else values
+
+
+def _hat_values(nodes: RadauNodeSet, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The interpolant of coefficients b at a 1-d float array t of unscaled
+    points in the envelope, without a check."""
+    # a row sum, not card @ b: it keeps a point's value independent of the batch
+    return np.sum(_hat_cardinals(nodes, t) * b, axis=1)

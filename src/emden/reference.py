@@ -12,15 +12,14 @@ scipy subpackage.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NoZeroFound, NumericalError, ParameterError
-from .laguerre import MAX_ARGUMENT
-from .operators import eval_hat_interpolant
+from .laguerre import MAX_ARGUMENT, _unscaled
+from .operators import _coefficients, _hat_values
 from .solver import LaneEmdenProblem, SpectralSolution, _pow_signed_scalar
 from .validation import as_floats, as_points, as_reals, check_real, check_type
 
@@ -74,6 +73,8 @@ _BISECT_MAX_ITER = 200
 _SCAN_BLOCK = 256
 # Where a zero scan ends unless the caller says otherwise.
 _SCAN_END = 50.0
+# Most scan points of one search: 1000 times the default scan of 0.05 to 50.
+_SCAN_MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -158,17 +159,22 @@ def closed_form(m, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _rk4_step(g, x, y, yp, h):
-    """One classical RK4 step of y' = yp, yp' = -2 yp/x - g(y) on two floats."""
+def _slope(g, x, y, yp):
+    """yp' = -2 yp/x - g(y), the first stage of an RK4 step from (x, y, yp)."""
+    return -2.0 * yp / x - g(y)
+
+
+def _rk4_step(g, x, y, yp, k1p, h):
+    """One classical RK4 step of y' = yp, yp' = -2 yp/x - g(y) on two floats;
+    k1p is _slope(g, x, y, yp), which steps from one point share."""
     half = h / 2.0
-    k1y, k1p = yp, -2.0 * yp / x - g(y)
-    a, b = y + half * k1y, yp + half * k1p
+    a, b = y + half * yp, yp + half * k1p
     k2y, k2p = b, -2.0 * b / (x + half) - g(a)
     a, b = y + half * k2y, yp + half * k2p
     k3y, k3p = b, -2.0 * b / (x + half) - g(a)
     a, b = y + h * k3y, yp + h * k3p
     k4y, k4p = b, -2.0 * b / (x + h) - g(a)
-    return (y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+    return (y + h / 6.0 * (yp + 2.0 * k2y + 2.0 * k3y + k4y),
             yp + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
 
 
@@ -215,9 +221,11 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
         h = min(h, x_end - x)
         if h_max is not None:
             h = min(h, h_max)
-        full_y, full_p = _rk4_step(g, x, y, yp, h)
-        half_y, half_p = _rk4_step(g, x, y, yp, h / 2.0)
-        double_y, double_p = _rk4_step(g, x + h / 2.0, half_y, half_p, h / 2.0)
+        k1p = _slope(g, x, y, yp)  # the full and the first half step share it
+        full_y, full_p = _rk4_step(g, x, y, yp, k1p, h)
+        half_y, half_p = _rk4_step(g, x, y, yp, k1p, h / 2.0)
+        x_half = x + h / 2.0
+        double_y, double_p = _rk4_step(g, x_half, half_y, half_p, _slope(g, x_half, half_y, half_p), h / 2.0)
         err = _max_nan(abs(double_y - full_y), abs(double_p - full_p)) / 15.0
         scale = max(1.0, _max_nan(abs(y), abs(yp)))
         if err <= tol * scale:
@@ -331,14 +339,16 @@ def first_zero_of(f, scan_step=0.05, x_max=_SCAN_END) -> FirstZeroResult:
     A NaN that the search acts on, at a scan point up to the first sign
     change or at a midpoint the bisection visits, raises NumericalError; ±inf
     count with their sign. A call of f that returns anything other than one
-    value per point, or an x_max / scan_step that overflows, raises
-    ParameterError.
+    value per point raises ParameterError, and so does a scan of more than
+    10**6 points (x_max / scan_step above 10**6, 1000 times the default scan),
+    before f is called.
     """
     scan_step = check_real("scan_step", scan_step, minimum=0.0, exclusive=True)
     x_max = check_real("x_max", x_max, minimum=0.0, exclusive=True)
     ratio = x_max / scan_step
-    if not math.isfinite(ratio):
-        raise ParameterError(f"x_max / scan_step must be finite, got x_max={x_max!r}, scan_step={scan_step!r}")
+    if not ratio <= _SCAN_MAX_POINTS:  # an overflow to inf as well
+        raise ParameterError(f"x_max / scan_step must be finite and at most {_SCAN_MAX_POINTS}, "
+                             f"got x_max={x_max!r}, scan_step={scan_step!r}")
     steps = int(np.ceil(ratio))
     for start in range(0, steps, _SCAN_BLOCK):
         xs = np.minimum(np.arange(start, min(start + _SCAN_BLOCK, steps) + 1) * scan_step, x_max)
@@ -370,16 +380,19 @@ def first_zero(solution: SpectralSolution) -> FirstZeroResult:
 
     The outcome is kept on the solution, which is immutable: a repeat returns
     the same FirstZeroResult, or raises NoZeroFound with the same message,
-    without a second search.
+    without a second search. A search checks solution.b once, then scans and
+    bisects on the interpolant's unchecked kernel, on points it made inside
+    the envelope.
     """
     if not check_type("solution", solution, SpectralSolution).converged:
         raise ParameterError("first_zero requires a converged solution")
     outcome = vars(solution).get("_first_zero")
     if outcome is None:
         ops = solution.operators
+        b, nodes, L = _coefficients(ops, solution.b), ops.nodes, ops.params.L
         try:
-            outcome = first_zero_of(lambda x: eval_hat_interpolant(ops, solution.b, x),
-                                    x_max=min(_SCAN_END, MAX_ARGUMENT * ops.params.L))
+            outcome = first_zero_of(lambda x: _hat_values(nodes, b, _unscaled(x, L)),
+                                    x_max=min(_SCAN_END, MAX_ARGUMENT * L))
         except NoZeroFound as exc:
             outcome = str(exc)
         # outside the dataclass fields, so out of equality and repr

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -176,14 +177,24 @@ class TestLaguerreZeros:
 class TestRadauNodes:
     @pytest.mark.parametrize("n", range(1, MAX_DEGREE + 1))
     def test_equals_the_three_sweep_reference(self, n):
+        # the public entry and the kernel the operator build calls
         for alpha in np.linspace(-0.95, 5.0, 24).tolist():
-            nodes = radau_nodes(BasisParams(n=n, alpha=alpha))
             ref, _ = reference_radau_nodes(n, alpha)
-            assert nodes.eta.tobytes() == ref.eta.tobytes()
-            assert nodes.dLn_at_eta.tobytes() == ref.dLn_at_eta.tobytes()
-            assert nodes.alpha == ref.alpha
-            assert type(nodes.Ln_at_zero) is float
-            assert np.float64(nodes.Ln_at_zero).tobytes() == np.float64(ref.Ln_at_zero).tobytes()
+            for nodes in (radau_nodes(BasisParams(n=n, alpha=alpha)), laguerre._radau_nodes(n, alpha)):
+                assert nodes.eta.tobytes() == ref.eta.tobytes()
+                assert nodes.dLn_at_eta.tobytes() == ref.dLn_at_eta.tobytes()
+                assert nodes.alpha == ref.alpha
+                assert type(nodes.Ln_at_zero) is float
+                assert np.float64(nodes.Ln_at_zero).tobytes() == np.float64(ref.Ln_at_zero).tobytes()
+
+    @pytest.mark.parametrize("n, alpha", [(1, 199.5), (3, 190.0), (30, 100.0), (3, 1e300), (3, 1e308)])
+    def test_zeros_past_the_envelope_raise(self, n, alpha):
+        # the polish would sweep past MAX_ARGUMENT; at n=3, alpha=1e308 the
+        # Jacobi matrix overflows and dstevd returns NaN with info 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(RangeError, match=r"^argument outside the evaluation envelope \[-1, 200\]$"):
+                radau_nodes(BasisParams(n=n, alpha=alpha))
 
     @pytest.mark.parametrize("shift", [0.0, 1e-9])
     def test_one_recurrence_sweep_per_polish_step(self, shift, monkeypatch):
@@ -197,16 +208,17 @@ class TestRadauNodes:
         monkeypatch.setattr(laguerre, "dstevd", shifted)
         ref, steps = reference_radau_nodes(12, 1.0, shift)
         calls = []
-        sweep = laguerre.eval_laguerre_all
+        sweep = laguerre._sweep
 
         def counted(*args):
             calls.append(args[:2])
             return sweep(*args)
 
         def forbidden(*args):
-            raise AssertionError("radau_nodes sweeps after the polish")
+            raise AssertionError("radau_nodes sweeps after the polish, or through a checked entry")
 
-        monkeypatch.setattr(laguerre, "eval_laguerre_all", counted)
+        monkeypatch.setattr(laguerre, "_sweep", counted)
+        monkeypatch.setattr(laguerre, "eval_laguerre_all", forbidden)
         monkeypatch.setattr(laguerre, "eval_laguerre_deriv", forbidden)
         monkeypatch.setattr(laguerre, "eval_laguerre", forbidden)
         nodes = radau_nodes(BasisParams(n=12, alpha=1.0))

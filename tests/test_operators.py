@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emden.errors import ParameterError, RangeError
-from emden.laguerre import MAX_ARGUMENT, BasisParams, eval_laguerre, eval_mgl, radau_nodes
+from emden.laguerre import MAX_ARGUMENT, BasisParams, _unscaled, eval_laguerre, eval_mgl, radau_nodes
 from emden import operators
 from emden.operators import (
     NEAR_NODE_TOL,
@@ -255,6 +255,21 @@ class TestHatInterpolant:
             np.testing.assert_array_less(
                 np.abs(eval_hat_interpolant(ops, b, xs) - expected), 1e-14 * np.sum(np.abs(b)))
 
+    @pytest.mark.parametrize("n", [1, 7, 19, 30])
+    def test_kernel_equals_the_public_entry(self, n):
+        # the zero search calls the kernel on unscaled points: at the nodes,
+        # between them and past the last one, up to the envelope edge
+        rng = np.random.default_rng(n)
+        for alpha, L in ((1.0, 1.0), (-0.7, 0.041), (3.5, 2.6)):
+            ops = ops_for(n, alpha=alpha, L=L)
+            b = rng.standard_normal(n + 1)
+            xm = ops.mapped_nodes
+            xs = np.concatenate((xm, 0.5 * (xm[1:] + xm[:-1]),
+                                 np.linspace(xm[-1], MAX_ARGUMENT * L, 40)[1:]))
+            kernel = operators._hat_values(ops.nodes, b, _unscaled(xs, L))
+            assert kernel.tobytes() == eval_hat_interpolant(ops, b, xs).tobytes()
+            assert kernel.tobytes() == np.array([eval_hat_interpolant(ops, b, x) for x in xs]).tobytes()
+
     def test_cardinality_at_nodes(self):
         ops = ops_for(6)
         x = ops.mapped_nodes
@@ -408,16 +423,28 @@ class TestUnscaledBuildCache:
             assert_same_bits(first, uncached_build_operators(params))
             assert_same_bits(again, uncached_build_operators(params))
 
-    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0), (1, 1.0), (1.0, 1)])
+    @pytest.mark.parametrize("first,second", [(1, 1.0), (1.0, 1)])
     def test_equal_alphas_share_one_build(self, first, second):
-        # 0.0 and -0.0 (and 1 and 1.0) are one cache key: whichever comes
-        # first is the build the other gets, which holds because their
-        # uncached builds are bitwise equal
+        # 1 and 1.0 are one cache key: whichever comes first is the build the
+        # other gets, which holds because their uncached builds are bitwise equal
         operators._unscaled_operators.cache_clear()
         for n in (1, 7, 30):
             a = build_operators(BasisParams(n=n, alpha=first, L=2.0))
             b = build_operators(BasisParams(n=n, alpha=second, L=2.0))
             assert b.nodes is a.nodes and b.D2_mgl is a.D2_mgl
+            assert_same_bits(b, uncached_build_operators(BasisParams(n=n, alpha=second, L=2.0)))
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_alphas_keep_their_own_build(self, first, second):
+        # 0.0 and -0.0 compare and hash equal, but the node set records the
+        # alpha it was built for, sign included; the matrices are bitwise equal
+        operators._unscaled_operators.cache_clear()
+        for n in (1, 7, 30):
+            a = build_operators(BasisParams(n=n, alpha=first, L=2.0))
+            b = build_operators(BasisParams(n=n, alpha=second, L=2.0))
+            assert b.nodes is not a.nodes
+            assert math.copysign(1.0, b.nodes.alpha) == math.copysign(1.0, second)
+            assert_same_bits(b, a)
             assert_same_bits(b, uncached_build_operators(BasisParams(n=n, alpha=second, L=2.0)))
 
     def test_bundles_at_one_pair_share_the_unscaled_part(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from emden import reference
+from emden import operators, reference
 from emden.errors import NoZeroFound, NumericalError, ParameterError
 from emden.laguerre import MAX_ARGUMENT, BasisParams
 from emden.operators import build_operators, eval_hat_interpolant
@@ -159,8 +159,7 @@ class TestShootingOracle:
             shooting_oracle(3.0, 2.0, h_max=h_max)
 
 
-def vector_rk4_step(f, x, y, h):
-    k1 = f(x, y)
+def vector_rk4_step(f, x, y, h, k1):
     k2 = f(x + h / 2.0, y + h / 2.0 * k1)
     k3 = f(x + h / 2.0, y + h / 2.0 * k2)
     k4 = f(x + h, y + h * k3)
@@ -170,7 +169,8 @@ def vector_rk4_step(f, x, y, h):
 def vector_shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> ReferenceProfile:
     """Reference for shooting_oracle: the same integrator on numpy 2-vectors
     with pow_signed in every stage, the form it had before its state became
-    two floats."""
+    two floats, with the first stage shared by the full and the first half
+    step as there, so both make the same sequence of power calls."""
     m = check_real("m", m, minimum=0.0)
     h_series = check_real("h_series", h_series, minimum=0.0, exclusive=True)
     x_end = check_real("x_end", x_end, minimum=h_series, exclusive=True)
@@ -187,9 +187,10 @@ def vector_shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Re
         h = min(h, x_end - x)
         if h_max is not None:
             h = min(h, h_max)
-        full = vector_rk4_step(f, x, y, h)
-        half = vector_rk4_step(f, x, y, h / 2.0)
-        double = vector_rk4_step(f, x + h / 2.0, half, h / 2.0)
+        k1 = f(x, y)
+        full = vector_rk4_step(f, x, y, h, k1)
+        half = vector_rk4_step(f, x, y, h / 2.0, k1)
+        double = vector_rk4_step(f, x + h / 2.0, half, h / 2.0, f(x + h / 2.0, half))
         err = float(np.max(np.abs(double - full))) / 15.0
         scale = max(1.0, float(np.max(np.abs(y))))
         if err <= tol * scale:
@@ -277,11 +278,12 @@ class TestShootingMatchesVectorReference:
             shooting_oracle(m, 2.0, tol=tol)
         assert str(got.value) == str(expected.value)
 
-    @pytest.mark.parametrize("call", [4, 16, 100])
+    @pytest.mark.parametrize("call", [4, 15, 103])
     @pytest.mark.parametrize("m", [3.0, 2.5])
     def test_nan_stage_rejects_the_step(self, monkeypatch, m, call):
         # The power returns NaN at one call, the k4 stage of a full step when
-        # call is a multiple of 4: that step's y is finite and its y' NaN, so
+        # call is 4 past a multiple of 11 (an attempted step makes 11 power
+        # calls, the first stage shared): that step's y is finite and its y' NaN, so
         # np.max makes the error NaN and the step is rejected. A max that
         # dropped the NaN would accept the step, and the NaN state would then
         # reject every later one; the call guard ends such a run.
@@ -599,6 +601,19 @@ class TestFirstZeroOf:
         with pytest.raises(ParameterError, match=r"x_max / scan_step must be finite.*x_max=.*scan_step="):
             first_zero_of(refuse, scan_step=scan_step, x_max=x_max)
 
+    @pytest.mark.parametrize("scan_step, x_max", [(1e-300, 1e-10), (0.5, 500000.5)])
+    def test_scan_count_past_the_cap_raises(self, scan_step, x_max):
+        def refuse(x):
+            raise AssertionError("scanned")
+
+        with pytest.raises(ParameterError, match=r"^x_max / scan_step must be finite and at most 1000000, "
+                                                 r"got x_max=.*, scan_step=.*$"):
+            first_zero_of(refuse, scan_step=scan_step, x_max=x_max)
+
+    def test_scan_count_at_the_cap_runs(self):
+        assert first_zero_of(lambda x: 1.0 - x, scan_step=0.5, x_max=500000.0).x_star == \
+            pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("f", [
         lambda x: 1.0,
         lambda x: np.cos(x)[:5],  # the sign change at pi/2 lies past the fifth point
@@ -676,6 +691,26 @@ class TestSpectralFirstZero:
         with pytest.raises(NoZeroFound) as again:
             first_zero(sol)
         assert str(again.value) == str(first.value) == "no sign change in [0, 50] at scan step 0.05"
+
+    @pytest.mark.parametrize("m", [3.0, 5.0], ids=["zero", "no-zero"])
+    def test_a_search_checks_b_once(self, m, monkeypatch):
+        # m=3 scans one block and bisects, m=5 scans four blocks and finds no
+        # zero; every scan block and bisection path runs on the kernel
+        sol = newton_solve(LaneEmdenProblem(m), SolverConfig(n=12, L=0.9))
+        checked = []
+        as_reals = operators.as_reals
+
+        def counted(x, name="x"):
+            checked.append(name)
+            return as_reals(x, name)
+
+        monkeypatch.setattr(operators, "as_reals", counted)
+        for _ in range(2):  # the repeat returns the kept outcome, unchecked
+            try:
+                first_zero(sol)
+            except NoZeroFound:
+                pass
+            assert checked == ["b"]
 
     def test_a_failed_search_is_not_kept(self, monkeypatch):
         sol = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7, L=1.0))

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrf
 
+import emden.laguerre
+import emden.operators
+import emden.reference
 import emden.solver
 from emden.errors import NumericalError, ParameterError
 from emden.laguerre import BasisParams
@@ -354,25 +357,52 @@ class TestPowerLawInput:
         assert jacobian[2, 1] == jacobian[3, 2] == np.inf and np.isfinite(jacobian[4, 3])
 
 
-def calls_in(name):
-    """The names called in the body of solver's function or method name."""
-    tree = ast.parse(inspect.getsource(emden.solver))
+# Every input check of the package; a trusted kernel calls none of them.
+CHECKS = {"check_type", "check_real", "check_integer", "as_floats", "as_reals", "as_points", "_check_argument"}
+
+
+def calls_in(name, module=emden.solver):
+    """The names called in the body of module's function or method name."""
+    tree = ast.parse(inspect.getsource(module))
     node = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name)
     return [call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
             for call in ast.walk(node) if isinstance(call, ast.Call)]
 
 
+def public_functions(*modules):
+    return {name for module in modules for name in module.__all__
+            if inspect.isfunction(getattr(module, name))}
+
+
 class TestCheckedBoundary:
     """Public entries check their input and hold their own overflow guard;
     the private loop functions run on the package's own float arrays under
-    the one guard of the Newton loop."""
+    the one guard of the Newton loop. The node build, the operator build,
+    the interpolant and the zero search run on private kernels the same way."""
 
     @pytest.mark.parametrize("name", ["_stacked_residual", "_linear_jacobian", "_add_g_prime",
                                       "_stacked_lu_solve", "_power", "_power_prime"])
     def test_the_trusted_core_checks_nothing_and_takes_no_guard(self, name):
         called = set(calls_in(name))
-        assert not called & {"as_floats", "as_reals", "check_type", "check_real", "check_integer"}
+        assert not called & CHECKS
         assert "errstate" not in called
+
+    @pytest.mark.parametrize("module, name", [
+        (emden.laguerre, "_sweep"), (emden.laguerre, "_radau_nodes"), (emden.laguerre, "_unscaled"),
+        (emden.operators, "_poly_d1"), (emden.operators, "_poly_d2"), (emden.operators, "_exp_ratio"),
+        (emden.operators, "_mgl_d1"), (emden.operators, "_mgl_d2"),
+        (emden.operators, "_unscaled_operators"), (emden.operators, "_hat_values"),
+        (emden.operators, "_hat_cardinals"),
+    ], ids=lambda value: getattr(value, "__name__", value))
+    def test_the_kernels_check_nothing_and_call_no_public_entry(self, module, name):
+        called = set(calls_in(name, module))
+        assert not called & CHECKS
+        assert not called & public_functions(emden.laguerre, emden.operators)
+
+    def test_the_zero_search_checks_b_once_and_scans_on_the_kernel(self):
+        called = calls_in("first_zero", emden.reference)
+        assert called.count("_coefficients") == 1 and "_hat_values" in called
+        assert not set(called) & public_functions(emden.laguerre, emden.operators)
 
     def test_the_loop_takes_one_guard(self):
         assert calls_in("_lockstep_newton_solve").count("errstate") == 1
