@@ -15,15 +15,17 @@ D2_mgl/L**2 acting on values at the mapped nodes L*eta.
 All entries come from closed forms, at the alpha the node set records;
 nothing here differentiates numerically. The node set and the four unscaled
 matrices depend only on (n, alpha) and are built once per pair;
-_scaled_operators applies the scale L, for every bundle. The interpolant is
+_scaled_operators applies the scale L, for every bundle. The bundle of
+build_operators is the one public route to the matrices: it builds them from
+its own node set, so no matrix of another alpha can enter. The interpolant is
 evaluated through one (points x nodes) cardinal matrix.
 
 The public entries check their input once and call a private kernel:
-_poly_d1, _poly_d2, _mgl_d1 and _mgl_d2 for the matrices, _hat_values for
-the interpolant. The kernels take node sets, matrices and points the package
-has made or checked, and check nothing again. The unscaled build runs on the
-kernels alone, with one exp ratio for both weighted matrices, and the zero
-search reaches the interpolant through _hat_values.
+_unscaled_operators, on _poly_d1 and _poly_d2, for the matrices, _hat_values
+for the interpolant. The kernels take node sets, matrices and points the
+package has made or checked, and check nothing again. The unscaled build
+forms both weighted matrices with one exp ratio, and the zero search reaches
+the interpolant through _hat_values.
 """
 from __future__ import annotations
 
@@ -39,10 +41,6 @@ from .validation import as_points, as_reals, check_type
 
 __all__ = [
     "DiffOperators",
-    "build_poly_d1",
-    "build_poly_d2",
-    "build_mgl_d1",
-    "build_mgl_d2",
     "build_operators",
     "eval_hat_interpolant",
 ]
@@ -86,17 +84,12 @@ class DiffOperators:
         return self.nodes.n
 
 
-def build_poly_d1(nodes: RadauNodeSet) -> np.ndarray:
+def _poly_d1(nodes):
     """First-derivative matrix of the polynomial nodal basis, at the node set's alpha.
 
     Five closed-form cases: interior off-diagonal, interior diagonal, boundary
     column j=0, boundary row i=0, and the corner i=j=0.
     """
-    return _poly_d1(check_type("nodes", nodes, RadauNodeSet))
-
-
-def _poly_d1(nodes):
-    """build_poly_d1 for a node set the package built, without a check."""
     n = nodes.n
     eta, lp, l0, alpha = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero, nodes.alpha
     d = np.empty((n + 1, n + 1))
@@ -112,18 +105,13 @@ def _poly_d1(nodes):
     return d
 
 
-def build_poly_d2(nodes: RadauNodeSet) -> np.ndarray:
+def _poly_d2(nodes):
     """Second-derivative matrix of the polynomial nodal basis, at the node set's alpha.
 
-    Same five-case structure as build_poly_d1. Equals build_poly_d1 squared up
-    to roundoff; built directly from closed forms so the identity stays a
+    Same five-case structure as _poly_d1. Equals _poly_d1 squared up to
+    roundoff; built directly from closed forms so the identity stays a
     testable property rather than a construction.
     """
-    return _poly_d2(check_type("nodes", nodes, RadauNodeSet))
-
-
-def _poly_d2(nodes):
-    """build_poly_d2 for a node set the package built, without a check."""
     n = nodes.n
     eta, lp, l0, alpha = nodes.eta, nodes.dLn_at_eta, nodes.Ln_at_zero, nodes.alpha
     d = np.empty((n + 1, n + 1))
@@ -148,57 +136,19 @@ def _exp_ratio(eta: np.ndarray) -> np.ndarray:
     return np.exp((eta[None, :] - eta[:, None]) / 2.0)
 
 
-def _node_matrix(name, matrix, nodes: RadauNodeSet) -> np.ndarray:
-    """matrix as a finite float array of shape (n+1, n+1) for the node set."""
-    matrix = as_reals(matrix, name)
-    if matrix.shape != (nodes.n + 1, nodes.n + 1):
-        raise ParameterError(f"{name} must have shape ({nodes.n + 1}, {nodes.n + 1}), got {matrix.shape}")
-    return matrix
-
-
-def build_mgl_d1(d1_poly: np.ndarray, nodes: RadauNodeSet) -> np.ndarray:
-    """Weighted first-derivative matrix: (D1 - I/2) conjugated by the decay weight.
-
-    d1_poly must be build_poly_d1 of the same node set. One that is not a
-    finite (n+1) x (n+1) matrix raises ParameterError; one of that shape
-    built from another node set is not detected.
-    """
-    eta = check_type("nodes", nodes, RadauNodeSet).eta
-    return _mgl_d1(_node_matrix("d1_poly", d1_poly, nodes), _exp_ratio(eta))
-
-
-def _mgl_d1(d1_poly, ratio):
-    """build_mgl_d1 from the package's own D1_poly and _exp_ratio of its nodes."""
-    return (d1_poly - 0.5 * np.eye(len(ratio))) * ratio
-
-
-def build_mgl_d2(d1_poly: np.ndarray, d2_poly: np.ndarray, nodes: RadauNodeSet) -> np.ndarray:
-    """Weighted second-derivative matrix: (D2 - D1 + I/4) conjugated by the decay weight.
-
-    d1_poly and d2_poly must be build_poly_d1 and build_poly_d2 of the same
-    node set, and are checked as build_mgl_d1 checks d1_poly.
-    """
-    eta = check_type("nodes", nodes, RadauNodeSet).eta
-    d1_poly = _node_matrix("d1_poly", d1_poly, nodes)
-    return _mgl_d2(d1_poly, _node_matrix("d2_poly", d2_poly, nodes), _exp_ratio(eta))
-
-
-def _mgl_d2(d1_poly, d2_poly, ratio):
-    """build_mgl_d2 from the package's own D1_poly, D2_poly and _exp_ratio of its nodes."""
-    return (d2_poly - d1_poly + 0.25 * np.eye(len(ratio))) * ratio
-
-
 @functools.lru_cache(maxsize=_UNSCALED_CACHE_SIZE)
 def _unscaled_operators(n: int, alpha: float, alpha_sign: float):
     """(nodes, D1_poly, D2_poly, D1_mgl, D2_mgl) for one (n, alpha), read-only,
-    built by the kernels alone. alpha_sign tells alpha = -0.0 from 0.0, which
-    compare and hash equal, so the node set records the caller's alpha."""
+    built by the kernels alone. The weighted matrices follow from the product
+    rule: (D1 - I/2) and (D2 - D1 + I/4), each conjugated by the decay weight
+    exp(-eta/2). alpha_sign tells alpha = -0.0 from 0.0, which compare and
+    hash equal, so the node set records the caller's alpha."""
     nodes = _radau_nodes(n, alpha)
     d1p = _poly_d1(nodes)
     d2p = _poly_d2(nodes)
     ratio = _exp_ratio(nodes.eta)
-    d1m = _mgl_d1(d1p, ratio)
-    d2m = _mgl_d2(d1p, d2p, ratio)
+    d1m = (d1p - 0.5 * np.eye(len(ratio))) * ratio
+    d2m = (d2p - d1p + 0.25 * np.eye(len(ratio))) * ratio
     for matrix in (d1p, d2p, d1m, d2m):
         matrix.setflags(write=False)
     return nodes, d1p, d2p, d1m, d2m

@@ -196,7 +196,7 @@ def shooting_oracle(m, x_end, h_series=1e-3, tol=1e-10, h_max=None) -> Reference
 
     The state y, y' is two Python floats and y^m is _pow_signed_scalar(m), so
     every sample is bit for bit what the same steps on numpy 2-vectors with
-    pow_signed give, an overflowing power included. The step error is the
+    LaneEmdenProblem(m).g give, an overflowing power included. The step error is the
     larger of the two components' and NaN when either is NaN, so a NaN stage
     rejects the step and cuts the next one to a tenth; a state whose power
     overflows at every stage ends in step underflow.

@@ -7,9 +7,10 @@ vanishing first derivative) with the interior rows
 
 collocated at nodes i = 1..n-1; the last interior node carries no equation,
 which makes the system square. The nonlinearity g defaults to the odd
-power law sign(y)|y|^m, one rule for every m > 0, and to g = 1 at m = 0; an
-internal callback slot exists so scale-covariance can be tested exactly, but
-only the power law is public.
+power law sign(y)|y|^m, one rule for every m > 0, and to g = 1 at m = 0;
+LaneEmdenProblem(m).g and g_prime are the one public route to it and its
+derivative. An internal callback slot exists so scale-covariance can be
+tested exactly, but only the power law is public.
 
 newton_solve and scan_L_reports share one damped Newton loop: a scan
 iterates the systems of its map scales side by side on stacks of their
@@ -38,14 +39,12 @@ from ._lapack import dgetrf, dgetrs
 from .errors import NumericalError, ParameterError
 from .laguerre import BasisParams
 from .operators import _UNSCALED_CACHE_SIZE, DiffOperators, _coefficients, _scaled_operators
-from .validation import as_floats, as_reals, check_integer, check_real, check_type
+from .validation import as_floats, check_integer, check_real, check_type
 
 __all__ = [
     "LaneEmdenProblem",
     "SolverConfig",
     "SpectralSolution",
-    "pow_signed",
-    "pow_signed_deriv",
     "assemble_residual",
     "assemble_jacobian",
     "newton_solve",
@@ -54,21 +53,8 @@ __all__ = [
 ]
 
 
-def pow_signed(y, m):
-    """sign(y)*|y|**m, the odd extension, for every m > 0; 1 for m = 0.
-
-    One rule for every m keeps g from changing form between neighbouring
-    indices and keeps negative Newton iterates real-valued. m = 0 keeps
-    g = 1: its solution 1 - x**2/6 holds on the whole half line, where sign(y)
-    would cut it off at its zero and stall the linear problem's Newton solve.
-    0**0 evaluates to 1. Non-finite or non-numeric y raises ParameterError.
-    """
-    y = as_reals(y, "y")
-    return LaneEmdenProblem(m).g(y)
-
-
 def _pow_signed_scalar(m):
-    """pow_signed for one index m as a function of one float, bit for bit.
+    """LaneEmdenProblem(m).g as a function of one float, bit for bit.
 
     m is an index LaneEmdenProblem has validated. The power is taken on
     Python floats, with the sign as np.sign gives it (0 at -0.0, so the
@@ -88,50 +74,24 @@ def _pow_signed_scalar(m):
     return power
 
 
-def pow_signed_deriv(y, m):
-    """Derivative factor of pow_signed with the leading m kept out.
-
-    Returns |y|**(m-1) for m > 0 and 0 for m = 0 (so the caller's
-    m * pow_signed_deriv never forms 0 * inf). For m < 1 the factor is
-    singular at y = 0; those entries are zeroed and a RuntimeWarning is
-    emitted, trusting the damped line search to step off the singularity.
-    y is read as pow_signed reads it.
-    """
-    y = as_reals(y, "y")
-    m = LaneEmdenProblem(m).m
-    with np.errstate(over="ignore"):
-        return _pow_signed_deriv(y, m, stacklevel=3)
-
-
-def _pow_signed_deriv(y, m, stacklevel=2):
-    # pow_signed_deriv for a float array y and a validated m, unguarded; the
-    # warning points stacklevel frames up, at the caller of the public entry
-    if m == 0:
-        out = np.zeros(y.shape)
-    elif m >= 1.0:
-        out = np.abs(y) ** (m - 1.0)
-    else:
-        with np.errstate(divide="ignore"):
-            out = np.abs(y) ** (m - 1.0)
-        singular = y == 0.0
-        if np.any(singular):
-            warnings.warn(
-                "power-law derivative is singular at y=0 for m < 1; entry zeroed",
-                RuntimeWarning,
-                stacklevel=stacklevel,
-            )
-            out = np.where(singular, 0.0, out)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class LaneEmdenProblem:
     """Power-law nonlinearity g(y) = sign(y)|y|^m with index m >= 0, g = 1
-    at m = 0 (see pow_signed), and g'(y) = m|y|^(m-1), the one owner of both
-    and of the index check. g and g_prime read y with as_floats, so NaN and inf
-    pass for the line search to reject; an overflowing power is inf, unwarned.
-    The Newton loop calls _power and _power_prime, the same rules on its own
-    float arrays, unchecked and under the loop's overflow guard.
+    at m = 0, and g'(y) = m|y|^(m-1), 0 at m = 0: the one owner of both and
+    of the index check.
+
+    One rule for every m > 0, the odd extension, keeps g from changing form
+    between neighbouring indices and keeps negative Newton iterates
+    real-valued. m = 0 keeps g = 1: its solution 1 - x**2/6 holds on the whole
+    half line, where sign(y) would cut it off at its zero and stall the
+    linear problem's Newton solve. 0**0 evaluates to 1. For m < 1, g' is
+    singular at y = 0; those entries are zeroed with a RuntimeWarning, and the
+    damped line search steps off the singularity.
+
+    g and g_prime read y with as_floats, so NaN and inf pass for the line
+    search to reject; an overflowing power is inf, unwarned. The Newton loop
+    calls _power and _power_prime, the same rules on its own float arrays,
+    unchecked and under the loop's overflow guard.
 
     The physically interesting range is 0 <= m <= 5 but larger m is accepted.
     The private callback pair replaces g and its derivative wholesale when
@@ -164,7 +124,25 @@ class LaneEmdenProblem:
     def _power_prime(self, y):
         if self._g_prime is not None:
             return self._g_prime(y)
-        return self.m * _pow_signed_deriv(y, self.m)
+        m = self.m
+        if m == 0:
+            out = np.zeros(y.shape)
+        elif m >= 1.0:
+            out = np.abs(y) ** (m - 1.0)
+        else:
+            # 1 stands in for y = 0, where the power would divide by zero;
+            # the warning points at the caller of g_prime
+            singular = y == 0.0
+            out = np.abs(np.where(singular, 1.0, y)) ** (m - 1.0)
+            if np.any(singular):
+                warnings.warn(
+                    "power-law derivative is singular at y=0 for m < 1; entry zeroed",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                out = np.where(singular, 0.0, out)
+        out = m * out
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -687,10 +687,6 @@ RECORD_ARGUMENTS = [
     ("radau_nodes", "params", "BasisParams"),
     ("eval_mgl", "params", "BasisParams"),
     ("build_operators", "params", "BasisParams"),
-    ("build_poly_d1", "nodes", "RadauNodeSet"),
-    ("build_poly_d2", "nodes", "RadauNodeSet"),
-    ("build_mgl_d1", "nodes", "RadauNodeSet"),
-    ("build_mgl_d2", "nodes", "RadauNodeSet"),
     ("eval_hat_interpolant", "ops", "DiffOperators"),
     ("assemble_residual", "problem", "LaneEmdenProblem"),
     ("assemble_residual", "ops", "DiffOperators"),
@@ -714,10 +710,6 @@ def valid_calls():
         "radau_nodes": [dict(params=params)],
         "eval_mgl": [dict(params=params, n_index=0, x=1.0)],
         "build_operators": [dict(params=params)],
-        "build_poly_d1": [dict(nodes=ops.nodes)],
-        "build_poly_d2": [dict(nodes=ops.nodes)],
-        "build_mgl_d1": [dict(d1_poly=ops.D1_poly, nodes=ops.nodes)],
-        "build_mgl_d2": [dict(d1_poly=ops.D1_poly, d2_poly=ops.D2_poly, nodes=ops.nodes)],
         "eval_hat_interpolant": [dict(ops=ops, b=b, x=1.0)],
         "assemble_residual": [dict(problem=problem, ops=ops, b=b)],
         "assemble_jacobian": [dict(problem=problem, ops=ops, b=b)],

@@ -28,8 +28,6 @@ from emden.solver import (
     assemble_jacobian,
     assemble_residual,
     newton_solve,
-    pow_signed,
-    pow_signed_deriv,
     scan_L_reports,
 )
 from conftest import BAD_POINTS, STALLED
@@ -219,51 +217,59 @@ def ending(sol, max_iter):
     return "converged" if sol.converged else "max_iter" if sol.iterations == max_iter else "stalled"
 
 
-class TestPowSigned:
+def g(y, m):
+    return LaneEmdenProblem(m).g(y)
+
+
+def g_prime(y, m):
+    return LaneEmdenProblem(m).g_prime(y)
+
+
+class TestPowerLaw:
     def test_examples(self):
-        assert pow_signed(-0.5, 2) == -0.25
-        assert pow_signed(-0.25, 0.5) == -0.5
-        assert pow_signed(0.0, 3) == 0.0
-        assert pow_signed(0.0, 0) == 1.0
-        assert pow_signed(-2.0, 0) == 1.0  # m = 0 is the one index outside the odd extension
-        assert pow_signed(2.0, 3) == 8.0
+        assert g(-0.5, 2) == -0.25
+        assert g(-0.25, 0.5) == -0.5
+        assert g(0.0, 3) == 0.0
+        assert g(0.0, 0) == 1.0
+        assert g(-2.0, 0) == 1.0  # m = 0 is the one index outside the odd extension
+        assert g(2.0, 3) == 8.0
 
     def test_integer_exponent_takes_the_odd_extension(self):
-        assert pow_signed(-2.0, 3) == -8.0
-        assert pow_signed(-2.0, 2) == -4.0
-        assert pow_signed(-2.0, 4) == -16.0
+        assert g(-2.0, 3) == -8.0
+        assert g(-2.0, 2) == -4.0
+        assert g(-2.0, 4) == -16.0
 
     @given(y=st.floats(min_value=0.01, max_value=10.0),
            m=st.floats(min_value=0.0, max_value=5.0, exclude_min=True))
     def test_odd_extension(self, y, m):
         # every m > 0, integer or not, takes sign(y)|y|^m
-        assert pow_signed(-y, m) == pytest.approx(-pow_signed(y, m), rel=1e-14)
+        assert g(-y, m) == pytest.approx(-g(y, m), rel=1e-14)
 
     def test_matches_power_for_positive_base(self):
         for m in [0.5, 1.5, 3.0, 4.2]:
-            assert pow_signed(1.7, m) == pytest.approx(1.7**m, rel=1e-14)
+            assert g(1.7, m) == pytest.approx(1.7**m, rel=1e-14)
 
 
-class TestPowSignedDeriv:
+class TestPowerLawDerivative:
     @pytest.mark.parametrize("y", [0.3, -0.7, 2.0])
     @pytest.mark.parametrize("m", [0.0, 1.0, 2.0, 3.0, 3.5])
     def test_finite_difference(self, y, m):
         h = 1e-6
-        fd = (pow_signed(y + h, m) - pow_signed(y - h, m)) / (2 * h)
-        assert m * pow_signed_deriv(y, m) == pytest.approx(fd, rel=1e-5, abs=1e-9)
+        fd = (g(y + h, m) - g(y - h, m)) / (2 * h)
+        assert g_prime(y, m) == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_zero_exponent(self):
-        assert pow_signed_deriv(0.7, 0.0) == 0.0
-        assert pow_signed_deriv(-0.7, 0.0) == 0.0
+        assert g_prime(0.7, 0.0) == 0.0
+        assert g_prime(-0.7, 0.0) == 0.0
 
     def test_singular_point_warns_and_clamps(self):
         with pytest.warns(RuntimeWarning):
-            val = pow_signed_deriv(0.0, 0.5)
+            val = g_prime(0.0, 0.5)
         assert val == 0.0
 
     def test_integer_exponent_at_zero(self):
-        assert pow_signed_deriv(0.0, 3) == 0.0
-        assert pow_signed_deriv(0.0, 1) == 1.0
+        assert g_prime(0.0, 3) == 0.0
+        assert g_prime(0.0, 1) == 1.0
 
     @pytest.mark.parametrize("m", [1.0, 1.5, 2.0, 3.0, 4.75])
     def test_no_warning_at_zero_from_m_one_on(self, m):
@@ -272,16 +278,17 @@ class TestPowSignedDeriv:
         ys = np.array([0.0, -0.0, -0.5, 0.5])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            got = pow_signed_deriv(ys, m)
-        assert bits(got) == bits(np.abs(ys) ** (m - 1.0))
+            got = g_prime(ys, m)
+        assert bits(got) == bits(m * np.abs(ys) ** (m - 1.0))
 
     def test_even_exponent_is_even(self):
-        assert pow_signed_deriv(-2.0, 2) == 2.0
-        assert pow_signed_deriv(-2.0, 4) == 8.0
+        assert g_prime(-2.0, 2) == 4.0
+        assert g_prime(-2.0, 4) == 32.0
 
     def test_singular_warning_points_at_the_caller(self):
+        problem = LaneEmdenProblem(0.5)
         with pytest.warns(RuntimeWarning) as record:
-            pow_signed_deriv(np.array([0.0, 0.5]), 0.5)
+            problem.g_prime(np.array([0.0, 0.5]))
         assert [w.filename for w in record] == [__file__]
 
 
@@ -302,20 +309,20 @@ class TestProblem:
 
     @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.75])
     def test_m_is_validated_once_per_problem(self, m, monkeypatch):
-        # g and g_prime give the bits and types of the public functions
-        # without validating m again
+        # g and g_prime give the bits and types they gave before m was
+        # refused a second check, so they never validate m again
         ys = (np.array([-1.5, -0.3, 0.2, 0.9, 2.0]), 0.7, -0.4)
-        expected = [(pow_signed(y, m), m * pow_signed_deriv(y, m)) for y in ys]
         problem = LaneEmdenProblem(m)
+        expected = [(problem.g(y), problem.g_prime(y)) for y in ys]
 
         def refuse(*args, **kwargs):
             raise AssertionError("m validated again")
 
         monkeypatch.setattr(emden.solver, "check_real", refuse)
-        for y, (g, g_prime) in zip(ys, expected):
-            assert type(problem.g(y)) is type(g) and bits(problem.g(y)) == bits(g)
-            assert type(problem.g_prime(y)) is type(g_prime)
-            assert bits(problem.g_prime(y)) == bits(g_prime)
+        for y, (value, slope) in zip(ys, expected):
+            assert type(problem.g(y)) is type(value) and bits(problem.g(y)) == bits(value)
+            assert type(problem.g_prime(y)) is type(slope)
+            assert bits(problem.g_prime(y)) == bits(slope)
 
 
 def holds_a_non_finite_float(x):
@@ -326,13 +333,9 @@ class TestPowerLawInput:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("y", BAD_POINTS)
     def test_every_entry_point_reads_y_one_way(self, y):
-        # the two public functions reject what is not a finite number; the
-        # problem's g and g_prime reject non-numbers and pass NaN and inf,
+        # the problem's g and g_prime reject non-numbers and pass NaN and inf,
         # which the line search has to see in order to reject a rung
         problem = LaneEmdenProblem(3.0)
-        for power_law in (pow_signed, pow_signed_deriv):
-            with pytest.raises(ParameterError, match="y must be"):
-                power_law(y, 3.0)
         if not holds_a_non_finite_float(y):
             for method in (problem.g, problem.g_prime):
                 with pytest.raises(ParameterError, match="y must be real numbers"):
@@ -348,7 +351,7 @@ class TestPowerLawInput:
         y = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
         np.testing.assert_array_equal(problem.g(y), [-np.inf, -0.0, 0.0, 0.0, np.inf])
         np.testing.assert_array_equal(problem.g_prime(y), [np.inf, 0.0, 0.0, 0.0, np.inf])
-        assert pow_signed(3.0, 1e300) == np.inf and pow_signed_deriv(-3.0, 1e300) == np.inf
+        assert g(3.0, 1e300) == np.inf and g_prime(-3.0, 1e300) == np.inf
         ops = build_operators(BasisParams(n=4))
         b = np.array([1.0, 2.0, -2.0, 0.5, 0.0])
         residual = assemble_residual(problem, ops, b)
@@ -390,7 +393,6 @@ class TestCheckedBoundary:
     @pytest.mark.parametrize("module, name", [
         (emden.laguerre, "_sweep"), (emden.laguerre, "_radau_nodes"), (emden.laguerre, "_unscaled"),
         (emden.operators, "_poly_d1"), (emden.operators, "_poly_d2"), (emden.operators, "_exp_ratio"),
-        (emden.operators, "_mgl_d1"), (emden.operators, "_mgl_d2"),
         (emden.operators, "_unscaled_operators"), (emden.operators, "_hat_values"),
         (emden.operators, "_hat_cardinals"),
     ], ids=lambda value: getattr(value, "__name__", value))
@@ -587,10 +589,11 @@ class TestNewtonSolve:
         # amplified by L^2
         L = 1.7
         direct = solve(3.0, 8, L)
+        cubic = LaneEmdenProblem(3.0)
         amplified = newton_solve(
             LaneEmdenProblem(3.0,
-                             _g=lambda y: L * L * pow_signed(y, 3.0),
-                             _g_prime=lambda y: L * L * 3.0 * pow_signed_deriv(y, 3.0)),
+                             _g=lambda y: L * L * cubic.g(y),
+                             _g_prime=lambda y: L * L * cubic.g_prime(y)),
             SolverConfig(n=8, L=1.0),
         )
         assert direct.converged and amplified.converged

@@ -7,13 +7,17 @@ checkout's src/. Two trees that print the same digest give the same bits for
 the node sets (n = 1..30 over several alphas) and their four unscaled
 matrices, the recurrence sweeps, about 400 solves (b, residual_history and
 the stop data), a 300-point interpolant and the first zero of each converged
-solve, and shooting profiles. An error is hashed as its type and message, so
-the failure paths the set meets count too. A change meant to keep every
-output bit runs it on the parent tree and on the change.
+solve, shooting profiles, and the power law g and its derivative g' of
+several indices on a fixed set of points, NaN, inf and signed zeros
+included, with the category and text of each warning they give. An error is
+hashed as its type and message, so the failure paths the set meets count
+too. A change meant to keep every output bit runs it on the parent tree and
+on the change.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import sys
 import warnings
@@ -31,6 +35,8 @@ SOLVES = 400
 INTERPOLANT_POINTS = 300
 ALPHAS = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.5, 5.0)
 SHOOTING_M = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0)
+POWER_M = (0.0, 0.5, 1.0, 2.5, 3.0, 1e6)
+POWER_Y = (0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 2.5, -2.5, 1e200, -1e200, math.nan, math.inf, -math.inf)
 
 
 class Digest:
@@ -110,6 +116,20 @@ def _shooting(digest):
             digest.feed(profile.xs, profile.ys, profile.yps)
 
 
+def _power_law(digest):
+    """g and g' of each index at each point, one point at a time and all in
+    one array, and the category and text of every warning they give."""
+    for m in POWER_M:
+        problem = emden.LaneEmdenProblem(m)
+        for rule in (problem.g, problem.g_prime):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                for y in POWER_Y:
+                    digest.feed(rule(y))
+                digest.feed(rule(np.array(POWER_Y)))
+            digest.feed([(w.category.__name__, str(w.message)) for w in record])
+
+
 def main():
     digest = Digest()
     rng = np.random.default_rng(SEED)
@@ -119,6 +139,7 @@ def main():
         _operators(digest, rng)
         _solves(digest, rng)
         _shooting(digest)
+        _power_law(digest)
     print(digest.hash.hexdigest())
 
 
