@@ -177,6 +177,11 @@ def radau_nodes(params: BasisParams) -> RadauNodeSet:
 
 def _radau_nodes(n, alpha):
     """radau_nodes for a degree and an alpha that BasisParams has checked."""
+    # the Jacobi diagonal sums to n(n + alpha), so the mean zero is n + alpha
+    # and past it the largest zero lies outside the envelope; checked before
+    # the matrix, whose off-diagonal overflows for alpha near the float limit
+    if n + alpha > MAX_ARGUMENT:
+        raise _zeros_outside(n, alpha)
     k = np.arange(n, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))
@@ -186,7 +191,9 @@ def _radau_nodes(n, alpha):
             raise NumericalError(f"Jacobi eigenvalues failed: LAPACK dstevd info={info} (n={n}, alpha={alpha})")
     else:
         z = diag.copy()
-    points = _in_envelope(np.concatenate(([0.0], z)))
+    points = np.concatenate(([0.0], z))
+    if not np.all(points <= MAX_ARGUMENT):  # NaN included
+        raise _zeros_outside(n, alpha)
     for _ in range(_POLISH_MAX_ITER):
         values = _sweep(n, alpha, points)
         val, der = values[-1], -np.sum(values[:-1], axis=0)  # as eval_laguerre_deriv
@@ -200,6 +207,11 @@ def _radau_nodes(n, alpha):
         points = np.where(done, points, points - val / der)
     bad = int(np.argmax(np.abs(val[1:]) > target[1:]))
     raise NumericalError(f"zero polish failed to converge at index {bad} (n={n}, alpha={alpha})")
+
+
+def _zeros_outside(n, alpha):
+    return RangeError(f"zeros of L_n^alpha outside the evaluation envelope "
+                      f"[-1, {MAX_ARGUMENT:g}] (n={n}, alpha={alpha})")
 
 
 def eval_mgl(params: BasisParams, n_index, x):

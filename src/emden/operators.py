@@ -139,10 +139,9 @@ def _exp_ratio(eta: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=_UNSCALED_CACHE_SIZE)
 def _unscaled_operators(n: int, alpha: float, alpha_sign: float):
     """(nodes, D1_poly, D2_poly, D1_mgl, D2_mgl) for one (n, alpha), read-only,
-    built by the kernels alone. The weighted matrices follow from the product
-    rule: (D1 - I/2) and (D2 - D1 + I/4), each conjugated by the decay weight
-    exp(-eta/2). alpha_sign tells alpha = -0.0 from 0.0, which compare and
-    hash equal, so the node set records the caller's alpha."""
+    built by the kernels alone, the weighted ones by the product rule of the
+    module docstring. alpha_sign tells alpha = -0.0 from 0.0, which compare
+    and hash equal, so the node set records the caller's alpha."""
     nodes = _radau_nodes(n, alpha)
     d1p = _poly_d1(nodes)
     d2p = _poly_d2(nodes)

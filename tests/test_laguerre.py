@@ -1,5 +1,5 @@
 import math
-import warnings
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -187,14 +187,22 @@ class TestRadauNodes:
                 assert type(nodes.Ln_at_zero) is float
                 assert np.float64(nodes.Ln_at_zero).tobytes() == np.float64(ref.Ln_at_zero).tobytes()
 
-    @pytest.mark.parametrize("n, alpha", [(1, 199.5), (3, 190.0), (30, 100.0), (3, 1e300), (3, 1e308)])
-    def test_zeros_past_the_envelope_raise(self, n, alpha):
-        # the polish would sweep past MAX_ARGUMENT; at n=3, alpha=1e308 the
-        # Jacobi matrix overflows and dstevd returns NaN with info 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(RangeError, match=r"^argument outside the evaluation envelope \[-1, 200\]$"):
-                radau_nodes(BasisParams(n=n, alpha=alpha))
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, alpha", [(1, 199.5), (3, 190.0), (30, 100.0), (3, 1e300), (3, 1e308),
+                                          (30, 58.0), (3, 197.0)])
+    def test_zeros_past_the_envelope_raise_naming_n_and_alpha(self, n, alpha):
+        # the polish would sweep past MAX_ARGUMENT. From n + alpha > 200 on
+        # (the mean zero) the error comes before the Jacobi matrix, which
+        # overflows at n=3, alpha=1e308; (30, 58) and (3, 197) get it from
+        # the eigenvalues
+        message = f"zeros of L_n^alpha outside the evaluation envelope [-1, 200] (n={n}, alpha={alpha})"
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            radau_nodes(BasisParams(n=n, alpha=alpha))
+
+    def test_a_zero_on_the_envelope_edge_builds(self):
+        # n + alpha = 200 passes the mean-zero check; at n = 1 the one zero
+        # is n + alpha, so the check is exact there
+        assert radau_nodes(BasisParams(n=1, alpha=199.0)).eta[-1] == MAX_ARGUMENT
 
     @pytest.mark.parametrize("shift", [0.0, 1e-9])
     def test_one_recurrence_sweep_per_polish_step(self, shift, monkeypatch):
