@@ -11,8 +11,8 @@ outside it a RangeError is raised rather than silently losing accuracy.
 The public entries check their input once and call a private kernel: _sweep,
 the recurrence, and _radau_nodes, the node build. The kernels take a degree,
 an alpha and float arrays the package has already checked, and check nothing
-again; the node build checks only what it computes, the Jacobi eigenvalues
-against the envelope, once, before its polish sweeps.
+again; the node build checks only the mean zero n + alpha and what it
+computes, the Jacobi eigenvalues, against the envelope, before its polish.
 """
 from __future__ import annotations
 
@@ -168,8 +168,8 @@ def radau_nodes(params: BasisParams) -> RadauNodeSet:
     L_n' at every node and L_n(0); no sweep follows it. A zero that fails to
     polish within the iteration cap raises NumericalError naming its index
     among the zeros, and zeros outside the evaluation envelope (a large alpha
-    puts them there) raise RangeError. params other than a BasisParams raise
-    ParameterError.
+    puts them there) raise RangeError naming n and alpha. params other than a
+    BasisParams raise ParameterError.
     """
     check_type("params", params, BasisParams)
     return _radau_nodes(params.n, params.alpha)
