@@ -159,6 +159,23 @@ class TestMglOperators:
         np.testing.assert_allclose(ops.D1_mgl / ratio,
                                    ops.D1_poly - 0.5 * np.eye(6), atol=1e-10)
 
+    @pytest.mark.parametrize("alpha", POLY_ALPHAS)
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_weighted_matrices_come_from_the_bundles_own_alpha(self, n, alpha):
+        # the product rule of e^(-eta/2) p(eta), applied to the bundle's own
+        # D1_poly and D2_poly at its own nodes; a polynomial matrix of another
+        # alpha gives another weighted matrix, and build_operators, which
+        # takes only BasisParams, has no way to be handed one
+        ops = ops_for(n, alpha=alpha)
+        assert ops.nodes.alpha == alpha
+        eta = ops.nodes.eta
+        ratio = np.exp((eta[None, :] - eta[:, None]) / 2.0)
+        eye = np.eye(n + 1)
+        assert ((ops.D1_poly - 0.5 * eye) * ratio).tobytes() == ops.D1_mgl.tobytes()
+        assert ((ops.D2_poly - ops.D1_poly + 0.25 * eye) * ratio).tobytes() == ops.D2_mgl.tobytes()
+        other = ops_for(n, alpha=alpha + 1.0)
+        assert not np.allclose((other.D1_poly - 0.5 * eye) * ratio, ops.D1_mgl)
+
 
 class TestScaleOperators:
     def test_hand_scaled_case(self):

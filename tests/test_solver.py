@@ -249,6 +249,21 @@ class TestPowerLaw:
         for m in [0.5, 1.5, 3.0, 4.2]:
             assert g(1.7, m) == pytest.approx(1.7**m, rel=1e-14)
 
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 3.0, 1e6])
+    def test_odd_bit_for_bit_over_the_float_range(self, m):
+        # underflowing, overflowing and infinite powers keep the odd extension
+        # exactly, in the scalar and the array form; both signed zeros give
+        # +0.0, as sign(-0.0) is 0.0; NaN passes through
+        ys = np.array([1e-300, 0.3, 2.5, 1e200, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bits(g(-ys, m)) == bits(-g(ys, m))
+            for y in ys.tolist():
+                assert bits(g(-y, m)) == bits(-g(y, m))
+            assert bits(g(np.array([0.0, -0.0]), m)) == bits([0.0, 0.0])
+            assert bits(g(0.0, m)) == bits(g(-0.0, m)) == bits(0.0)
+            assert math.isnan(g(math.nan, m)) and np.isnan(g(np.array([math.nan]), m)).all()
+
 
 class TestPowerLawDerivative:
     @pytest.mark.parametrize("y", [0.3, -0.7, 2.0])
@@ -284,6 +299,17 @@ class TestPowerLawDerivative:
     def test_even_exponent_is_even(self):
         assert g_prime(-2.0, 2) == 4.0
         assert g_prime(-2.0, 4) == 32.0
+
+    @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 2.5, 3.0, 1e6])
+    def test_even_bit_for_bit_away_from_zero(self, m):
+        # g' = m|y|^(m-1) is even to the bit at tiny, overflowing and infinite
+        # y, in the scalar and the array form, unwarned off y = 0
+        ys = np.array([1e-300, 0.3, 2.5, 1e200, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bits(g_prime(-ys, m)) == bits(g_prime(ys, m))
+            for y in ys.tolist():
+                assert bits(g_prime(-y, m)) == bits(g_prime(y, m))
 
     def test_singular_warning_points_at_the_caller(self):
         problem = LaneEmdenProblem(0.5)
