@@ -83,7 +83,7 @@ class LaneEmdenSolver:
         self.operators_ = solution.operators
         self.solution_ = solution
         self.coefficients_ = solution.b
-        self.nodes_ = solution.mapped_nodes
+        self.nodes_ = solution.operators.mapped_nodes
         self.residual_norm_ = solution.residual_norm
         self.n_iter_ = solution.iterations
         self.converged_ = solution.converged

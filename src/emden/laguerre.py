@@ -1,18 +1,19 @@
-"""Generalized Laguerre polynomials, their decaying variants, and collocation nodes.
+"""Generalized Laguerre polynomials and their Gauss-Radau collocation nodes.
 
 Everything in this module lives on the unscaled half line. The map parameter L
-enters only through ``eval_mgl`` (which evaluates the decaying basis function
-exp(-x/(2L)) * L_n^alpha(x/L)) and through consumers in the operator module.
+enters only through _unscaled, which takes the interpolant's and the zero
+search's checked points x to x/L.
 
-Evaluation is restricted to the envelope n <= 30, x <= 200 (x <= 200*L for
-``eval_mgl``) where the forward recurrence stays inside double-precision range;
+Evaluation is restricted to the envelope n <= 30, x <= 200 (x <= 200*L for the
+interpolant) where the forward recurrence stays inside double-precision range;
 outside it a RangeError is raised rather than silently losing accuracy.
 
 The public entries check their input once and call a private kernel: _sweep,
-the recurrence, and _radau_nodes, the node build. The kernels take a degree,
-an alpha and float arrays the package has already checked, and check nothing
-again; the node build checks only the mean zero n + alpha and what it
-computes, the Jacobi eigenvalues, against the envelope, before its polish.
+the recurrence, whose one checked route is eval_laguerre_all, and
+_radau_nodes, the node build. The kernels take a degree, an alpha and float
+arrays the package has already checked, and check nothing again; the node
+build checks only the mean zero n + alpha and what it computes, the Jacobi
+eigenvalues, against the envelope, before its polish.
 """
 from __future__ import annotations
 
@@ -22,18 +23,15 @@ import numpy as np
 
 from ._lapack import dstevd
 from .errors import NumericalError, ParameterError, RangeError
-from .validation import as_points, as_reals, check_integer, check_real, check_type
+from .validation import as_reals, check_integer, check_real, check_type
 
 __all__ = [
     "MAX_DEGREE",
     "MAX_ARGUMENT",
     "BasisParams",
     "RadauNodeSet",
-    "eval_laguerre",
     "eval_laguerre_all",
-    "eval_laguerre_deriv",
     "radau_nodes",
-    "eval_mgl",
 ]
 
 MAX_DEGREE = 30
@@ -60,12 +58,9 @@ def _check_alpha(alpha):
 
 
 def _check_argument(x):
-    return _in_envelope(as_reals(x, "argument"))
-
-
-def _in_envelope(arr):
-    """arr, a float array, or RangeError where an entry (NaN included) lies
+    """x as a float array of finite reals, or RangeError where an entry lies
     outside [-1, MAX_ARGUMENT]."""
+    arr = as_reals(x, "argument")
     if not np.all((arr >= -1.0) & (arr <= MAX_ARGUMENT)):
         raise RangeError(
             f"argument outside the evaluation envelope [-1, {MAX_ARGUMENT:g}]"
@@ -74,10 +69,9 @@ def _in_envelope(arr):
 
 
 def _unscaled(x, L):
-    """x/L for checked points x >= 0. Any x <= MAX_ARGUMENT*L maps into the
-    envelope, even where x/L rounds one ulp past MAX_ARGUMENT."""
-    t = x / L
-    return np.where(x <= MAX_ARGUMENT * L, np.minimum(t, MAX_ARGUMENT), t)
+    """x/L for checked points 0 <= x <= MAX_ARGUMENT*L, inside the envelope
+    even where x/L rounds one ulp past MAX_ARGUMENT."""
+    return np.minimum(x / L, MAX_ARGUMENT)
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,10 @@ class RadauNodeSet:
     eta[0] is exactly 0. dLn_at_eta[j] holds (d/dx)L_n^alpha(eta[j]); entry 0 is
     unused by the matrix formulas (the boundary column uses Ln_at_zero instead)
     but stored for diagnostics. Both come from the last recurrence sweep of the
-    zero polish, which evaluates the zeros and the point 0 together; they equal
-    ``eval_laguerre_deriv(n, alpha, eta)`` and ``eval_laguerre(n, alpha, 0.0)``
-    bit for bit. alpha is the one record of the alpha the set was built for;
+    zero polish, which evaluates the zeros and the point 0 together:
+    dLn_at_eta is minus the sum of that sweep's rows 0..n-1 (the identity
+    (d/dx)L_n^alpha = -sum_{k<n} L_k^alpha), and Ln_at_zero its row n at the
+    point 0. alpha is the one record of the alpha the set was built for;
     the matrix builders and the interpolant read it here. Immutable, safe to
     share between threads.
     """
@@ -140,20 +135,6 @@ def _sweep(n, alpha, x):
     for k in range(2, n + 1):
         out[k] = ((2.0 * k - 1.0 + alpha - x) * out[k - 1] - (k + alpha - 1.0) * out[k - 2]) / k
     return out
-
-
-def eval_laguerre(n, alpha, x):
-    """L_n^alpha(x) by the three-term recurrence, one forward pass."""
-    values = eval_laguerre_all(n, alpha, x)[-1]
-    return float(values) if values.ndim == 0 else values
-
-
-def eval_laguerre_deriv(n, alpha, x):
-    """(d/dx)L_n^alpha(x) via the summed lower-degree values; 0 for n = 0."""
-    n = _check_degree(n)
-    sweep = _sweep(max(n - 1, 0), _check_alpha(alpha), _check_argument(x))
-    values = -np.sum(sweep, axis=0) if n else np.zeros(sweep.shape[1:])
-    return float(values) if values.ndim == 0 else values
 
 
 def radau_nodes(params: BasisParams) -> RadauNodeSet:
@@ -196,7 +177,7 @@ def _radau_nodes(n, alpha):
         raise _zeros_outside(n, alpha)
     for _ in range(_POLISH_MAX_ITER):
         values = _sweep(n, alpha, points)
-        val, der = values[-1], -np.sum(values[:-1], axis=0)  # as eval_laguerre_deriv
+        val, der = values[-1], -np.sum(values[:-1], axis=0)  # L_n' = -(L_0 + ... + L_{n-1})
         target = POLISH_TOL * np.maximum(1.0, np.abs(points)) * np.abs(der)
         done = np.abs(val) <= target
         done[0] = True
@@ -212,15 +193,3 @@ def _radau_nodes(n, alpha):
 def _zeros_outside(n, alpha):
     return RangeError(f"zeros of L_n^alpha outside the evaluation envelope "
                       f"[-1, {MAX_ARGUMENT:g}] (n={n}, alpha={alpha})")
-
-
-def eval_mgl(params: BasisParams, n_index, x):
-    """Decaying basis function exp(-x/(2L)) * L_k^alpha(x/L) for k = n_index.
-
-    Defined for x >= 0 only (the half-line weight); x may be scalar or array.
-    Any x <= MAX_ARGUMENT*L evaluates, even where x/L rounds past MAX_ARGUMENT.
-    """
-    check_type("params", params, BasisParams)
-    t = _unscaled(as_points(x), params.L)
-    values = np.exp(-t / 2.0) * eval_laguerre_all(n_index, params.alpha, t)[-1]
-    return float(values) if values.ndim == 0 else values

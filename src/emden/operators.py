@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .laguerre import BasisParams, RadauNodeSet, _check_argument, _radau_nodes, _sweep, _unscaled
+from .errors import ParameterError, RangeError
+from .laguerre import MAX_ARGUMENT, BasisParams, RadauNodeSet, _radau_nodes, _sweep, _unscaled
 from .validation import as_points, as_reals, check_type
 
 __all__ = [
@@ -217,12 +217,17 @@ def eval_hat_interpolant(ops: DiffOperators, b, x):
     points belong in one call, and a scalar call gives the same bits as the
     same point inside an array. Exactly reproduces b_j at the mapped nodes
     (the removable-singularity branch) and b_0 = y(0) at the origin. Any
-    x <= MAX_ARGUMENT*L evaluates, even where x/L rounds past MAX_ARGUMENT.
+    x <= MAX_ARGUMENT*L evaluates, even where x/L rounds past MAX_ARGUMENT;
+    a point past it raises RangeError naming the largest point and the bound.
     """
     b = _coefficients(ops, b)
     arr = as_points(x)
-    t = _check_argument(_unscaled(arr.reshape(-1), ops.params.L))
-    values = _hat_values(ops.nodes, b, t).reshape(arr.shape)
+    L = ops.params.L
+    edge = MAX_ARGUMENT * L
+    if not np.all(arr <= edge):
+        raise RangeError(f"x={float(np.max(arr))!r} outside the evaluation envelope "
+                         f"x <= {MAX_ARGUMENT:g}*L = {edge!r}")
+    values = _hat_values(ops.nodes, b, _unscaled(arr.reshape(-1), L)).reshape(arr.shape)
     return float(values) if arr.ndim == 0 else values
 
 

@@ -148,14 +148,17 @@ def closed_form(m, x):
     """Exact solutions: m=0 parabola, m=1 sin(x)/x, m=5 inverse square root."""
     m = check_real("m", m)
     arr = as_points(x)
-    if m == 0.0:
-        out = 1.0 - arr**2 / 6.0
-    elif m == 1.0:
-        out = np.sinc(arr / np.pi)  # sin(x)/x with the correct limit at 0
-    elif m == 5.0:
-        out = (1.0 + arr**2 / 3.0) ** -0.5
-    else:
-        raise ParameterError(f"no closed form for m={m}; supported m are 0, 1, 5")
+    # x**2 overflows past about 1e154, quietly: the values are then -inf
+    # (m=0) and 0 (m=5)
+    with np.errstate(over="ignore"):
+        if m == 0.0:
+            out = 1.0 - arr**2 / 6.0
+        elif m == 1.0:
+            out = np.sinc(arr / np.pi)  # sin(x)/x with the correct limit at 0
+        elif m == 5.0:
+            out = (1.0 + arr**2 / 3.0) ** -0.5
+        else:
+            raise ParameterError(f"no closed form for m={m}; supported m are 0, 1, 5")
     return float(out) if out.ndim == 0 else out
 
 

@@ -9,8 +9,9 @@ collocated at nodes i = 1..n-1; the last interior node carries no equation,
 which makes the system square. The nonlinearity g defaults to the odd
 power law sign(y)|y|^m, one rule for every m > 0, and to g = 1 at m = 0;
 LaneEmdenProblem(m).g and g_prime are the one public route to it and its
-derivative. An internal callback slot exists so scale-covariance can be
-tested exactly, but only the power law is public.
+derivative. A private callback slot replaces the power law for property tests
+and for the benchmark's vetting of its literal-power points; only the power
+law is public.
 
 newton_solve and scan_L_reports share one damped Newton loop: a scan
 iterates the systems of its map scales side by side on stacks of their
@@ -95,7 +96,9 @@ class LaneEmdenProblem:
 
     The physically interesting range is 0 <= m <= 5 but larger m is accepted.
     The private callback pair replaces g and its derivative wholesale when
-    set; it exists for internal property tests only.
+    set. Property tests use it, and so does the benchmark's vetting of its
+    literal-power (fault) points in bench/points.py; the slot stays until
+    that vetting is rewritten on LaneEmdenProblem(m).
     """
 
     m: float
@@ -181,7 +184,6 @@ class SpectralSolution:
     accepted residual norms, including the initial one; it is non-increasing.
     operators is the DiffOperators bundle the solve was assembled on, which
     first_zero reads; pass it to eval_hat_interpolant instead of a rebuild.
-    mapped_nodes is operators.mapped_nodes.
     """
 
     b: np.ndarray
@@ -194,10 +196,6 @@ class SpectralSolution:
 
     def __post_init__(self):
         self.b.setflags(write=False)
-
-    @property
-    def mapped_nodes(self) -> np.ndarray:
-        return self.operators.mapped_nodes
 
 
 def _stacked_residual(problem: LaneEmdenProblem, d1, d2, xm, b) -> np.ndarray:

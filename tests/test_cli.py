@@ -685,7 +685,6 @@ print(json.dumps({"module": getattr(_lapack._flapack, "__name__", None),
 # the package's records, with the record class it must be
 RECORD_ARGUMENTS = [
     ("radau_nodes", "params", "BasisParams"),
-    ("eval_mgl", "params", "BasisParams"),
     ("build_operators", "params", "BasisParams"),
     ("eval_hat_interpolant", "ops", "DiffOperators"),
     ("assemble_residual", "problem", "LaneEmdenProblem"),
@@ -708,7 +707,6 @@ def valid_calls():
     b = np.linspace(1.0, 0.0, 5)
     return {
         "radau_nodes": [dict(params=params)],
-        "eval_mgl": [dict(params=params, n_index=0, x=1.0)],
         "build_operators": [dict(params=params)],
         "eval_hat_interpolant": [dict(ops=ops, b=b, x=1.0)],
         "assemble_residual": [dict(problem=problem, ops=ops, b=b)],

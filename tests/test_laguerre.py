@@ -16,10 +16,7 @@ from emden.laguerre import (
     MAX_DEGREE,
     POLISH_TOL,
     BasisParams,
-    eval_laguerre,
     eval_laguerre_all,
-    eval_laguerre_deriv,
-    eval_mgl,
     radau_nodes,
 )
 from conftest import BAD_POINTS
@@ -47,32 +44,33 @@ def reference_radau_nodes(n, alpha, shift=0.0):
     else:
         raise AssertionError("reference polish did not converge")
     eta = np.concatenate(([0.0], np.sort(z)))
-    nodes = laguerre.RadauNodeSet(eta=eta, dLn_at_eta=eval_laguerre_deriv(n, alpha, eta),
-                                  Ln_at_zero=eval_laguerre(n, alpha, 0.0), alpha=alpha)
+    # L_n' = -(L_0 + ... + L_{n-1}), summed over a sweep of its own
+    nodes = laguerre.RadauNodeSet(eta=eta, dLn_at_eta=-np.sum(eval_laguerre_all(n - 1, alpha, eta), axis=0),
+                                  Ln_at_zero=float(eval_laguerre_all(n, alpha, 0.0)[-1]), alpha=alpha)
     return nodes, step
 
 
 class TestEvalLaguerre:
     def test_degree_zero_is_one(self):
-        assert eval_laguerre(0, 1.0, 3.7) == 1.0
+        assert eval_laguerre_all(0, 1.0, 3.7)[-1] == 1.0
 
     def test_degree_one(self):
         # L1 = 1 + alpha - x
-        assert eval_laguerre(1, 1.0, 0.5) == pytest.approx(1.5, abs=1e-15)
-        assert eval_laguerre(1, 0.0, 2.0) == pytest.approx(-1.0, abs=1e-15)
+        assert eval_laguerre_all(1, 1.0, 0.5)[-1] == pytest.approx(1.5, abs=1e-15)
+        assert eval_laguerre_all(1, 0.0, 2.0)[-1] == pytest.approx(-1.0, abs=1e-15)
 
     def test_degree_two_closed_form(self):
         # L2^a = x^2/2 - (a+2)x + (a+1)(a+2)/2
         for alpha in ALPHAS:
             for x in [0.0, 0.3, 4.0, 50.0]:
                 expected = x * x / 2.0 - (alpha + 2.0) * x + (alpha + 1.0) * (alpha + 2.0) / 2.0
-                assert eval_laguerre(2, alpha, x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+                assert eval_laguerre_all(2, alpha, x)[-1] == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 30])
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_value_at_origin_is_binomial(self, n, alpha):
         expected = math.gamma(n + alpha + 1) / (math.gamma(alpha + 1) * math.factorial(n))
-        assert eval_laguerre(n, alpha, 0.0) == pytest.approx(expected, rel=1e-13)
+        assert eval_laguerre_all(n, alpha, 0.0)[-1] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("n", [3, 10, 20, 30])
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -83,20 +81,21 @@ class TestEvalLaguerre:
         exact = float(mpmath.laguerre(n, alpha, x))
         # scale by the largest intermediate so cancellation-heavy points are
         # judged fairly
-        scale = max(1.0, float(np.max(np.abs(eval_laguerre_all(n, alpha, x)))))
-        assert abs(eval_laguerre(n, alpha, x) - exact) <= 1e-10 * scale
+        values = eval_laguerre_all(n, alpha, x)
+        scale = max(1.0, float(np.max(np.abs(values))))
+        assert abs(values[-1] - exact) <= 1e-10 * scale
 
     def test_all_returns_every_degree(self):
         vals = eval_laguerre_all(5, 1.0, 2.0)
         assert vals.shape == (6,)
         for k in range(6):
-            assert vals[k] == eval_laguerre(k, 1.0, 2.0)
+            assert vals[k] == eval_laguerre_all(k, 1.0, 2.0)[-1]
 
     def test_vectorized_argument(self):
         xs = np.array([0.0, 1.0, 10.0])
         vals = eval_laguerre_all(4, 0.5, xs)
         assert vals.shape == (5, 3)
-        assert vals[3, 1] == eval_laguerre(3, 0.5, 1.0)
+        assert vals[3, 1] == eval_laguerre_all(3, 0.5, 1.0)[-1]
 
     @given(
         n=st.integers(min_value=2, max_value=30),
@@ -111,21 +110,32 @@ class TestEvalLaguerre:
         assert abs(lhs - rhs) <= 1e-10 * scale
 
 
-class TestEvalLaguerreDeriv:
-    def test_degree_zero_derivative_is_zero(self):
-        assert eval_laguerre_deriv(0, 1.0, 5.0) == 0.0
+class TestNodeDerivative:
+    """L_n' at the nodes, as the node set records it in dLn_at_eta."""
 
     def test_degree_one_derivative(self):
-        assert eval_laguerre_deriv(1, 1.0, 3.0) == -1.0
+        assert radau_nodes(BasisParams(n=1, alpha=1.0)).dLn_at_eta.tolist() == [-1.0, -1.0]
 
     @pytest.mark.parametrize("n", [1, 4, 9, 15])
     @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("x", [0.0, 0.7, 5.0, 40.0])
-    def test_finite_difference_audit(self, n, alpha, x):
-        h = 1e-6 * max(1.0, abs(x))
-        fd = (eval_laguerre(n, alpha, x + h) - eval_laguerre(n, alpha, x - h)) / (2 * h)
-        der = eval_laguerre_deriv(n, alpha, x)
-        assert der == pytest.approx(fd, rel=1e-5, abs=1e-5 * max(1.0, abs(fd)))
+    def test_finite_difference_audit(self, n, alpha):
+        nodes = radau_nodes(BasisParams(n=n, alpha=alpha))
+        for x, der in zip(nodes.eta, nodes.dLn_at_eta):
+            h = 1e-6 * max(1.0, abs(x))
+            fd = (eval_laguerre_all(n, alpha, x + h)[-1] - eval_laguerre_all(n, alpha, x - h)[-1]) / (2 * h)
+            assert der == pytest.approx(fd, rel=1e-5, abs=1e-5 * max(1.0, abs(fd)))
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 20, 30])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_against_mpmath(self, n, alpha):
+        # d/dx L_n^a = -L_{n-1}^{a+1}, judged as the values are
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        nodes = radau_nodes(BasisParams(n=n, alpha=alpha))
+        for x, der in zip(nodes.eta, nodes.dLn_at_eta):
+            exact = -float(mpmath.laguerre(n - 1, alpha + 1, x))
+            scale = max(1.0, float(np.max(np.abs(eval_laguerre_all(n, alpha, x)))))
+            assert abs(der - exact) <= 1e-10 * scale
 
 
 class TestLaguerreZeros:
@@ -144,13 +154,13 @@ class TestLaguerreZeros:
     @pytest.mark.parametrize("n", [2, 5, 8, 10, 20, 30])
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_polished_residual(self, n, alpha):
-        zs = radau_nodes(BasisParams(n=n, alpha=alpha)).eta[1:]
+        nodes = radau_nodes(BasisParams(n=n, alpha=alpha))
+        zs = nodes.eta[1:]
         assert zs.shape == (n,)
         assert np.all(np.diff(zs) > 0)
         assert zs[0] > 0
-        for z in zs:
-            val = eval_laguerre(n, alpha, z)
-            der = eval_laguerre_deriv(n, alpha, z)
+        for z, der in zip(zs, nodes.dLn_at_eta[1:]):
+            val = eval_laguerre_all(n, alpha, z)[-1]
             assert abs(val) <= POLISH_TOL * max(1.0, abs(z)) * abs(der)
 
     @pytest.mark.parametrize("n", [5, 10, 20, 30])
@@ -158,7 +168,7 @@ class TestLaguerreZeros:
         # In the decaying frame the residual stays near machine precision even
         # for degrees where the raw polynomial values are astronomically large.
         zs = radau_nodes(BasisParams(n=n, alpha=1.0)).eta[1:]
-        weighted = np.exp(-zs / 2.0) * np.abs([eval_laguerre(n, 1.0, z) for z in zs])
+        weighted = np.exp(-zs / 2.0) * np.abs(eval_laguerre_all(n, 1.0, zs)[-1])
         assert np.max(weighted) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 7, 12])
@@ -227,8 +237,6 @@ class TestRadauNodes:
 
         monkeypatch.setattr(laguerre, "_sweep", counted)
         monkeypatch.setattr(laguerre, "eval_laguerre_all", forbidden)
-        monkeypatch.setattr(laguerre, "eval_laguerre_deriv", forbidden)
-        monkeypatch.setattr(laguerre, "eval_laguerre", forbidden)
         nodes = radau_nodes(BasisParams(n=12, alpha=1.0))
         assert calls == [(12, 1.0)] * steps
         assert (steps == 1) if shift == 0.0 else (steps > 1)
@@ -275,32 +283,6 @@ class TestRadauNodes:
             radau_nodes(params)
 
 
-class TestEvalMgl:
-    def test_at_origin(self):
-        params = BasisParams(n=4, alpha=1.0, L=2.0)
-        assert eval_mgl(params, 4, 0.0) == pytest.approx(5.0, rel=1e-14)
-
-    def test_decay_factor(self):
-        params = BasisParams(n=3, alpha=1.0, L=1.5)
-        x = 4.5
-        expected = math.exp(-x / 3.0) * eval_laguerre(3, 1.0, x / 1.5)
-        assert eval_mgl(params, 3, x) == pytest.approx(expected, rel=1e-13)
-
-    def test_lower_index_allowed(self):
-        params = BasisParams(n=6)
-        assert eval_mgl(params, 0, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
-
-    def test_negative_x_rejected(self):
-        with pytest.raises(ParameterError):
-            eval_mgl(BasisParams(n=3), 3, -0.1)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("x", BAD_POINTS)
-    def test_rejects_points_that_are_not_finite_numbers(self, x):
-        with pytest.raises(ParameterError):
-            eval_mgl(BasisParams(n=3), 3, x)
-
-
 class TestMglOrthogonality:
     @pytest.mark.parametrize("L", [1.0, 2.5])
     def test_gram_matrix_diagonal(self, L):
@@ -325,37 +307,37 @@ class TestValidation:
         with pytest.raises(RangeError):
             BasisParams(n=MAX_DEGREE + 1)
         with pytest.raises(RangeError):
-            eval_laguerre(MAX_DEGREE + 1, 1.0, 1.0)
+            eval_laguerre_all(MAX_DEGREE + 1, 1.0, 1.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", BAD_POINTS)
     @pytest.mark.parametrize("n", [0, 3])
-    @pytest.mark.parametrize("evaluate", [eval_laguerre_all, eval_laguerre, eval_laguerre_deriv])
-    def test_rejects_arguments_that_are_not_finite_numbers(self, evaluate, n, x):
+    def test_rejects_arguments_that_are_not_finite_numbers(self, n, x):
         with pytest.raises(ParameterError):
-            evaluate(n, 1.0, x)
+            eval_laguerre_all(n, 1.0, x)
 
     @pytest.mark.filterwarnings("error")
     def test_real_numbers_that_numpy_holds_as_objects(self):
         # a Fraction or an integer past int64 is a real number, as check_real
         # reads one; a boolean or text among them is not
-        assert eval_laguerre(3, 1.0, Fraction(1, 2)) == eval_laguerre(3, 1.0, 0.5)
-        np.testing.assert_array_equal(eval_laguerre(3, 1.0, [Fraction(1, 2), 2]),
-                                      eval_laguerre(3, 1.0, [0.5, 2.0]))
+        np.testing.assert_array_equal(eval_laguerre_all(3, 1.0, Fraction(1, 2)),
+                                      eval_laguerre_all(3, 1.0, 0.5))
+        np.testing.assert_array_equal(eval_laguerre_all(3, 1.0, [Fraction(1, 2), 2]),
+                                      eval_laguerre_all(3, 1.0, [0.5, 2.0]))
         for x in (10**30, [10**400]):  # past the envelope; the second past any float
             with pytest.raises(ParameterError):
-                eval_laguerre(3, 1.0, x)
+                eval_laguerre_all(3, 1.0, x)
         for x in ([Fraction(1, 2), True], [10**30, "2"]):
             with pytest.raises(ParameterError, match="argument must be real numbers"):
-                eval_laguerre(3, 1.0, x)
+                eval_laguerre_all(3, 1.0, x)
 
     def test_argument_envelope(self):
         with pytest.raises(RangeError):
-            eval_laguerre(3, 1.0, MAX_ARGUMENT + 1.0)
+            eval_laguerre_all(3, 1.0, MAX_ARGUMENT + 1.0)
         with pytest.raises(RangeError):
-            eval_laguerre(3, 1.0, -1.5)
+            eval_laguerre_all(3, 1.0, -1.5)
         # the envelope floor leaves room for centered difference probes at 0
-        assert np.isfinite(eval_laguerre(3, 1.0, -0.5))
+        assert np.all(np.isfinite(eval_laguerre_all(3, 1.0, -0.5)))
 
     def test_alpha_bound(self):
         with pytest.raises(ParameterError):
@@ -367,9 +349,9 @@ class TestValidation:
         with pytest.raises(ParameterError):
             BasisParams(n=0)
         with pytest.raises(ParameterError):
-            eval_laguerre(-1, 1.0, 0.0)
+            eval_laguerre_all(-1, 1.0, 0.0)
         with pytest.raises(ParameterError):
-            eval_laguerre(2.5, 1.0, 0.0)
+            eval_laguerre_all(2.5, 1.0, 0.0)
 
     def test_bad_map_scale(self):
         with pytest.raises(ParameterError):
@@ -379,6 +361,6 @@ class TestValidation:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ParameterError):
-            eval_laguerre(3, 1.0, float("nan"))
+            eval_laguerre_all(3, 1.0, float("nan"))
         with pytest.raises(ParameterError):
             BasisParams(n=3, alpha=float("inf"))

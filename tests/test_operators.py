@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from emden.errors import ParameterError, RangeError
-from emden.laguerre import MAX_ARGUMENT, BasisParams, _unscaled, eval_laguerre, eval_mgl, radau_nodes
+from emden.laguerre import MAX_ARGUMENT, BasisParams, _unscaled, eval_laguerre_all, radau_nodes
 from emden import operators
 from emden.operators import NEAR_NODE_TOL, DiffOperators, build_operators, eval_hat_interpolant
 from conftest import BAD_POINTS
@@ -209,10 +210,11 @@ def pointwise_interpolant(ops, b, x):
     eta, L = ops.nodes.eta, ops.params.L
     t = min(x / L, MAX_ARGUMENT) if x <= MAX_ARGUMENT * L else x / L
     w = np.exp((eta - t) / 2.0)
+    ln = eval_laguerre_all(ops.n, ops.params.alpha, t)[-1]
     card = np.empty(len(eta))
-    card[0] = np.exp(-t / 2.0) * eval_laguerre(ops.n, ops.params.alpha, t) / ops.nodes.Ln_at_zero
+    card[0] = np.exp(-t / 2.0) * ln / ops.nodes.Ln_at_zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        card[1:] = (w[1:] * t * eval_laguerre(ops.n, ops.params.alpha, t)
+        card[1:] = (w[1:] * t * ln
                     / (eta[1:] * ops.nodes.dLn_at_eta[1:] * (t - eta[1:])))
     near = np.abs(t - eta) < NEAR_NODE_TOL * np.maximum(1.0, eta)
     card[near] = w[near]
@@ -269,12 +271,16 @@ class TestHatInterpolant:
 
     @pytest.mark.parametrize("L", [1.0, 2.0])
     def test_reproduces_basis_function(self, L):
-        params = BasisParams(n=5, alpha=1.0, L=L)
-        ops = build_operators(params)
-        b = np.array([eval_mgl(params, 5, x) for x in ops.mapped_nodes])
+        ops = build_operators(BasisParams(n=5, alpha=1.0, L=L))
+
+        def basis(x):
+            # the decaying basis function exp(-x/(2L)) * L_5^1(x/L)
+            return math.exp(-x / (2.0 * L)) * eval_laguerre_all(5, 1.0, x / L)[-1]
+
+        b = np.array([basis(x) for x in ops.mapped_nodes])
         for x in [0.3, 1.7, 4.2, 9.0]:
             val = eval_hat_interpolant(ops, b, x)
-            assert val == pytest.approx(eval_mgl(params, 5, x), abs=1e-9)
+            assert val == pytest.approx(basis(x), abs=1e-9)
 
     def test_reproduces_pure_decay(self):
         ops = ops_for(6, L=1.5)
@@ -382,12 +388,22 @@ class TestHatInterpolant:
             eval_hat_interpolant(ops_for(7), b, MAX_ARGUMENT)
         with pytest.raises(RangeError):
             eval_hat_interpolant(ops_for(7, L=L), b, np.nextafter(edge, np.inf))
-        # eval_mgl maps the edge the same way
-        for k in (0, 3, 7):
-            assert eval_mgl(BasisParams(n=7, L=L), k, edge) == \
-                eval_mgl(BasisParams(n=7), k, MAX_ARGUMENT)
-            with pytest.raises(RangeError):
-                eval_mgl(BasisParams(n=7, L=L), k, np.nextafter(edge, np.inf))
+
+    @pytest.mark.parametrize("x", [150.0, [1.0, 150.0, 120.0]])
+    def test_point_past_the_edge_is_named_in_x(self, x):
+        # the bound is 200*L in x, not 200 in the unscaled x/L
+        message = "x=150.0 outside the evaluation envelope x <= 200*L = 100.0"
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            eval_hat_interpolant(ops_for(7, L=0.5), np.zeros(8), x)
+
+    def test_a_point_one_ulp_past_the_edge_raises(self):
+        # at L = 0.27, x/L rounds back to 200 one ulp past the edge; the bound
+        # is 200*L in x, so the point still raises
+        L = 0.27
+        past = np.nextafter(MAX_ARGUMENT * L, np.inf)
+        assert past / L == MAX_ARGUMENT
+        with pytest.raises(RangeError):
+            eval_hat_interpolant(ops_for(7, L=L), np.zeros(8), past)
 
 
 class TestUnscaledBuildCache:

@@ -61,6 +61,13 @@ class TestClosedForm:
                 ypp = (closed_form(m, x + h) - 2 * y0 + closed_form(m, x - h)) / h**2
                 assert abs(ypp + 2.0 / x * yp + np.sign(y0) * abs(y0) ** m) <= 1e-5
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m, far", [(0, -math.inf), (1, 0.0), (5, 0.0)])
+    @pytest.mark.parametrize("x", [1e200, [0.0, 1e200]])
+    def test_overflow_past_1e154_is_quiet(self, m, far, x):
+        # x**2 overflows; the value is numpy's, with no RuntimeWarning
+        assert np.atleast_1d(closed_form(m, x))[-1] == pytest.approx(far, abs=1e-199)
+
     def test_unsupported_index(self):
         with pytest.raises(ParameterError):
             closed_form(2, 1.0)

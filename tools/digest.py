@@ -7,12 +7,13 @@ checkout's src/. Two trees that print the same digest give the same bits for
 the node sets (n = 1..30 over several alphas) and their four unscaled
 matrices, the recurrence sweeps, about 400 solves (b, residual_history and
 the stop data), a 300-point interpolant and the first zero of each converged
-solve, shooting profiles, and the power law g and its derivative g' of
-several indices on a fixed set of points, NaN, inf and signed zeros
-included, with the category and text of each warning they give. An error is
-hashed as its type and message, so the failure paths the set meets count
-too. A change meant to keep every output bit runs it on the parent tree and
-on the change.
+solve, the fitted coefficients, nodes and predictions of about 20
+LaneEmdenSolver fits, shooting profiles, the closed forms on points up to
+1e200, and the power law g and its derivative g' of several indices on a
+fixed set of points, NaN, inf and signed zeros included, with the category
+and text of each warning they give. An error is hashed as its type and
+message, so the failure paths the set meets count too. A change meant to
+keep every output bit runs it on the parent tree and on the change.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from emden.errors import EmdenError  # noqa: E402
 SEED = 24
 SOLVES = 400
 INTERPOLANT_POINTS = 300
+FITS = 20
 ALPHAS = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.5, 5.0)
 SHOOTING_M = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0)
 POWER_M = (0.0, 0.5, 1.0, 2.5, 3.0, 1e6)
@@ -109,6 +111,27 @@ def _solves(digest, rng):
             digest.feed(zero.x_star, zero.bracket, zero.refinement_iterations)
 
 
+def _fits(digest, rng):
+    """The estimator's route to a solve: its coefficients_, its nodes_ and
+    predict on a fixed grid up to the envelope edge 200*L."""
+    for _ in range(FITS):
+        m = float(rng.choice([0.0, 1.0, 3.0, 5.0, rng.uniform(0.0, 5.0)]))
+        n = int(rng.integers(1, emden.MAX_DEGREE + 1))
+        alpha = float(rng.uniform(-0.9, 4.0))
+        L = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
+        digest.feed(m, n, alpha, L)
+        model = digest.outcome(emden.LaneEmdenSolver(m, n, alpha, L).fit)
+        if model is not None:
+            grid = np.linspace(0.0, emden.MAX_ARGUMENT * L, 60)
+            digest.feed(model.coefficients_, model.nodes_, model.predict(grid))
+
+
+def _closed_forms(digest):
+    grid = np.concatenate((np.linspace(0.0, 20.0, 81), np.logspace(1.5, 200.0, 40)))
+    for m in (0.0, 1.0, 5.0):
+        digest.feed(emden.closed_form(m, grid))
+
+
 def _shooting(digest):
     for m in SHOOTING_M:
         profile = digest.outcome(emden.shooting_oracle, m, 12.0)
@@ -138,7 +161,9 @@ def main():
         warnings.simplefilter("ignore")
         _operators(digest, rng)
         _solves(digest, rng)
+        _fits(digest, rng)
         _shooting(digest)
+        _closed_forms(digest)
         _power_law(digest)
     print(digest.hash.hexdigest())
 
