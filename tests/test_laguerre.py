@@ -138,6 +138,43 @@ class TestNodeDerivative:
             assert abs(der - exact) <= 1e-10 * scale
 
 
+def summed_rows_derivative(n, alpha, x):
+    """L_n' = -(L_0 + ... + L_{n-1}) from the lower rows of one sweep, the
+    rule the zero polish differentiates by."""
+    return -np.sum(eval_laguerre_all(n, alpha, x)[:-1], axis=0)
+
+
+class TestDerivativeRule:
+    """The summed-rows rule off the nodes: the lower rows of eval_laguerre_all
+    agree with the derivative of its top row at any point."""
+
+    def test_degree_zero_derivative_is_zero(self):
+        assert summed_rows_derivative(0, 1.0, 5.0) == 0.0
+
+    def test_degree_one_derivative(self):
+        assert summed_rows_derivative(1, 1.0, 3.0) == -1.0
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 15])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("x", [0.0, 0.7, 5.0, 40.0])
+    def test_finite_difference_audit(self, n, alpha, x):
+        h = 1e-6 * max(1.0, abs(x))
+        fd = (eval_laguerre_all(n, alpha, x + h)[-1] - eval_laguerre_all(n, alpha, x - h)[-1]) / (2 * h)
+        der = summed_rows_derivative(n, alpha, x)
+        assert der == pytest.approx(fd, rel=1e-5, abs=1e-5 * max(1.0, abs(fd)))
+
+    @pytest.mark.parametrize("n", [3, 10, 20, 30])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 50.0, 200.0])
+    def test_against_mpmath(self, n, alpha, x):
+        # d/dx L_n^a = -L_{n-1}^{a+1}, judged as the values are
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        exact = -float(mpmath.laguerre(n - 1, alpha + 1, x))
+        scale = max(1.0, float(np.max(np.abs(eval_laguerre_all(n, alpha, x)))))
+        assert abs(summed_rows_derivative(n, alpha, x) - exact) <= 1e-10 * scale
+
+
 class TestLaguerreZeros:
     def test_two_zeros_alpha_zero(self):
         zs = radau_nodes(BasisParams(n=2, alpha=0.0)).eta[1:]

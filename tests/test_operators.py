@@ -270,15 +270,17 @@ class TestHatInterpolant:
         np.testing.assert_allclose(eval_hat_interpolant(ops, b, ops.mapped_nodes), b, atol=1e-9)
 
     @pytest.mark.parametrize("L", [1.0, 2.0])
-    def test_reproduces_basis_function(self, L):
+    @pytest.mark.parametrize("k", range(6))
+    def test_reproduces_basis_function(self, k, L):
+        # every basis function of degree k <= n lies in the interpolant's span
         ops = build_operators(BasisParams(n=5, alpha=1.0, L=L))
 
         def basis(x):
-            # the decaying basis function exp(-x/(2L)) * L_5^1(x/L)
-            return math.exp(-x / (2.0 * L)) * eval_laguerre_all(5, 1.0, x / L)[-1]
+            # the decaying basis function exp(-x/(2L)) * L_k^1(x/L)
+            return math.exp(-x / (2.0 * L)) * eval_laguerre_all(k, 1.0, x / L)[-1]
 
         b = np.array([basis(x) for x in ops.mapped_nodes])
-        for x in [0.3, 1.7, 4.2, 9.0]:
+        for x in [0.0, 0.3, 1.7, 4.2, 9.0]:
             val = eval_hat_interpolant(ops, b, x)
             assert val == pytest.approx(basis(x), abs=1e-9)
 
