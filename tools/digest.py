@@ -11,13 +11,17 @@ solve, the fitted coefficients, nodes and predictions of about 20
 LaneEmdenSolver fits, shooting profiles, the closed forms on points up to
 1e200, and the power law g and its derivative g' of several indices on a
 fixed set of points, NaN, inf and signed zeros included, with the category
-and text of each warning they give. An error is hashed as its type and
+and text of each warning they give, and the exit code and standard output of
+each subcommand in both formats, each run twice in one process so that the
+second run comes from the kept solves and scans. An error is hashed as its type and
 message, so the failure paths the set meets count too. A change meant to
 keep every output bit runs it on the parent tree and on the change.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import math
 import os
 import sys
@@ -29,6 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import emden  # noqa: E402
+import emden.cli  # noqa: E402
 from emden.errors import EmdenError  # noqa: E402
 
 SEED = 24
@@ -38,6 +43,15 @@ FITS = 20
 ALPHAS = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.5, 5.0)
 SHOOTING_M = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0)
 POWER_M = (0.0, 0.5, 1.0, 2.5, 3.0, 1e6)
+CLI_RUNS = (
+    ["solve", "--m", "3", "--n", "7"],
+    ["solve", "--m", "1.5", "--n", "9", "--L", "0.7", "--eval", "0,0.25,3,40"],
+    ["first-zero", "--m", "3", "--n", "7"],
+    ["first-zero", "--m", "5", "--n", "10"],  # no zero: exit 3
+    ["scan-L", "--m", "3", "--n", "7", "--L-grid", "0.5:2:4"],
+    ["reproduce-tables"],
+    ["reproduce-tables", "--tol", "1e-10"],
+)
 POWER_Y = (0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 2.5, -2.5, 1e200, -1e200, math.nan, math.inf, -math.inf)
 
 
@@ -153,6 +167,17 @@ def _power_law(digest):
             digest.feed([(w.category.__name__, str(w.message)) for w in record])
 
 
+def _cli(digest):
+    """Exit code and standard output of each subcommand, in JSON and CSV."""
+    for argv in CLI_RUNS:
+        for fmt in ("json", "csv"):
+            for _ in range(2):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    status = emden.cli.main(argv + ["--format", fmt])
+                digest.feed(argv, fmt, status, out.getvalue())
+
+
 def main():
     digest = Digest()
     rng = np.random.default_rng(SEED)
@@ -165,6 +190,7 @@ def main():
         _shooting(digest)
         _closed_forms(digest)
         _power_law(digest)
+        _cli(digest)
     print(digest.hash.hexdigest())
 
 
