@@ -16,9 +16,7 @@ Exit codes: 0 success, 1 usage or parameter error, 2 solver non-convergence,
 3 no zero found, 4 reproduce-tables deltas exceeded tolerance.
 
 The solves, zero searches and the L scan come from the library; this module
-only parses arguments, formats the results and writes them. It keeps one
-thing: the two solutions reproduce-tables' m=2 and m=4 scans recommend, for
-the last tol, so a repeat in one process solves nothing.
+only parses arguments, formats the results and writes them.
 """
 from __future__ import annotations
 
@@ -36,7 +34,7 @@ from .laguerre import MAX_ARGUMENT
 from .operators import eval_hat_interpolant
 from .reference import first_zero, first_zero_reference, horedt_reference
 from .solver import LaneEmdenProblem, SolverConfig, newton_solve, scan_L_reports
-from .validation import as_float_grid, check_integer
+from .validation import as_float_grid, check_integer, check_real
 
 __all__ = [
     "RunConfig",
@@ -73,26 +71,26 @@ _ZERO_TABLE_COLUMNS = (("m", "g"), ("n", "d"), ("L", ".6f"), ("present", ".8f"),
 _BOOL_TEXT = {"true/false": ("false", "true"), "0/1": ("0", "1")}
 
 
-def _text(value, fmt) -> str:
-    if value is None:
-        return ""
+def _format_column(cells, fmt) -> list:
+    """CSV text of each cell in one column format; a None cell is empty."""
     if fmt in _BOOL_TEXT:
-        return _BOOL_TEXT[fmt][bool(value)]
-    return format(value, fmt)
+        false, true = _BOOL_TEXT[fmt]
+        return ["" if v is None else true if v else false for v in cells]
+    return ["" if v is None else format(v, fmt) for v in cells]
 
 
-def _read_back(text, fmt):
-    """JSON value of a cell from its CSV text; an empty field is None."""
-    if text == "":
-        return None
+def _read_column(texts, fmt) -> list:
+    """JSON value of each cell from its CSV text; an empty field is None."""
     if fmt in _BOOL_TEXT:
-        return text == _BOOL_TEXT[fmt][1]
-    return int(text) if fmt == "d" else float(text)
+        true = _BOOL_TEXT[fmt][1]
+        return [None if text == "" else text == true for text in texts]
+    read = int if fmt == "d" else float
+    return [None if text == "" else read(text) for text in texts]
 
 
-def _value(value, fmt):
-    """JSON value of a cell: its CSV text read back (None stays None)."""
-    return _read_back(_text(value, fmt), fmt)
+def _values(cells, fmt) -> list:
+    """JSON values of cells: their CSV texts read back (None stays None)."""
+    return _read_column(_format_column(cells, fmt), fmt)
 
 
 @dataclass(frozen=True)
@@ -109,13 +107,12 @@ class _Table:
 
     @functools.cached_property
     def _texts(self) -> list:
-        """Each cell formatted once, in its column's format."""
-        return [[_text(v, fmt) for v, (_, fmt) in zip(row, self.columns)]
-                for row in self.rows]
+        """Each column's cells formatted once, in its format."""
+        return [_format_column(cells, fmt) for cells, (_, fmt) in zip(zip(*self.rows), self.columns)]
 
     def json_rows(self) -> list:
-        return [[_read_back(text, fmt) for text, (_, fmt) in zip(row, self.columns)]
-                for row in self._texts]
+        values = [_read_column(texts, fmt) for texts, (_, fmt) in zip(self._texts, self.columns)]
+        return [list(row) for row in zip(*values)]
 
     def records(self) -> list:
         names = [name for name, _ in self.columns]
@@ -123,7 +120,7 @@ class _Table:
 
     def csv(self) -> str:
         lines = [",".join(name for name, _ in self.columns)]
-        lines += [",".join(row) for row in self._texts]
+        lines += [",".join(row) for row in zip(*self._texts)]
         return "\n".join(lines) + "\n"
 
 
@@ -173,8 +170,8 @@ def _config_doc(config: RunConfig) -> dict:
 
 def _solution_doc(solution) -> dict:
     return {
-        "b": [_value(v, ".12g") for v in solution.b.tolist()],
-        "residual_norm": _value(solution.residual_norm, ".3e"),
+        "b": _values(solution.b.tolist(), ".12g"),
+        "residual_norm": _values([solution.residual_norm], ".3e")[0],
         "iterations": int(solution.iterations),
         "converged": bool(solution.converged),
     }
@@ -238,7 +235,7 @@ def run_first_zero(config: RunConfig):
     table = _Table(_FIRST_ZERO_COLUMNS, [stem + (result.x_star, reference, delta)])
     cells = table.records()[0]
     record = {k: cells[k] for k in ("x_star", "reference", "abs_delta") if cells[k] is not None}
-    record["bracket"] = [_value(x, ".8f") for x in result.bracket]
+    record["bracket"] = _values(result.bracket, ".8f")
     record["refinement_iterations"] = int(result.refinement_iterations)
     doc["first_zero"] = record
     return EXIT_OK, doc, table.csv()
@@ -247,8 +244,13 @@ def run_first_zero(config: RunConfig):
 def run_scan_L(config: RunConfig):
     """Tabulate coefficient decay across a grid of map scales. Returns
     (status, json_doc, csv_text)."""
-    lo, hi, count = config.L_grid
-    grid = np.linspace(lo, hi, check_integer("L_grid count", count, minimum=1))
+    try:
+        lo, hi, count = config.L_grid
+    except (TypeError, ValueError):
+        raise ParameterError(f"L_grid must be (lo, hi, count), got {config.L_grid!r:.40}") from None
+    grid = np.linspace(check_real("L_grid lo", lo, minimum=0.0, exclusive=True),
+                       check_real("L_grid hi", hi, minimum=0.0, exclusive=True),
+                       check_integer("L_grid count", count, minimum=1))
     reports = scan_L_reports(config.m, config.n, config.alpha, grid,
                              tol=config.tol, max_iter=config.max_iter)
     coeff_names = [f"b_abs_{k}" for k in range(len(reports[0].coeff_abs))]
@@ -265,10 +267,8 @@ def run_scan_L(config: RunConfig):
     return status, doc, table.csv()
 
 
-@functools.lru_cache(maxsize=2)
 def _scanned_solution(m, tol):
-    """The solve at the map scale the decay scan recommends, or None. The last
-    tol's m=2 and m=4 are kept; a scan that raises keeps nothing."""
+    """The solve at the map scale the decay scan recommends, or None."""
     lo, hi, count = _TABLE_SCAN_GRID
     reports = scan_L_reports(m, _TABLE_SCAN_DEGREE, 1.0, np.linspace(lo, hi, count), tol=tol)
     return next((r.solution for r in reports if r.recommended), None)
@@ -304,9 +304,7 @@ def run_reproduce_tables(config: RunConfig):
     present = eval_hat_interpolant(solution.operators, solution.b, horedt.xs).tolist()
     profile = _Table(_PROFILE_COLUMNS, [(x, val, ref, abs(val - ref))
                                         for x, ref, val in zip(xs, refs, present)])
-    # the checked tol: a bad config.tol raised ParameterError above, not TypeError here
-    tol = solution.config_echo.newton_tol
-    rows = [_table_zero_row(m, solution if m == 3.0 else _scanned_solution(m, tol))
+    rows = [_table_zero_row(m, solution if m == 3.0 else _scanned_solution(m, config.tol))
             for m in (2.0, 3.0, 4.0)]
     zeros = _Table(_ZERO_TABLE_COLUMNS, [row for row in rows if row is not None])
     partial = None in rows

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import settings
 
-import emden.cli
 import emden.solver
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -22,10 +21,9 @@ BAD_POINTS = ("abc", float("nan"), float("inf"), [0.5, float("nan")], None,
 
 @pytest.fixture(autouse=True)
 def _no_kept_solves():
-    """Each test starts with no kept solve and no kept table scan, so its
-    solve counts and warnings do not depend on the tests run before it."""
+    """Each test starts with no kept solve, so its solve counts and warnings
+    do not depend on the tests run before it."""
     emden.solver._kept_solve.cache_clear()
-    emden.cli._scanned_solution.cache_clear()
 
 
 # Ordered record of acceptance-criterion outcomes, printed as a summary block

@@ -244,10 +244,7 @@ class TestReproduceTablesCommand:
         assert len(set(calls)) == len(calls)
         assert {call[3] for call in calls} == {tol}
 
-    @staticmethod
-    def count_work(monkeypatch):
-        """Lists that record each Newton loop run, as (m, members), and each
-        zero search."""
+    def test_a_second_run_solves_only_the_two_scans(self, monkeypatch, capsys):
         runs, searches = [], []
         search = reference.first_zero_of
 
@@ -261,50 +258,15 @@ class TestReproduceTablesCommand:
 
         monkeypatch.setattr(emden.solver, "_lockstep_newton_solve", counted)
         monkeypatch.setattr(reference, "first_zero_of", counted_search)
-        return runs, searches
-
-    def test_a_second_run_solves_nothing(self, monkeypatch, capsys):
-        runs, searches = self.count_work(monkeypatch)
         outputs = []
-        for fmt in ("json", "json", "csv", "csv"):
-            assert main(["reproduce-tables", "--format", fmt]) == EXIT_MISMATCH
+        for _ in range(2):
+            assert main(["reproduce-tables"]) == EXIT_MISMATCH
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
-        # the m=3 profile solve is kept by newton_solve, the m=2 and m=4 scans'
-        # recommended solves by the CLI, and each keeps its zero
-        assert runs == [(3.0, 1), (2.0, 15), (4.0, 15)]
-        assert len(searches) == 3
-
-    def test_a_new_tol_solves_both_scans_anew(self, monkeypatch, capsys):
-        runs, _ = self.count_work(monkeypatch)
-        for tol in ("1e-12", "1e-10", "1e-12", "1e-12"):
-            main(["reproduce-tables", "--tol", tol])
-        capsys.readouterr()
-        # the two scans of one tol fill the store, so the second tol's evict the
-        # first's; the m=3 profile solves stay kept by newton_solve
-        assert runs == [(3.0, 1), (2.0, 15), (4.0, 15)] * 2 + [(2.0, 15), (4.0, 15)]
-
-    def test_a_scan_that_raises_keeps_nothing(self, monkeypatch, capsys):
-        runs, failures = [], [errors.NumericalError("injected")]
-
-        def failing_once(problem, configs):
-            runs.append((problem.m, len(configs)))
-            if len(configs) > 1 and failures:
-                raise failures.pop()
-            return _lockstep_newton_solve(problem, configs)
-
-        monkeypatch.setattr(emden.solver, "_lockstep_newton_solve", failing_once)
-        assert main(["reproduce-tables"]) == EXIT_NOT_CONVERGED
-        assert "injected" in capsys.readouterr().err
-        status, doc = run_json(capsys, ["reproduce-tables"])
-        assert status == EXIT_MISMATCH
-        assert [row["m"] for row in doc["zero_table"]["rows"]] == [2.0, 3.0, 4.0]
-        assert runs == [(3.0, 1), (2.0, 15), (2.0, 15), (4.0, 15)]
-
-    @pytest.mark.parametrize("tol", [[1e-9], "abc"])
-    def test_a_bad_tol_raises_parameter_error(self, tol):
-        with pytest.raises(ParameterError, match="newton_tol must be a real number"):
-            emden.cli.run_reproduce_tables(RunConfig(command="reproduce-tables", tol=tol))
+        assert outputs[0] == outputs[1]
+        # the m=3 profile solve and its zero are kept; each scan's members
+        # are new solutions, so their zeros are searched again
+        assert runs == [(3.0, 1), (2.0, 15), (4.0, 15), (2.0, 15), (4.0, 15)]
+        assert len(searches) == 5
 
     def test_unconverged_profile_solve(self, capsys):
         # no solve meets a tolerance of 1e-300, so the m=3 profile solve ends the run
@@ -470,12 +432,12 @@ class TestRunnersDirect:
         # the CSV field and the JSON value of a cell come from one format call
         cells = []
 
-        def counted(value, fmt):
-            cells.append(value)
-            return text(value, fmt)
+        def counted(column, fmt):
+            cells.extend(column)
+            return format_column(column, fmt)
 
-        text = emden.cli._text
-        monkeypatch.setattr(emden.cli, "_text", counted)
+        format_column = emden.cli._format_column
+        monkeypatch.setattr(emden.cli, "_format_column", counted)
         status, doc, csv_text = run_solve(RunConfig(command="solve", m=3.0, n=7))
         monkeypatch.undo()
         solution_cells = 7 + 2  # b and the residual norm
@@ -501,12 +463,27 @@ class TestRunnersDirect:
         status, doc, _ = run_first_zero(config)
         assert status == EXIT_NO_ZERO
 
-    def test_empty_scan_grid_raises_before_any_solve(self, monkeypatch):
+    @pytest.mark.parametrize("L_grid, message", [
+        ((0.5, 4.0, 0), "L_grid count must be >= 1, got 0"),
+        ((0.5, 4.0, 2.5), "L_grid count must be an integer"),
+        ((0.5, 4.0, "3"), "L_grid count must be an integer"),
+        (None, "L_grid must be \\(lo, hi, count\\), got None"),
+        ((0.5, 4.0), "L_grid must be \\(lo, hi, count\\)"),
+        ((0.5, 4.0, 3, 1), "L_grid must be \\(lo, hi, count\\)"),
+        (("a", 4.0, 3), "L_grid lo must be a real number"),
+        ((0.5, None, 3), "L_grid hi must be a real number"),
+        ((True, 4.0, 3), "L_grid lo must be a real number"),
+        ((0.0, 4.0, 3), "L_grid lo must be > 0.0"),
+        ((0.5, -1.0, 3), "L_grid hi must be > 0.0"),
+        ((0.5, float("inf"), 3), "L_grid hi must be finite"),
+        ((float("nan"), 4.0, 3), "L_grid lo must be finite"),
+    ])
+    def test_bad_scan_grid_raises_before_any_solve(self, monkeypatch, L_grid, message):
         calls = []
         monkeypatch.setattr(emden.solver, "_lockstep_newton_solve",
                             lambda problem, configs: calls.append(configs))
-        config = RunConfig(command="scan-L", m=3.0, n=7, L_grid=(0.5, 4.0, 0))
-        with pytest.raises(ParameterError, match="L_grid count must be >= 1, got 0"):
+        config = RunConfig(command="scan-L", m=3.0, n=7, L_grid=L_grid)
+        with pytest.raises(ParameterError, match=message):
             run_scan_L(config)
         assert calls == []
 
@@ -535,8 +512,8 @@ class TestPlainFloats:
         tables = [emden.cli._Table(columns, [(x,) * len(columns)]) for x in (np.float64(v), float(v))]
         assert tables[0].csv() == tables[1].csv()
         assert json.dumps(tables[0].json_rows()) == json.dumps(tables[1].json_rows())
-        assert (json.dumps(emden.cli._value(np.float64(v), ".12g"))
-                == json.dumps(emden.cli._value(float(v), ".12g")))
+        assert (json.dumps(emden.cli._values([np.float64(v)], ".12g"))
+                == json.dumps(emden.cli._values([float(v)], ".12g")))
 
 
 def child_env():

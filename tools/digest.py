@@ -13,7 +13,7 @@ LaneEmdenSolver fits, shooting profiles, the closed forms on points up to
 fixed set of points, NaN, inf and signed zeros included, with the category
 and text of each warning they give, and the exit code and standard output of
 each subcommand in both formats, each run twice in one process so that the
-second run comes from the kept solves and scans. An error is hashed as its type and
+second run comes from the kept solves. An error is hashed as its type and
 message, so the failure paths the set meets count too. A change meant to
 keep every output bit runs it on the parent tree and on the change.
 """
