@@ -268,6 +268,11 @@ class TestReproduceTablesCommand:
         assert runs == [(3.0, 1), (2.0, 15), (4.0, 15), (2.0, 15), (4.0, 15)]
         assert len(searches) == 5
 
+    @pytest.mark.parametrize("tol", [[1e-9], "abc"])
+    def test_a_bad_tol_raises_parameter_error(self, tol):
+        with pytest.raises(ParameterError, match="newton_tol must be a real number"):
+            emden.cli.run_reproduce_tables(RunConfig(command="reproduce-tables", tol=tol))
+
     def test_unconverged_profile_solve(self, capsys):
         # no solve meets a tolerance of 1e-300, so the m=3 profile solve ends the run
         status, doc = run_json(capsys, ["reproduce-tables", "--tol", "1e-300"])
