@@ -54,7 +54,7 @@ def _check_alpha(alpha):
     alpha = check_real("alpha", alpha)
     if alpha <= -1.0:
         raise ParameterError(f"alpha must be > -1, got {alpha}")
-    return alpha
+    return alpha + 0.0  # -0.0 reads as 0.0: a zero alpha has one sign
 
 
 def _check_argument(x):

@@ -14,7 +14,8 @@ D2_mgl/L**2 acting on values at the mapped nodes L*eta.
 
 All entries come from closed forms, at the alpha the node set records;
 nothing here differentiates numerically. The node set and the four unscaled
-matrices depend only on (n, alpha) and are built once per pair;
+matrices depend only on (n, alpha) and are built once per pair (the alpha
+check reads -0.0 as 0.0, so a zero alpha is one pair);
 _scaled_operators applies the scale L, for every bundle. The bundle of
 build_operators is the one public route to the matrices: it builds them from
 its own node set, so no matrix of another alpha can enter. The interpolant is
@@ -30,7 +31,6 @@ the interpolant through _hat_values.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +137,10 @@ def _exp_ratio(eta: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_UNSCALED_CACHE_SIZE)
-def _unscaled_operators(n: int, alpha: float, alpha_sign: float):
+def _unscaled_operators(n: int, alpha: float):
     """(nodes, D1_poly, D2_poly, D1_mgl, D2_mgl) for one (n, alpha), read-only,
     built by the kernels alone, the weighted ones by the product rule of the
-    module docstring. alpha_sign tells alpha = -0.0 from 0.0, which compare
-    and hash equal, so the node set records the caller's alpha."""
+    module docstring."""
     nodes = _radau_nodes(n, alpha)
     d1p = _poly_d1(nodes)
     d2p = _poly_d2(nodes)
@@ -159,7 +158,7 @@ def _scaled_operators(params):
     which each bundle holds slices: D1_mgl/L, D2_mgl/(L*L) and L*eta, the
     one scaling by L of every bundle."""
     first = params[0]
-    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(first.n, first.alpha, math.copysign(1.0, first.alpha))
+    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(first.n, first.alpha)
     scales = np.array([p.L for p in params])[:, None, None]
     d1 = d1m / scales
     d2 = d2m / (scales * scales)

@@ -380,11 +380,9 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
 # goes first. A kept solution pins its scaled and unscaled operators, about
 # 46 KB at n = 30, so the bound keeps them under 1.5 MB.
 @functools.lru_cache(maxsize=_UNSCALED_CACHE_SIZE)
-def _kept_solve(problem: LaneEmdenProblem, config: SolverConfig, alpha_sign: float) -> SpectralSolution:
+def _kept_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSolution:
     """The one-member Newton loop for a setup, run once while it stays kept;
-    a solve that raises keeps nothing. alpha_sign tells alpha = -0.0 from
-    0.0, which compare and hash equal, so a kept solution's config_echo is
-    the caller's config, field for field."""
+    a solve that raises keeps nothing."""
     return _lockstep_newton_solve(problem, [config])[0]
 
 
@@ -407,11 +405,12 @@ def newton_solve(problem: LaneEmdenProblem, config: SolverConfig) -> SpectralSol
 
     The 32 most recent results are kept: a setup equal to a kept one, in
     the problem (m and the callback slot) and in every config field, returns
-    the very object the first call returned, without its warnings.
+    the very object the first call returned, without its warnings. A config
+    reads alpha = -0.0 as 0.0, so both share one entry.
     """
     check_type("problem", problem, LaneEmdenProblem)
     check_type("config", config, SolverConfig)
-    return _kept_solve(problem, config, math.copysign(1.0, config.alpha))
+    return _kept_solve(problem, config)
 
 
 @dataclass(frozen=True)

@@ -85,8 +85,8 @@ def as_points(x, name="x"):
 
 
 def as_float_grid(xs, name="x"):
-    """as_points as a 1-d array; a scalar becomes one point."""
+    """as_points as a 1-d array of at least one point; a scalar becomes one point."""
     arr = np.atleast_1d(as_points(xs, name))
-    if arr.ndim != 1:
-        raise ParameterError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ParameterError(f"{name} must be one-dimensional with at least one point, got shape {arr.shape}")
     return arr

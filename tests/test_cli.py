@@ -4,6 +4,7 @@ import importlib.machinery
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -29,7 +30,7 @@ from emden.cli import (
     run_scan_L,
     run_solve,
 )
-from emden.errors import ParameterError
+from emden.errors import NoZeroFound, ParameterError
 from emden.estimator import LaneEmdenSolver
 from emden.laguerre import BasisParams
 from emden.solver import LaneEmdenProblem, SolverConfig, _lockstep_newton_solve, scan_L_reports
@@ -98,6 +99,17 @@ class TestSolveCommand:
         assert status == EXIT_NOT_CONVERGED
         assert doc["solution"]["converged"] is False
         assert len(doc["evaluations"]) == 201
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["solve", "first-zero"])
+    def test_a_non_finite_number_is_json_null(self, command, capsys):
+        # at L = 1e-300 the residual norm is NaN, which RFC 8259 JSON cannot hold
+        def no_constant(name):
+            raise AssertionError(f"{name} in the JSON output")
+
+        status, out = run_text(capsys, [command, "--m", "3", "--n", "7", "--L", "1e-300"])
+        assert status == EXIT_NOT_CONVERGED
+        assert json.loads(out, parse_constant=no_constant)["solution"]["residual_norm"] is None
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         argv = ["solve", "--m", "3", "--n", "7", "--eval", "0,1,2"]
@@ -283,6 +295,27 @@ class TestReproduceTablesCommand:
         assert status == EXIT_NOT_CONVERGED
         assert out == "x,present,reference,abs_delta\n"
 
+    def test_a_scan_solve_without_a_zero_is_partial(self, monkeypatch, capsys):
+        # the solve the m=2 scan recommends has no zero to the zero search
+        scanned = {}
+
+        def recorded(m, tol):
+            scanned[m] = scanned_solution(m, tol)
+            return scanned[m]
+
+        def no_zero_at_m2(solution):
+            if solution is scanned.get(2.0):
+                raise NoZeroFound("no sign change")
+            return first_zero(solution)
+
+        scanned_solution, first_zero = emden.cli._scanned_solution, emden.cli.first_zero
+        monkeypatch.setattr(emden.cli, "_scanned_solution", recorded)
+        monkeypatch.setattr(emden.cli, "first_zero", no_zero_at_m2)
+        status, doc = run_json(capsys, ["reproduce-tables"])
+        assert status == EXIT_NOT_CONVERGED
+        assert doc["all_within_tolerance"] is False
+        assert [row["m"] for row in doc["zero_table"]["rows"]] == [3.0, 4.0]
+
     def test_scan_without_a_recommendation_is_partial(self, monkeypatch, capsys):
         monkeypatch.setattr(emden.cli, "_scanned_solution", lambda m, tol: None)
         status, doc = run_json(capsys, ["reproduce-tables"])
@@ -303,9 +336,10 @@ class TestExitCodes:
         assert main(["scan-L", "--m", "3", "--n", "7",
                      "--L-grid", "nonsense"]) == EXIT_USAGE
         capsys.readouterr()
-        for spec in ("1:inf:3", "nan:2:3"):
+        for spec, message in (("1:inf:3", "L_grid hi must be finite"),
+                              ("nan:2:3", "L_grid lo must be finite")):
             assert main(["scan-L", "--m", "3", "--n", "7", "--L-grid", spec]) == EXIT_USAGE
-            assert "grid bounds must be finite" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         assert main(["solve", "--m", "3", "--n", "7",
                      "--eval", "abc"]) == EXIT_USAGE
         capsys.readouterr()
@@ -315,10 +349,10 @@ class TestExitCodes:
                      "--eval", "-1.0"]) == EXIT_USAGE
         capsys.readouterr()
         assert main(["solve", "--m", "3", "--n", "7", "--eval", ","]) == EXIT_USAGE
-        assert "empty evaluation list" in capsys.readouterr().err
+        assert "eval_points must be one-dimensional with at least one point" in capsys.readouterr().err
         for spec, message in (("1:2:x", "grid must look like lo:hi:count"),
-                              ("2:1:3", "grid upper bound must be >= lower bound"),
-                              ("1:2:0", "grid count must be >= 1")):
+                              ("2:1:3", "L_grid hi must be >= 2.0"),
+                              ("1:2:0", "L_grid count must be >= 1")):
             assert main(["scan-L", "--m", "3", "--n", "7", "--L-grid", spec]) == EXIT_USAGE
             assert message in capsys.readouterr().err
 
@@ -401,6 +435,18 @@ class TestDeterminismAndEquivalence:
         assert float(fields[5]) == doc["first_zero"]["abs_delta"]
 
 
+# Bad L_grid values that --L-grid text can spell, each with the whole message
+# of the ParameterError run_scan_L raises for it
+BAD_GRID_VALUES = [
+    ((0.5, 4.0, 0), "L_grid count must be >= 1, got 0"),
+    ((0.0, 4.0, 3), "L_grid lo must be > 0.0, got 0.0"),
+    ((0.5, -1.0, 3), "L_grid hi must be >= 0.5, got -1.0"),
+    ((2.0, 1.0, 3), "L_grid hi must be >= 2.0, got 1.0"),
+    ((0.5, float("inf"), 3), "L_grid hi must be finite, got inf"),
+    ((float("nan"), 4.0, 3), "L_grid lo must be finite, got nan"),
+]
+
+
 class TestRunnersDirect:
     def test_run_solve_accepts_config_object(self):
         config = RunConfig(command="solve", m=3.0, n=7, eval_points=(1.0,))
@@ -430,6 +476,16 @@ class TestRunnersDirect:
         newton_solve = emden.cli.newton_solve
         monkeypatch.setattr(emden.cli, "newton_solve", counted)
         with pytest.raises(ParameterError, match="^eval_points must be"):
+            run_solve(RunConfig(command="solve", m=3.0, n=7, eval_points=points))
+        assert calls == []
+
+    @pytest.mark.parametrize("points, shape", [((), "(0,)"), (((1.0, 2.0),), "(1, 2)")])
+    def test_empty_or_nested_eval_points_raise_before_the_solve(self, points, shape, monkeypatch):
+        calls = []
+        monkeypatch.setattr(emden.solver, "_lockstep_newton_solve",
+                            lambda problem, configs: calls.append(configs))
+        with pytest.raises(ParameterError, match=re.escape(
+                f"eval_points must be one-dimensional with at least one point, got shape {shape}")):
             run_solve(RunConfig(command="solve", m=3.0, n=7, eval_points=points))
         assert calls == []
 
@@ -468,8 +524,7 @@ class TestRunnersDirect:
         status, doc, _ = run_first_zero(config)
         assert status == EXIT_NO_ZERO
 
-    @pytest.mark.parametrize("L_grid, message", [
-        ((0.5, 4.0, 0), "L_grid count must be >= 1, got 0"),
+    @pytest.mark.parametrize("L_grid, message", BAD_GRID_VALUES + [
         ((0.5, 4.0, 2.5), "L_grid count must be an integer"),
         ((0.5, 4.0, "3"), "L_grid count must be an integer"),
         (None, "L_grid must be \\(lo, hi, count\\), got None"),
@@ -478,10 +533,6 @@ class TestRunnersDirect:
         (("a", 4.0, 3), "L_grid lo must be a real number"),
         ((0.5, None, 3), "L_grid hi must be a real number"),
         ((True, 4.0, 3), "L_grid lo must be a real number"),
-        ((0.0, 4.0, 3), "L_grid lo must be > 0.0"),
-        ((0.5, -1.0, 3), "L_grid hi must be > 0.0"),
-        ((0.5, float("inf"), 3), "L_grid hi must be finite"),
-        ((float("nan"), 4.0, 3), "L_grid lo must be finite"),
     ])
     def test_bad_scan_grid_raises_before_any_solve(self, monkeypatch, L_grid, message):
         calls = []
@@ -490,6 +541,17 @@ class TestRunnersDirect:
         config = RunConfig(command="scan-L", m=3.0, n=7, L_grid=L_grid)
         with pytest.raises(ParameterError, match=message):
             run_scan_L(config)
+        assert calls == []
+
+    @pytest.mark.parametrize("L_grid, message", BAD_GRID_VALUES)
+    def test_bad_grid_text_exits_with_the_runners_message(self, monkeypatch, capsys, L_grid, message):
+        # the parser only reads the text; run_scan_L's one check gives the line
+        calls = []
+        monkeypatch.setattr(emden.solver, "_lockstep_newton_solve",
+                            lambda problem, configs: calls.append(configs))
+        spec = ":".join(map(str, L_grid))
+        assert main(["scan-L", "--m", "3", "--n", "7", "--L-grid", spec]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"emden: error: {message}\n")
         assert calls == []
 
     def test_run_scan_direct(self):

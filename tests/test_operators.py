@@ -19,8 +19,7 @@ def uncached_build_operators(params):
     """Reference build: every piece made afresh by the uncached unscaled
     build, as build_operators made it before it shared one build per
     (n, alpha)."""
-    alpha_sign = math.copysign(1.0, params.alpha)
-    nodes, d1p, d2p, d1m, d2m = operators._unscaled_operators.__wrapped__(params.n, params.alpha, alpha_sign)
+    nodes, d1p, d2p, d1m, d2m = operators._unscaled_operators.__wrapped__(params.n, params.alpha)
     L = params.L
     return DiffOperators(params=params, nodes=nodes, mapped_nodes=L * nodes.eta, D1_poly=d1p,
                          D2_poly=d2p, D1_mgl=d1m, D2_mgl=d2m, D1_scaled=d1m / L,
@@ -433,17 +432,17 @@ class TestUnscaledBuildCache:
             assert_same_bits(b, uncached_build_operators(BasisParams(n=n, alpha=second, L=2.0)))
 
     @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
-    def test_signed_zero_alphas_keep_their_own_build(self, first, second):
-        # 0.0 and -0.0 compare and hash equal, but the node set records the
-        # alpha it was built for, sign included; the matrices are bitwise equal
+    def test_signed_zero_alphas_share_one_build(self, first, second):
+        # the alpha check reads -0.0 as 0.0, so both signs are one cache key
+        # and every node set records +0.0
         operators._unscaled_operators.cache_clear()
         for n in (1, 7, 30):
             a = build_operators(BasisParams(n=n, alpha=first, L=2.0))
             b = build_operators(BasisParams(n=n, alpha=second, L=2.0))
-            assert b.nodes is not a.nodes
-            assert math.copysign(1.0, b.nodes.alpha) == math.copysign(1.0, second)
-            assert_same_bits(b, a)
+            assert b.nodes is a.nodes and b.D2_mgl is a.D2_mgl
+            assert math.copysign(1.0, b.nodes.alpha) == math.copysign(1.0, b.params.alpha) == 1.0
             assert_same_bits(b, uncached_build_operators(BasisParams(n=n, alpha=second, L=2.0)))
+        assert operators._unscaled_operators.cache_info().currsize == 3
 
     def test_bundles_at_one_pair_share_the_unscaled_part(self):
         near, far = ops_for(9, alpha=0.5, L=0.3), ops_for(9, alpha=0.5, L=3.0)

@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -685,6 +686,13 @@ class TestNewtonSolve:
         with pytest.raises(NumericalError, match="^linear solve failed: right-hand side"):
             _stacked_lu_solve(np.eye(3)[None], rhs[None])
 
+    def test_a_getrs_failure_raises_with_its_argument(self, monkeypatch):
+        # getrs reports an illegal argument as a negative info
+        monkeypatch.setattr(emden.solver, "dgetrs", lambda lu, piv, rhs: (rhs, -2))
+        with pytest.raises(NumericalError, match=re.escape(
+                "linear solve failed: illegal value in argument 2 of getrs (L=1.0, iteration 1)")):
+            newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7))
+
     def test_solve_equals_scipy_lu_solve(self):
         rng = np.random.default_rng(17)
         for n in list(range(2, 32)) * 3:
@@ -1054,14 +1062,14 @@ class TestKeptSolves:
         assert newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7)) is base
         assert len(runs) == 2
 
-    def test_the_sign_of_a_zero_alpha_keeps_entries_apart(self):
-        # -0.0 and 0.0 compare and hash equal, in the config as in the float
-        configs = [SolverConfig(n=7, alpha=0.0), SolverConfig(n=7, alpha=-0.0)]
-        assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
-        for _ in range(2):
-            for config in configs:
-                echo = newton_solve(LaneEmdenProblem(3.0), config).config_echo
-                assert math.copysign(1.0, echo.alpha) == math.copysign(1.0, config.alpha)
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_alphas_share_one_kept_solve(self, first, second, monkeypatch):
+        # a config reads -0.0 as 0.0, so both signs are one entry recording +0.0
+        runs = counted_solves(monkeypatch)
+        kept = newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7, alpha=first))
+        assert newton_solve(LaneEmdenProblem(3.0), SolverConfig(n=7, alpha=second)) is kept
+        assert math.copysign(1.0, kept.config_echo.alpha) == 1.0
+        assert len(runs) == 1
 
     def test_a_solve_that_raises_is_not_kept(self, monkeypatch):
         runs = counted_solves(monkeypatch)

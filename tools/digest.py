@@ -16,6 +16,10 @@ each subcommand in both formats, each run twice in one process so that the
 second run comes from the kept solves. An error is hashed as its type and
 message, so the failure paths the set meets count too. A change meant to
 keep every output bit runs it on the parent tree and on the change.
+
+It prints one SHA-256 per section (operators, solves, fits, shooting,
+closed_forms, power_law, cli), so a change that moves bits on purpose can
+name the sections that moved, and then the digest over all of them, last.
 """
 from __future__ import annotations
 
@@ -56,17 +60,31 @@ POWER_Y = (0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 2.5, -2.5, 1e200, -1e200, math
 
 
 class Digest:
+    """One hash over every section, and one over the section being fed."""
+
     def __init__(self):
         self.hash = hashlib.sha256()
+        self.part = hashlib.sha256()
+
+    def update(self, data):
+        self.hash.update(data)
+        self.part.update(data)
 
     def feed(self, *items):
         for item in items:
             if isinstance(item, np.ndarray):
-                self.hash.update(f"{item.dtype.str}{item.shape}".encode())
-                self.hash.update(np.ascontiguousarray(item).tobytes())
+                self.update(f"{item.dtype.str}{item.shape}".encode())
+                self.update(np.ascontiguousarray(item).tobytes())
             else:
                 # repr keeps every bit of a float and the sign of a zero
-                self.hash.update(repr(item).encode())
+                self.update(repr(item).encode())
+
+    @contextlib.contextmanager
+    def section(self, name):
+        """Feed one section, then print its own digest."""
+        self.part = hashlib.sha256()
+        yield
+        print(f"{name:<13}{self.part.hexdigest()}")
 
     def outcome(self, call, *args):
         """call(*args), or None once its error's type and message are fed."""
@@ -184,13 +202,20 @@ def main():
     with warnings.catch_warnings():
         # warnings are not outputs here: the pinned ones have their own tests
         warnings.simplefilter("ignore")
-        _operators(digest, rng)
-        _solves(digest, rng)
-        _fits(digest, rng)
-        _shooting(digest)
-        _closed_forms(digest)
-        _power_law(digest)
-        _cli(digest)
+        with digest.section("operators"):
+            _operators(digest, rng)
+        with digest.section("solves"):
+            _solves(digest, rng)
+        with digest.section("fits"):
+            _fits(digest, rng)
+        with digest.section("shooting"):
+            _shooting(digest)
+        with digest.section("closed_forms"):
+            _closed_forms(digest)
+        with digest.section("power_law"):
+            _power_law(digest)
+        with digest.section("cli"):
+            _cli(digest)
     print(digest.hash.hexdigest())
 
 
