@@ -154,20 +154,16 @@ def _solver_config(config: RunConfig) -> SolverConfig:
     )
 
 
-def _config_doc(config: RunConfig) -> dict:
-    doc = {
-        "command": config.command,
-        "m": float(config.m),
-        "n": int(config.n),
-        "alpha": float(config.alpha),
-        "tol": float(config.tol),
-        "max_iter": int(config.max_iter),
-    }
+def _config_doc(config: RunConfig, m: float, setup: SolverConfig) -> dict:
+    """The invocation as it was solved: the index m the problem read and the
+    fields of a setup the solve used, so a zero reads +0.0 as it did there."""
+    doc = {"command": config.command, "m": m, "n": setup.n, "alpha": setup.alpha,
+           "tol": setup.newton_tol, "max_iter": setup.max_iter}
     if config.command == "scan-L":
         lo, hi, count = config.L_grid
         doc["L_grid"] = [float(lo), float(hi), int(count)]
     else:
-        doc["L"] = float(config.L)
+        doc["L"] = setup.L
     return doc
 
 
@@ -206,7 +202,7 @@ def run_solve(config: RunConfig):
     # Python floats format as np.float64 does, about 3x faster
     table = _Table((("x", ".6f"), ("y", ".6f")), list(zip(grid.tolist(), values.tolist())))
     doc = {
-        "config": _config_doc(config),
+        "config": _config_doc(config, problem.m, solver_config),
         "solution": _solution_doc(solution),
         "evaluations": table.json_rows(),
     }
@@ -217,10 +213,11 @@ def run_solve(config: RunConfig):
 def run_first_zero(config: RunConfig):
     """Solve, then locate the interpolant's first zero. Returns (status,
     json_doc, csv_text)."""
-    solution = newton_solve(LaneEmdenProblem(config.m), _solver_config(config))
-    doc = {"config": _config_doc(config), "solution": _solution_doc(solution),
+    problem, setup = LaneEmdenProblem(config.m), _solver_config(config)
+    solution = newton_solve(problem, setup)
+    doc = {"config": _config_doc(config, problem.m, setup), "solution": _solution_doc(solution),
            "first_zero": None}
-    stem = (config.m, solution.config_echo.n, config.L)
+    stem = (problem.m, setup.n, setup.L)
     no_zero = _Table(_FIRST_ZERO_COLUMNS, [stem + (None, None, None)])
     if not solution.converged:
         doc["reason"] = "solver did not converge"
@@ -254,8 +251,8 @@ def run_scan_L(config: RunConfig):
     lo = check_real("L_grid lo", lo, minimum=0.0, exclusive=True)
     grid = np.linspace(lo, check_real("L_grid hi", hi, minimum=lo),
                        check_integer("L_grid count", count, minimum=1))
-    reports = scan_L_reports(config.m, config.n, config.alpha, grid,
-                             tol=config.tol, max_iter=config.max_iter)
+    m = LaneEmdenProblem(config.m).m
+    reports = scan_L_reports(m, config.n, config.alpha, grid, tol=config.tol, max_iter=config.max_iter)
     coeff_names = [f"b_abs_{k}" for k in range(len(reports[0].coeff_abs))]
     table = _Table(
         (("L", ".6f"), ("converged", "true/false"), ("recommended", "0/1"),
@@ -265,7 +262,8 @@ def run_scan_L(config: RunConfig):
     for record in records:
         record["coeff_abs"] = [record.pop(name) for name in coeff_names]
     recommended = next((r["L"] for r in records if r["recommended"]), None)
-    doc = {"config": _config_doc(config), "records": records, "recommended_L": recommended}
+    doc = {"config": _config_doc(config, m, reports[0].solution.config_echo), "records": records,
+           "recommended_L": recommended}
     status = EXIT_OK if recommended is not None else EXIT_NOT_CONVERGED
     return status, doc, table.csv()
 

@@ -88,7 +88,7 @@ class BasisParams:
         object.__setattr__(self, "L", check_real("L", self.L, minimum=0.0, exclusive=True))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadauNodeSet:
     """The n+1 collocation points {0} U {zeros of L_n^alpha} with cached derivative data.
 
@@ -100,7 +100,7 @@ class RadauNodeSet:
     (d/dx)L_n^alpha = -sum_{k<n} L_k^alpha), and Ln_at_zero its row n at the
     point 0. alpha is the one record of the alpha the set was built for;
     the matrix builders and the interpolant read it here. Immutable, safe to
-    share between threads.
+    share between threads, equal only to itself.
     """
 
     eta: np.ndarray

@@ -15,18 +15,19 @@ D2_mgl/L**2 acting on values at the mapped nodes L*eta.
 All entries come from closed forms, at the alpha the node set records;
 nothing here differentiates numerically. The node set and the four unscaled
 matrices depend only on (n, alpha) and are built once per pair (the alpha
-check reads -0.0 as 0.0, so a zero alpha is one pair);
-_scaled_operators applies the scale L, for every bundle. The bundle of
-build_operators is the one public route to the matrices: it builds them from
-its own node set, so no matrix of another alpha can enter. The interpolant is
-evaluated through one (points x nodes) cardinal matrix.
+check reads -0.0 as 0.0, so a zero alpha is one pair). _scaled_operators
+builds the bundle of one BasisParams: it applies the scale L, the one scaling
+of every bundle, to the unscaled matrices of the params' own (n, alpha), so
+no matrix of another alpha can enter. build_operators, its checked form, is
+the one public route to the matrices. The interpolant is evaluated through
+one (points x nodes) cardinal matrix.
 
 The public entries check their input once and call a private kernel:
-_unscaled_operators, on _poly_d1 and _poly_d2, for the matrices, _hat_values
-for the interpolant. The kernels take node sets, matrices and points the
-package has made or checked, and check nothing again. The unscaled build
-forms both weighted matrices with one exp ratio, and the zero search reaches
-the interpolant through _hat_values.
+_scaled_operators, on _unscaled_operators, _poly_d1 and _poly_d2, for the
+matrices, _hat_values for the interpolant. The kernels take node sets,
+matrices and points the package has made or checked, and check nothing
+again. The unscaled build forms both weighted matrices with one exp ratio,
+and the zero search reaches the interpolant through _hat_values.
 """
 from __future__ import annotations
 
@@ -55,13 +56,13 @@ NEAR_NODE_TOL = 1e-9
 _UNSCALED_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffOperators:
     """Operator bundle for one discretization; immutable, safe to share.
 
     Bundles with the same (n, alpha) share one node set and the same
-    read-only D1_poly, D2_poly, D1_mgl and D2_mgl arrays; only mapped_nodes,
-    D1_scaled and D2_scaled belong to the bundle's L.
+    read-only D1_poly, D2_poly, D1_mgl and D2_mgl arrays; mapped_nodes,
+    D1_scaled and D2_scaled are the bundle's own. Equal only to itself.
     """
 
     params: BasisParams
@@ -152,25 +153,15 @@ def _unscaled_operators(n: int, alpha: float):
     return nodes, d1p, d2p, d1m, d2m
 
 
-def _scaled_operators(params):
-    """Bundles for BasisParams that differ only in L, scaled in one pass, and
-    the read-only stacks of their D1_scaled, D2_scaled and mapped_nodes, of
-    which each bundle holds slices: D1_mgl/L, D2_mgl/(L*L) and L*eta, the
-    one scaling by L of every bundle."""
-    first = params[0]
-    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(first.n, first.alpha)
-    scales = np.array([p.L for p in params])[:, None, None]
-    d1 = d1m / scales
-    d2 = d2m / (scales * scales)
-    xm = scales[:, :, 0] * nodes.eta
-    for stack in (d1, d2, xm):
-        stack.setflags(write=False)
-    ops = [
-        DiffOperators(params=p, nodes=nodes, mapped_nodes=xm[i], D1_poly=d1p, D2_poly=d2p,
-                      D1_mgl=d1m, D2_mgl=d2m, D1_scaled=d1[i], D2_scaled=d2[i])
-        for i, p in enumerate(params)
-    ]
-    return ops, d1, d2, xm
+def _scaled_operators(params: BasisParams) -> DiffOperators:
+    """The bundle of one BasisParams, unchecked: the shared unscaled part of
+    its (n, alpha) and its own D1_mgl/L, D2_mgl/(L*L) and L*eta."""
+    nodes, d1p, d2p, d1m, d2m = _unscaled_operators(params.n, params.alpha)
+    # a 0-d array, so an overflow or a division by zero at an extreme L warns
+    L = np.array(params.L)
+    return DiffOperators(params=params, nodes=nodes, mapped_nodes=L * nodes.eta, D1_poly=d1p,
+                         D2_poly=d2p, D1_mgl=d1m, D2_mgl=d2m, D1_scaled=d1m / L,
+                         D2_scaled=d2m / (L * L))
 
 
 def build_operators(params: BasisParams) -> DiffOperators:
@@ -178,9 +169,10 @@ def build_operators(params: BasisParams) -> DiffOperators:
 
     The node set and the unscaled matrices are built once per (n, alpha) and
     shared, read-only, by every bundle with that pair; only the scaling by L
-    is done per call, by the code that scales the operators of every solve.
+    is done per call, by _scaled_operators, which builds the bundle of every
+    solve.
     """
-    return _scaled_operators([check_type("params", params, BasisParams)])[0][0]
+    return _scaled_operators(check_type("params", params, BasisParams))
 
 
 def _coefficients(ops: DiffOperators, b) -> np.ndarray:

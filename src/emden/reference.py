@@ -75,17 +75,18 @@ _SCAN_BLOCK = 256
 _SCAN_END = 50.0
 # Most scan points of one search: 1000 times the default scan of 0.05 to 50.
 _SCAN_MAX_POINTS = 10**6
+_SOURCES = ("closed-form", "shooting", "horedt-table", "method-table")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceProfile:
     """A reference solution sampled on an ascending grid.
 
     source is one of {"closed-form", "shooting", "horedt-table",
     "method-table"}. yps optionally carries derivative samples (the shooting
     oracle fills it), upgrading interpolation to Hermite from two samples on.
-    Samples that are not finite, or xs that are not nonnegative and ascending,
-    raise ParameterError.
+    Samples that are not finite, xs that are not nonnegative and ascending,
+    or another source raise ParameterError. Equal only to itself.
     """
 
     m: float
@@ -96,6 +97,8 @@ class ReferenceProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "m", LaneEmdenProblem(self.m).m)
+        if not (isinstance(self.source, str) and self.source in _SOURCES):
+            raise ParameterError(f"source must be one of {', '.join(_SOURCES)}, got {self.source!r:.40}")
         xs = as_points(self.xs, "xs")
         samples = {"xs": xs, "ys": as_reals(self.ys, "ys")}
         if self.yps is not None:

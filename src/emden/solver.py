@@ -106,7 +106,8 @@ class LaneEmdenProblem:
     _g_prime: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "m", check_real("m", self.m, minimum=0.0))
+        # -0.0 reads as 0.0: a zero index has one sign
+        object.__setattr__(self, "m", check_real("m", self.m, minimum=0.0) + 0.0)
 
     def g(self, y):
         y = as_floats(y, "y")
@@ -175,7 +176,7 @@ class SolverConfig:
         return self._basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSolution:
     """Solve result: nodal values b plus diagnostics.
 
@@ -184,6 +185,7 @@ class SpectralSolution:
     accepted residual norms, including the initial one; it is non-increasing.
     operators is the DiffOperators bundle the solve was assembled on, which
     first_zero reads; pass it to eval_hat_interpolant instead of a rebuild.
+    Equal only to itself.
     """
 
     b: np.ndarray
@@ -307,20 +309,22 @@ _DAMPING_LADDER = (0.5 ** np.arange(7.0))[:, None]
 
 
 def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
-    """The damped Newton loop, run on configs that differ only in L, side by
-    side on stacks of the members still iterating; stacking changes no
-    member's bits. Each iteration evaluates every rung of the damping ladder
-    of every member in one residual call; a member takes the first rung that
-    reduces its residual, or stalls. A member that fails a check of its LU
-    solve raises NumericalError at once, its message ending in the member's
-    map scale and iteration, e.g. "(L=2.0, iteration 1)"; among members
-    failing at the same iteration, the first in configs decides.
+    """The damped Newton loop, run on configs of one n, newton_tol and
+    max_iter, with any alpha and L, side by side on stacks of the members
+    still iterating; stacking changes no member's bits. Each member gets the
+    bundle of its own params, and the loop stacks their scaled arrays. Each
+    iteration evaluates every rung of the damping ladder of every member in
+    one residual call; a member takes the first rung that reduces its
+    residual, or stalls. A member that fails a check of its LU solve raises
+    NumericalError at once, its message ending in the member's map scale and
+    iteration, e.g. "(L=2.0, iteration 1)"; among members failing at the same
+    iteration, the first in configs decides.
     """
     if not configs:
         return []
-    ops, d1, d2, xm = _scaled_operators([config.basis_params() for config in configs])
-    first = configs[0]
-    tol = first.newton_tol
+    ops = [_scaled_operators(config.basis_params()) for config in configs]
+    d1, d2, xm = (np.array([getattr(o, k) for o in ops]) for k in ("D1_scaled", "D2_scaled", "mapped_nodes"))
+    tol, max_iter = configs[0].newton_tol, configs[0].max_iter
     linear = _linear_jacobian(d1, d2, xm)
     b = (1.0 + xm**2 / 3.0) ** -0.5
     b[:, 0] = 1.0
@@ -333,7 +337,7 @@ def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
         iterations = [0] * len(configs)
         live = [i for i, v in enumerate(norm) if v > tol]
         iteration = 0
-        while live and iteration < first.max_iter:
+        while live and iteration < max_iter:
             iteration += 1
             # a slice while every member iterates, which copies no stack
             rows = slice(None) if len(live) == len(configs) else live
@@ -459,7 +463,7 @@ def scan_L_reports(m, n, alpha, grid, tol=SolverConfig.newton_tol,
             converged=bool(s.converged),
             recommended=(i == best),
             tail_magnitude=tails[i],
-            coeff_abs=tuple(float(a) for a in np.abs(s.b)),
+            coeff_abs=tuple(np.abs(s.b).tolist()),
             solution=s,
         )
         for i, s in enumerate(solutions)

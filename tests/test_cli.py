@@ -3,6 +3,7 @@ import dataclasses
 import importlib.machinery
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -553,6 +554,23 @@ class TestRunnersDirect:
         assert main(["scan-L", "--m", "3", "--n", "7", "--L-grid", spec]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"emden: error: {message}\n")
         assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--m", "-0.0", "--n", "7", "--alpha", "-0.0", "--eval", "1"],
+        ["first-zero", "--m", "-0.0", "--n", "7", "--alpha", "-0.0"],
+        ["scan-L", "--m", "-0.0", "--n", "7", "--alpha", "-0.0", "--L-grid", "1:2:2"],
+    ], ids=lambda argv: argv[0])
+    def test_a_zero_m_and_alpha_are_echoed_as_solved(self, capsys, argv):
+        # the solve reads -0.0 as 0.0; the config echo and the first-zero
+        # row report the values it used
+        status, doc = run_json(capsys, argv)
+        assert status == EXIT_OK
+        assert [math.copysign(1.0, doc["config"][name]) for name in ("m", "alpha")] == [1.0, 1.0]
+        status, text = run_text(capsys, argv + ["--format", "csv"])
+        assert status == EXIT_OK
+        if argv[0] == "first-zero":
+            assert text.splitlines()[1].startswith("0.000000,7,1.000000,")
+            assert doc["first_zero"]["x_star"] > 0.0
 
     def test_run_scan_direct(self):
         config = RunConfig(command="scan-L", m=3.0, n=7, L_grid=(0.9, 1.1, 2))

@@ -843,6 +843,16 @@ class TestProfilesAndComparison:
         prof = closed_form_samples(m, xs)
         np.testing.assert_allclose(prof.interpolant()(xs), closed_form(m, xs), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("source", [5, None, "table", "Shooting", b"shooting", ("shooting",)])
+    def test_a_source_outside_the_four_raises_naming_them(self, source):
+        with pytest.raises(ParameterError, match="^source must be one of closed-form, shooting, "
+                                                 "horedt-table, method-table, got "):
+            ReferenceProfile(m=3, xs=[0, 1], ys=[1, 0.5], source=source)
+
+    @pytest.mark.parametrize("source", ["closed-form", "shooting", "horedt-table", "method-table"])
+    def test_each_named_source_is_kept(self, source):
+        assert ReferenceProfile(m=3, xs=[0, 1], ys=[1, 0.5], source=source).source == source
+
     def test_samples_read_from_sequences(self):
         prof = ReferenceProfile(m=3, xs=[0, 1], ys=[1, -1], source="closed-form")
         assert prof.m == 3.0

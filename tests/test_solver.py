@@ -17,9 +17,9 @@ import emden.operators
 import emden.reference
 import emden.solver
 from emden.errors import NumericalError, ParameterError
-from emden.laguerre import BasisParams
+from emden.laguerre import BasisParams, radau_nodes
 from emden.operators import build_operators, eval_hat_interpolant
-from emden.reference import closed_form
+from emden.reference import closed_form, horedt_reference
 from emden.solver import (
     LaneEmdenProblem,
     SolverConfig,
@@ -329,6 +329,13 @@ class TestProblem:
         p = LaneEmdenProblem(3.0, _g=lambda y: 2.0 * y, _g_prime=lambda y: 2.0)
         assert p.g(0.7) == pytest.approx(1.4)
         assert p.g_prime(0.7) == 2.0
+
+    @pytest.mark.parametrize("m", [-0.0, np.float64(-0.0), 0, 0.0])
+    def test_a_zero_index_has_one_sign(self, m):
+        # -0.0 reads as 0.0, as a zero alpha does
+        problem = LaneEmdenProblem(m)
+        assert math.copysign(1.0, problem.m) == 1.0
+        assert repr(problem) == repr(LaneEmdenProblem(0.0)) == "LaneEmdenProblem(m=0.0)"
 
     def test_negative_index_rejected(self):
         with pytest.raises(ParameterError):
@@ -821,13 +828,35 @@ class TestScanLReports:
         assert calls[0] == (len(grid), n + 1)
         assert all(shape[1:] == (7, n + 1) for shape in calls[1:])
 
-    def test_members_hold_read_only_slices_of_one_stack(self):
+    def test_members_hold_the_read_only_arrays_of_their_own_bundle(self):
+        # each member's scaled arrays are the bits build_operators gives for
+        # its params, and own their memory: a kept member pins no sibling's
         reports = scan_L_reports(3.0, 7, 1.0, [0.5, 1.0, 2.0])
         ops = [r.solution.operators for r in reports]
         for name in ("D1_scaled", "D2_scaled", "mapped_nodes"):
             arrays = [getattr(o, name) for o in ops]
             assert all(not a.flags.writeable for a in arrays)
-            assert all(a.base is not None and a.base is arrays[0].base for a in arrays)
+            assert [bits(a) for a in arrays] == [bits(getattr(build_operators(o.params), name)) for o in ops]
+            assert all(a.base is None for a in arrays)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_members_of_mixed_alpha_and_L_equal_their_one_member_solves(self, seed):
+        # configs of one n with any (alpha, L): each member is solved on the
+        # node set of its own alpha, bit for bit as it is solved alone
+        rng = np.random.default_rng(seed)
+        problem = LaneEmdenProblem(float(rng.choice([1.5, 2.0, 3.0, 4.0, rng.uniform(0.5, 5.0)])))
+        n = int(rng.integers(4, 25))
+        configs = [SolverConfig(n=n, alpha=alpha, L=L) for alpha, L in
+                   zip(rng.uniform(-0.9, 4.0, 12).tolist(), np.exp(rng.uniform(-1.5, 1.5, 12)).tolist())]
+        configs += [SolverConfig(n=n, alpha=0.0), SolverConfig(n=n, alpha=2.0, L=1.0)]
+        for sol, config in zip(_lockstep_newton_solve(problem, configs), configs):
+            alone = _lockstep_newton_solve(problem, [config])[0]
+            assert sol.operators.params is config.basis_params()
+            assert sol.operators.params.alpha == sol.operators.nodes.alpha == config.alpha
+            assert bits(sol.b) == bits(alone.b)
+            assert bits(sol.residual_history) == bits(alone.residual_history)
+            assert sol.iterations == alone.iterations
+            assert_same_bits(sol.operators, alone.operators)
 
     def test_sample_covers_every_way_a_solve_ends(self):
         outcomes = set()
@@ -1011,6 +1040,37 @@ class TestConfigValidation:
         assert sol.operators.params is config.basis_params()
         for sol, config in zip(_lockstep_newton_solve(LaneEmdenProblem(3.0), configs), configs):
             assert sol.operators.params is config.basis_params()
+
+
+def twin_records(kind):
+    """Two distinct records of one kind that hold arrays, with equal contents."""
+    params, problem, config = BasisParams(n=7), LaneEmdenProblem(3.0), SolverConfig(n=7)
+    make = {
+        "RadauNodeSet": lambda: radau_nodes(params),
+        "DiffOperators": lambda: uncached_build_operators(params),
+        "SpectralSolution": lambda: _lockstep_newton_solve(problem, [config])[0],
+        "ReferenceProfile": lambda: horedt_reference(3.0),
+    }[kind]
+    return make(), make()
+
+
+class TestRecordEquality:
+    @pytest.mark.parametrize("kind", ["RadauNodeSet", "DiffOperators", "SpectralSolution",
+                                      "ReferenceProfile"])
+    def test_records_that_hold_arrays_compare_by_identity(self, kind):
+        # == between arrays has no single truth value, so these records are
+        # equal only to themselves, and hash and membership tests work
+        first, second = twin_records(kind)
+        assert type(first).__name__ == kind
+        assert first == first and first != second and not first == second
+        assert first in [second, first] and first not in [second]
+        assert len({first, second, first}) == 2
+
+    def test_scan_reports_keep_their_value_equality(self):
+        # a report's solution takes no part in its equality or its hash
+        first, second = (scan_L_reports(3.0, 7, 1.0, [0.5, 1.0]) for _ in range(2))
+        assert first == second and first[0].solution is not second[0].solution
+        assert hash(first[0]) == hash(second[0])
 
 
 def counted_solves(monkeypatch):
