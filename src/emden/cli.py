@@ -144,20 +144,15 @@ class RunConfig:
     out: Optional[str] = None
 
 
-def _solver_config(config: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        n=config.n,
-        alpha=config.alpha,
-        L=config.L,
-        newton_tol=config.tol,
-        max_iter=config.max_iter,
-    )
+def _solver_config(config: RunConfig, L: float) -> SolverConfig:
+    """The setup of the invocation at the map scale L."""
+    return SolverConfig(n=config.n, alpha=config.alpha, L=L, newton_tol=config.tol, max_iter=config.max_iter)
 
 
-def _config_doc(config: RunConfig, m: float, setup: SolverConfig) -> dict:
-    """The invocation as it was solved: the index m the problem read and the
-    fields of a setup the solve used, so a zero reads +0.0 as it did there."""
-    doc = {"command": config.command, "m": m, "n": setup.n, "alpha": setup.alpha,
+def _config_doc(config: RunConfig, problem: LaneEmdenProblem, setup: SolverConfig) -> dict:
+    """The invocation as the runner solved it: the m of its problem and the
+    fields of its setup, so a zero reads +0.0 as it did there."""
+    doc = {"command": config.command, "m": problem.m, "n": setup.n, "alpha": setup.alpha,
            "tol": setup.newton_tol, "max_iter": setup.max_iter}
     if config.command == "scan-L":
         lo, hi, count = config.L_grid
@@ -193,16 +188,16 @@ def _default_eval_grid(solution) -> np.ndarray:
 def run_solve(config: RunConfig):
     """Solve one problem and tabulate the profile. Returns (status, json_doc,
     csv_text)."""
-    problem, solver_config = LaneEmdenProblem(config.m), _solver_config(config)
+    problem, setup = LaneEmdenProblem(config.m), _solver_config(config, config.L)
     grid = None if config.eval_points is None else as_float_grid(config.eval_points, "eval_points")
-    solution = newton_solve(problem, solver_config)
+    solution = newton_solve(problem, setup)
     if grid is None:
         grid = _default_eval_grid(solution)
     values = eval_hat_interpolant(solution.operators, solution.b, grid)
     # Python floats format as np.float64 does, about 3x faster
     table = _Table((("x", ".6f"), ("y", ".6f")), list(zip(grid.tolist(), values.tolist())))
     doc = {
-        "config": _config_doc(config, problem.m, solver_config),
+        "config": _config_doc(config, problem, setup),
         "solution": _solution_doc(solution),
         "evaluations": table.json_rows(),
     }
@@ -213,9 +208,9 @@ def run_solve(config: RunConfig):
 def run_first_zero(config: RunConfig):
     """Solve, then locate the interpolant's first zero. Returns (status,
     json_doc, csv_text)."""
-    problem, setup = LaneEmdenProblem(config.m), _solver_config(config)
+    problem, setup = LaneEmdenProblem(config.m), _solver_config(config, config.L)
     solution = newton_solve(problem, setup)
-    doc = {"config": _config_doc(config, problem.m, setup), "solution": _solution_doc(solution),
+    doc = {"config": _config_doc(config, problem, setup), "solution": _solution_doc(solution),
            "first_zero": None}
     stem = (problem.m, setup.n, setup.L)
     no_zero = _Table(_FIRST_ZERO_COLUMNS, [stem + (None, None, None)])
@@ -251,8 +246,10 @@ def run_scan_L(config: RunConfig):
     lo = check_real("L_grid lo", lo, minimum=0.0, exclusive=True)
     grid = np.linspace(lo, check_real("L_grid hi", hi, minimum=lo),
                        check_integer("L_grid count", count, minimum=1))
-    m = LaneEmdenProblem(config.m).m
-    reports = scan_L_reports(m, config.n, config.alpha, grid, tol=config.tol, max_iter=config.max_iter)
+    # the first member's setup, whose checked values the scan is handed and echoes
+    problem, setup = LaneEmdenProblem(config.m), _solver_config(config, grid[0])
+    reports = scan_L_reports(problem.m, setup.n, setup.alpha, grid, tol=setup.newton_tol,
+                             max_iter=setup.max_iter)
     coeff_names = [f"b_abs_{k}" for k in range(len(reports[0].coeff_abs))]
     table = _Table(
         (("L", ".6f"), ("converged", "true/false"), ("recommended", "0/1"),
@@ -262,8 +259,7 @@ def run_scan_L(config: RunConfig):
     for record in records:
         record["coeff_abs"] = [record.pop(name) for name in coeff_names]
     recommended = next((r["L"] for r in records if r["recommended"]), None)
-    doc = {"config": _config_doc(config, m, reports[0].solution.config_echo), "records": records,
-           "recommended_L": recommended}
+    doc = {"config": _config_doc(config, problem, setup), "records": records, "recommended_L": recommended}
     status = EXIT_OK if recommended is not None else EXIT_NOT_CONVERGED
     return status, doc, table.csv()
 

@@ -61,8 +61,8 @@ class DiffOperators:
     """Operator bundle for one discretization; immutable, safe to share.
 
     Bundles with the same (n, alpha) share one node set and the same
-    read-only D1_poly, D2_poly, D1_mgl and D2_mgl arrays; mapped_nodes,
-    D1_scaled and D2_scaled are the bundle's own. Equal only to itself.
+    read-only D1_poly, D2_poly, D1_mgl and D2_mgl arrays; only mapped_nodes,
+    D1_scaled and D2_scaled belong to the bundle's L. Equal only to itself.
     """
 
     params: BasisParams
@@ -153,15 +153,17 @@ def _unscaled_operators(n: int, alpha: float):
     return nodes, d1p, d2p, d1m, d2m
 
 
-def _scaled_operators(params: BasisParams) -> DiffOperators:
+def _scaled_operators(params: BasisParams, rows=(None, None, None)) -> DiffOperators:
     """The bundle of one BasisParams, unchecked: the shared unscaled part of
-    its (n, alpha) and its own D1_mgl/L, D2_mgl/(L*L) and L*eta."""
+    its (n, alpha) and D1_mgl/L, D2_mgl/(L*L) and L*eta, new arrays or written
+    into rows, the caller's (D1_scaled, D2_scaled, mapped_nodes) arrays."""
     nodes, d1p, d2p, d1m, d2m = _unscaled_operators(params.n, params.alpha)
+    d1, d2, xm = rows
     # a 0-d array, so an overflow or a division by zero at an extreme L warns
     L = np.array(params.L)
-    return DiffOperators(params=params, nodes=nodes, mapped_nodes=L * nodes.eta, D1_poly=d1p,
-                         D2_poly=d2p, D1_mgl=d1m, D2_mgl=d2m, D1_scaled=d1m / L,
-                         D2_scaled=d2m / (L * L))
+    return DiffOperators(params=params, nodes=nodes, mapped_nodes=np.multiply(L, nodes.eta, out=xm),
+                         D1_poly=d1p, D2_poly=d2p, D1_mgl=d1m, D2_mgl=d2m,
+                         D1_scaled=np.divide(d1m, L, out=d1), D2_scaled=np.divide(d2m, L * L, out=d2))
 
 
 def build_operators(params: BasisParams) -> DiffOperators:

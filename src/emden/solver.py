@@ -311,19 +311,20 @@ _DAMPING_LADDER = (0.5 ** np.arange(7.0))[:, None]
 def _lockstep_newton_solve(problem: LaneEmdenProblem, configs) -> list:
     """The damped Newton loop, run on configs of one n, newton_tol and
     max_iter, with any alpha and L, side by side on stacks of the members
-    still iterating; stacking changes no member's bits. Each member gets the
-    bundle of its own params, and the loop stacks their scaled arrays. Each
-    iteration evaluates every rung of the damping ladder of every member in
-    one residual call; a member takes the first rung that reduces its
-    residual, or stalls. A member that fails a check of its LU solve raises
-    NumericalError at once, its message ending in the member's map scale and
-    iteration, e.g. "(L=2.0, iteration 1)"; among members failing at the same
-    iteration, the first in configs decides.
+    still iterating; stacking changes no member's bits. Each member's bundle
+    is built from its own params on its rows of the loop's scaled stacks, so
+    a scan holds one copy of them. Each iteration evaluates every rung of the
+    damping ladder of every member in one residual call; a member takes the
+    first rung that reduces its residual, or stalls. A member that fails a
+    check of its LU solve raises NumericalError at once, its message ending
+    in the member's map scale and iteration, e.g. "(L=2.0, iteration 1)";
+    among members failing at the same iteration, the first in configs decides.
     """
     if not configs:
         return []
-    ops = [_scaled_operators(config.basis_params()) for config in configs]
-    d1, d2, xm = (np.array([getattr(o, k) for o in ops]) for k in ("D1_scaled", "D2_scaled", "mapped_nodes"))
+    k, size = len(configs), configs[0].n + 1
+    d1, d2, xm = np.empty((k, size, size)), np.empty((k, size, size)), np.empty((k, size))
+    ops = [_scaled_operators(c.basis_params(), (d1[i], d2[i], xm[i])) for i, c in enumerate(configs)]
     tol, max_iter = configs[0].newton_tol, configs[0].max_iter
     linear = _linear_jacobian(d1, d2, xm)
     b = (1.0 + xm**2 / 3.0) ** -0.5

@@ -1,7 +1,6 @@
 """One SHA-256 over a fixed, seeded set of the package's outputs.
 
     python3 tools/digest.py
-    python3 tools/digest.py --against REV
 
 Run from the root of a checkout: the package is imported from that
 checkout's src/. Two trees that print the same digest give the same bits for
@@ -21,27 +20,15 @@ keep every output bit runs it on the parent tree and on the change.
 It prints one SHA-256 per section (operators, solves, fits, shooting,
 closed_forms, power_law, cli), so a change that moves bits on purpose can
 name the sections that moved, and then the digest over all of them, last.
-
-With --against REV it runs this script, in a fresh interpreter, over the
-tree of the git revision REV (unpacked by git archive into a temporary
-directory) and over the working tree of this checkout. It prints "same" or
-"moved" for each section and for the overall digest, with the digest of
-each side, and exits 1 if any section moved, 2 if a step of the comparison
-fails.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import math
 import os
-import shutil
-import subprocess
 import sys
-import tarfile
-import tempfile
 import warnings
 
 import numpy as np
@@ -209,41 +196,7 @@ def _cli(digest):
                 digest.feed(argv, fmt, status, out.getvalue())
 
 
-def _digests(script):
-    """(name, digest) of each line script prints; the overall one is named "overall"."""
-    out = subprocess.run([sys.executable, script], check=True, stdout=subprocess.PIPE, text=True).stdout
-    return [tuple(line.split()) if " " in line else ("overall", line) for line in out.splitlines()]
-
-
-def against(rev):
-    """Compare the digests of rev's tree and of the working tree; 1 if a section moved."""
-    data = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True, stdout=subprocess.PIPE).stdout
-    with tempfile.TemporaryDirectory() as tree:
-        with tarfile.open(fileobj=io.BytesIO(data)) as archive:
-            archive.extractall(tree, filter="data")
-        script = os.path.join(tree, "tools", "digest.py")
-        os.makedirs(os.path.dirname(script), exist_ok=True)
-        shutil.copyfile(os.path.abspath(__file__), script)
-        old = _digests(script)
-    new = _digests(os.path.abspath(__file__))
-    if [name for name, _ in old] != [name for name, _ in new]:
-        raise SystemExit(f"the sections differ: {old} against {new}")
-    for (name, before), (_, after) in zip(old, new):
-        print(f"{name:<13}same  {before}" if before == after else f"{name:<13}moved {before} -> {after}")
-    return int(old != new)
-
-
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", metavar="REV",
-                        help="compare each section with the tree of git revision REV")
-    rev = parser.parse_args().against
-    if rev is not None:
-        try:
-            sys.exit(against(rev))
-        except subprocess.CalledProcessError as exc:
-            print(f"digest.py: {exc}", file=sys.stderr)
-            sys.exit(2)
     digest = Digest()
     rng = np.random.default_rng(SEED)
     with warnings.catch_warnings():
