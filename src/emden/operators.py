@@ -18,9 +18,10 @@ matrices depend only on (n, alpha) and are built once per pair (the alpha
 check reads -0.0 as 0.0, so a zero alpha is one pair). _scaled_operators
 builds the bundle of one BasisParams: it applies the scale L, the one scaling
 of every bundle, to the unscaled matrices of the params' own (n, alpha), so
-no matrix of another alpha can enter. build_operators, its checked form, is
-the one public route to the matrices. The interpolant is evaluated through
-one (points x nodes) cardinal matrix.
+no matrix of another alpha can enter; the Newton loop has it write each
+member's scaled arrays into the member's rows of the loop's stacks.
+build_operators, its checked form, is the one public route to the matrices.
+The interpolant is evaluated through one (points x nodes) cardinal matrix.
 
 The public entries check their input once and call a private kernel:
 _scaled_operators, on _unscaled_operators, _poly_d1 and _poly_d2, for the
